@@ -2,10 +2,12 @@
 
 All returned residuals are recomputed from the matrix, never trusted from
 the solver.  Interior windows are solved by shift-invert Krylov iteration at
-the window midpoint; completeness is certified by inertia counts read off a
-symmetric-mode diagonal-pivot factorization (Sylvester's law), and silently
-downgraded to a heuristic certificate whenever the factorization had to
-pivot asymmetrically.  Start vectors are seeded, so runs are reproducible.
+the window midpoint; completeness is certified by inertia counts (Sylvester's
+law) at the window ends and checked against the count at the midpoint.  Each
+shift gets one symmetric-mode diagonal-pivot factorization of H - sigma,
+which serves both its inertia count and every shift-invert solve there.  A
+certificate that falls back to heuristic says why in ``downgrade``.  Start
+vectors are seeded, so runs are reproducible.
 """
 
 import struct
@@ -23,6 +25,7 @@ from .operators import gershgorin_interval
 DENSE_GUARD = 4096
 CERTIFIED = "certified"
 HEURISTIC = "heuristic"
+COUNT_MISMATCH = "count mismatch"
 
 BSEV_MAGIC = b"BSEV"
 BSEV_VERSION = 1
@@ -48,6 +51,7 @@ class SpectrumSlice:
     window: tuple | None = None
     requested: int | None = None
     tol: float = 0.0
+    downgrade: str | None = None  # why the certificate is only heuristic
 
     def __len__(self):
         return self.values.size
@@ -64,7 +68,7 @@ class SpectrumSlice:
                              residuals=self.residuals[keep],
                              certificate=self.certificate,
                              window=self.window, requested=self.requested,
-                             tol=self.tol)
+                             tol=self.tol, downgrade=self.downgrade)
 
 
 def default_tol(op):
@@ -119,13 +123,13 @@ def _sorted_slice(op, values, vectors, certificate, window=None,
                          requested=requested, tol=tol)
 
 
-def count_below(op, sigma, attempts=3):
-    """Number of eigenvalues strictly below sigma, via inertia.
+def _factor_shifted(op, sigma, attempts=3):
+    """One factor of H - sigma, for its inertia and for shift-invert solves.
 
-    Factorizes H - sigma in SuperLU symmetric mode with diagonal pivots; the
-    signs of the real U diagonal then give the inertia (Sylvester).  Returns
-    (count, trustworthy); the count is untrustworthy whenever the
-    factorization pivoted off the diagonal or produced a non-real diagonal.
+    SuperLU symmetric mode, MMD_AT_PLUS_A ordering, diagonal pivots: the
+    signs of the real U diagonal give the inertia (Sylvester).  A singular
+    factorization jitters the shift, up to ``attempts`` tries.  Returns (lu
+    or None, shift used, negative pivots, None or why the count is untrusted).
     """
     n = op.n
     shift = float(sigma)
@@ -136,18 +140,38 @@ def count_below(op, sigma, attempts=3):
             lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.0,
                            options=dict(SymmetricMode=True))
-        except RuntimeError:
-            shift += max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
-            continue
-        d = lu.U.diagonal()
-        if not np.all(np.isfinite(d)) or np.any(d == 0):
-            shift += max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
-            continue
-        perm_ok = (np.array_equal(lu.perm_r, lu.perm_c)
-                   or np.array_equal(lu.perm_r[lu.perm_c], np.arange(n)))
-        imag_ok = np.abs(d.imag).max() <= 1e-6 * np.abs(d.real).max()
-        return int(np.sum(d.real < 0)), bool(perm_ok and imag_ok)
-    return 0, False
+        except RuntimeError:  # exactly singular at this shift
+            lu = None
+        d = np.zeros(1) if lu is None else lu.U.diagonal()
+        if np.all(np.isfinite(d)) and np.all(d != 0):
+            downgrade = None
+            if not (np.array_equal(lu.perm_r, lu.perm_c)
+                    or np.array_equal(lu.perm_r[lu.perm_c], np.arange(n))):
+                downgrade = "off-diagonal pivot"
+            elif np.abs(d.imag).max() > 1e-6 * np.abs(d.real).max():
+                downgrade = "complex diagonal"
+            return lu, shift, int(np.sum(d.real < 0)), downgrade
+        shift += max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
+    return None, shift, 0, "jitter retries exhausted"
+
+
+def _shift_inverse(lu, shift):
+    """(H - shift)^-1 as an operator that solves with the given factor."""
+    if lu is None:
+        raise ConvergenceError(
+            f"factorization failed at shift {shift:.6g} after jitters")
+    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=complex)
+
+
+def count_below(op, sigma, attempts=3):
+    """Number of eigenvalues strictly below sigma, via inertia.
+
+    Reads the signs off the same factor of H - sigma that shift-invert
+    solves at sigma would use.  Returns (count, downgrade): downgrade is None
+    when the count is trustworthy, else why it is not ("off-diagonal pivot",
+    "complex diagonal" or "jitter retries exhausted").
+    """
+    return _factor_shifted(op, sigma, attempts)[2:]
 
 
 def dense_spectrum(op):
@@ -186,11 +210,12 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
         out.tol = tol
         return out
 
-    sigma = lo - max(1e-3 * (hi - lo), 1e-6)
+    lu, shift, _, _ = _factor_shifted(op, lo - max(1e-3 * (hi - lo), 1e-6))
     v0 = _start_vector(op.n, seed)
     try:
-        w, u = spla.eigsh(op.matrix, k=m, sigma=sigma, which="LM", v0=v0,
-                          maxiter=maxiter, tol=0)
+        w, u = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0,
+                          maxiter=maxiter, tol=0,
+                          OPinv=_shift_inverse(lu, shift))
     except spla.ArpackNoConvergence as exc:
         partial = None
         if exc.eigenvalues is not None and exc.eigenvalues.size:
@@ -198,6 +223,7 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
                                     HEURISTIC, requested=m, tol=tol)
         raise ConvergenceError(f"Krylov iteration did not converge for "
                                f"m = {m}", partial=partial) from exc
+    del lu  # free the factor before the N x m copies below
 
     out = _sorted_slice(op, w, u, HEURISTIC, requested=m, tol=tol)
     bad = out.residuals > tol
@@ -206,20 +232,21 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
             f"{int(bad.sum())} residuals exceed tol = {tol:.3g} "
             f"(worst {out.residuals.max():.3g})", partial=out)
     probe = out.values[-1] + max(10 * tol, 1e-10 * max(1.0, abs(out.values[-1])))
-    count, trusted = count_below(op, probe)
-    if trusted and count == m:
-        out.certificate = CERTIFIED
+    count, why = count_below(op, probe)
+    out.downgrade = why or (None if count == m else COUNT_MISMATCH)
+    out.certificate = HEURISTIC if out.downgrade else CERTIFIED
     return out
 
 
-def window_eigs(op, window, tol=None, seed=0, use_folded=False, maxiter=None):
+def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     """All eigenpairs inside [alpha, beta] by shift-invert at the midpoint.
 
     Inertia counts at the two endpoints determine how many eigenvalues the
-    window must hold; the slice is certified when exactly that many are
-    found.  Factorization breakdown at the shift triggers up to three jitter
-    retries.  The folded-spectrum fallback avoids factorization entirely but
-    is always heuristic.
+    window must hold (at an alpha below the Gershgorin bound, zero without a
+    factorization).  The one factor at the midpoint drives every solve and
+    counts the pairs that must lie below it.  The slice is certified when
+    every trusted count matches the pairs found.  Factorization breakdown at
+    a shift triggers up to three jitter retries.
     """
     alpha, beta = float(window[0]), float(window[1])
     if not alpha < beta:
@@ -229,12 +256,12 @@ def window_eigs(op, window, tol=None, seed=0, use_folded=False, maxiter=None):
     if tol is None:
         tol = default_tol(op)
 
-    if use_folded:
-        return _folded_window(op, alpha, beta, tol, seed, maxiter)
-
-    c_lo, ok_lo = count_below(op, alpha)
-    c_hi, ok_hi = count_below(op, beta)
-    expected = c_hi - c_lo if (ok_lo and ok_hi) else None
+    c_lo, why_lo = 0, None  # no eigenvalue lies below the Gershgorin bound
+    if alpha >= gershgorin_interval(op)[0]:
+        c_lo, why_lo = count_below(op, alpha)
+    c_hi, why_hi = count_below(op, beta)
+    downgrade = why_lo or why_hi
+    expected = c_hi - c_lo if downgrade is None else None
 
     if expected == 0:
         return SpectrumSlice(values=np.empty(0), vectors=np.empty((op.n, 0)),
@@ -243,74 +270,45 @@ def window_eigs(op, window, tol=None, seed=0, use_folded=False, maxiter=None):
 
     guess = expected if expected is not None else 8
     k = min(max(guess + 8, 8), op.n - 2)
-    sigma = 0.5 * (alpha + beta)
+    lu, shift, c_mid, why_mid = _factor_shifted(op, 0.5 * (alpha + beta))
+    opinv = _shift_inverse(lu, shift)
     v0 = _start_vector(op.n, seed)
 
     while True:
-        w = u = None
-        shift = sigma
-        for attempt in range(3):
-            try:
-                w, u = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM",
-                                  v0=v0, maxiter=maxiter, tol=0)
-                break
-            except spla.ArpackNoConvergence as exc:
-                partial = None
-                if exc.eigenvalues is not None and exc.eigenvalues.size:
-                    partial = _sorted_slice(op, exc.eigenvalues,
-                                            exc.eigenvectors, HEURISTIC,
-                                            window=(alpha, beta), tol=tol)
-                raise ConvergenceError("window iteration did not converge",
-                                       partial=partial) from exc
-            except RuntimeError:
-                # singular or failed factorization at the shift
-                shift = sigma + (attempt + 1) * 1e-3 * (beta - alpha)
-        if w is None:
-            raise ConvergenceError(
-                f"factorization failed at shift {sigma:.6g} after jitters")
-
-        full = _sorted_slice(op, w, u, HEURISTIC, window=(alpha, beta), tol=tol)
-        inside = (full.values >= alpha) & (full.values <= beta)
-        got = int(inside.sum())
+        try:
+            w, u = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM",
+                              v0=v0, maxiter=maxiter, tol=0, OPinv=opinv)
+        except spla.ArpackNoConvergence as exc:
+            partial = None
+            if exc.eigenvalues is not None and exc.eigenvalues.size:
+                partial = _sorted_slice(op, exc.eigenvalues,
+                                        exc.eigenvectors, HEURISTIC,
+                                        window=(alpha, beta), tol=tol)
+            raise ConvergenceError("window iteration did not converge",
+                                   partial=partial) from exc
+        got = int(np.sum((w >= alpha) & (w <= beta)))
         if expected is not None and got < expected and k < op.n - 2:
             k = min(2 * k + 8, op.n - 2)
             continue
-        out = full.select(np.flatnonzero(inside))
-        bad = out.residuals > tol
-        if bad.any():
-            raise ConvergenceError(
-                f"{int(bad.sum())} window residuals exceed tol = {tol:.3g}",
-                partial=out)
-        if expected is not None and got == expected:
-            out.certificate = CERTIFIED
-        return out
+        break
+    del lu, opinv  # free the factor before the N x k copies below
 
-
-def _folded_window(op, alpha, beta, tol, seed, maxiter):
-    sigma = 0.5 * (alpha + beta)
-    mat = op.matrix
-
-    def folded(x):
-        y = mat @ x - sigma * x
-        return mat @ y - sigma * y
-
-    lin = spla.LinearOperator(shape=mat.shape, matvec=folded, dtype=complex)
-    k = min(32, op.n - 2)
-    v0 = _start_vector(op.n, seed)
-    try:
-        w, u = spla.eigsh(lin, k=k, which="SA", v0=v0, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError("folded-spectrum iteration did not converge") \
-            from exc
-    # eigenvalues of the folded operator only locate |lambda - sigma|;
-    # recover lambda from Rayleigh quotients
-    lam = np.real(np.einsum("ij,ij->j", u.conj(), mat @ u))
-    inside = (lam >= alpha) & (lam <= beta)
-    out = _sorted_slice(op, lam[inside], u[:, inside], HEURISTIC,
-                        window=(alpha, beta), tol=tol)
+    full = _sorted_slice(op, w, u, HEURISTIC, window=(alpha, beta), tol=tol)
+    out = full.select(np.flatnonzero((full.values >= alpha)
+                                     & (full.values <= beta)))
     bad = out.residuals > tol
     if bad.any():
-        out = out.select(np.flatnonzero(~bad))
+        raise ConvergenceError(
+            f"{int(bad.sum())} window residuals exceed tol = {tol:.3g}",
+            partial=out)
+    # a pair within its residual of the shift may lie on either side of it
+    below = (np.sum(out.values < shift - out.residuals),
+             np.sum(out.values < shift + out.residuals))
+    mid_ok = why_mid is not None or below[0] <= c_mid - c_lo <= below[1]
+    if downgrade is None and not (got == expected and mid_ok):
+        downgrade = COUNT_MISMATCH
+    out.downgrade = downgrade
+    out.certificate = HEURISTIC if downgrade else CERTIFIED
     return out
 
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
                       torus_constant_setup)
@@ -94,12 +95,15 @@ def test_criterion_3_landau_cluster_counts(tmp_path):
         details.append(f"p={entry['p']}: {entry['n_cluster']} states "
                        f"({entry['certificate']}), mean dev "
                        f"{entry['mean_dev']:.2e}")
-    # independent dense oracle at p = 4
+    # independent dense oracle at p = 4, over the closed window
     inst = build_instance(cfg, 4)
     bval = 1 / TWO_PI
-    dense = dense_spectrum(inst["op"])
-    in_window = dense.values[np.abs(dense.values - bval) <= 0.4 * bval]
-    pipeline = window_eigs(inst["op"], (0.6 * bval, 1.4 * bval))
+    lo, hi = 0.6 * bval, 1.4 * bval
+    in_window = scipy.linalg.eigh(inst["op"].matrix.toarray(),
+                                  eigvals_only=True,
+                                  subset_by_value=(np.nextafter(lo, -np.inf),
+                                                   hi))
+    pipeline = window_eigs(inst["op"], (lo, hi))
     oracle_ok = in_window.size == 4 and \
         np.abs(np.sort(in_window) - pipeline.values).max() <= 1e-8
     ok = ok and oracle_ok

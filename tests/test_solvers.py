@@ -1,13 +1,17 @@
 """Dense oracle, lowest/window Krylov solvers, inertia certification."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import TWO_PI, op_from_dense, torus_constant_setup
 from magspec import (assemble_H, build_lattice, count_below, dense_spectrum,
                      lowest_eigs, read_slice, trivial_links, window_eigs,
                      write_slice, zero_potential)
+from magspec import solvers
 from magspec.errors import (ConvergenceError, DenseSizeError,
                             NotHermitianError, WindowError)
 from magspec.solvers import CERTIFIED, HEURISTIC
@@ -130,9 +134,18 @@ def test_count_below_matches_dense():
     w = dense_spectrum(op).values
     for q in (5, 25, 50, 75, 95):
         sigma = np.percentile(w, q) + 1e-9
-        count, trusted = count_below(op, sigma)
-        assert trusted
+        count, downgrade = count_below(op, sigma)
+        assert downgrade is None
         assert count == int(np.sum(w < sigma))
+
+
+def test_count_below_records_exhausted_jitters(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    op = op_from_dense(np.diag([1.0, 2.0, 3.0]))
+    assert count_below(op, 1.5) == (0, "jitter retries exhausted")
 
 
 def test_inertia_consistency_on_assembled_operator():
@@ -151,15 +164,73 @@ def test_convergence_error_carries_partial():
         lowest_eigs(H, 40, maxiter=1)
 
 
-def test_folded_fallback_heuristic():
-    lat, spec, b, links, V, H = torus_constant_setup(nx=12, p=4)
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Keyword arguments of every SuperLU factorization, ARPACK's included."""
+    arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
+    original = spla.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    monkeypatch.setattr(arpack, "splu", counting)
+    return calls
+
+
+def _assert_symmetric_mode_factors(calls, expected):
+    # a silent return to ARPACK's own COLAMD factor shows up here
+    assert len(calls) == expected
+    for kwargs in calls:
+        assert kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+        assert kwargs.get("options", {}).get("SymmetricMode") is True
+
+
+@pytest.mark.parametrize("lower, factorizations", [
+    (-1.0, 2),   # below the Gershgorin bound: no count at alpha
+    (0.6, 3),    # interior window: counts at both ends plus the midpoint
+])
+def test_window_one_factorization_per_shift(splu_calls, lower,
+                                            factorizations):
+    lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
     bval = 1 / TWO_PI
-    dense = dense_spectrum(H)
-    sl = window_eigs(H, (0.5 * bval, 1.5 * bval), use_folded=True)
+    sl = window_eigs(H, (lower * bval, 1.4 * bval))
+    assert len(sl) == 4
+    assert sl.certificate == CERTIFIED and sl.downgrade is None
+    _assert_symmetric_mode_factors(splu_calls, factorizations)
+
+
+@pytest.mark.parametrize("m, certificate, downgrade", [
+    (4, CERTIFIED, None),
+    (5, HEURISTIC, "count mismatch"),   # cuts the 4-fold second cluster
+])
+def test_lowest_one_factorization_per_shift(splu_calls, m, certificate,
+                                            downgrade):
+    lat, spec, b, links, V, H = torus_constant_setup(nx=16, p=4)
+    sl = lowest_eigs(H, m)
+    assert len(sl) == m
+    assert sl.certificate == certificate and sl.downgrade == downgrade
+    _assert_symmetric_mode_factors(splu_calls, 2)
+
+
+def test_midpoint_count_mismatch_downgrades(monkeypatch):
+    lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
+    bval = 1 / TWO_PI
+    window = (0.6 * bval, 1.4 * bval)
+    midpoint = 0.5 * (window[0] + window[1])
+    original = solvers._factor_shifted
+
+    def wrong_midpoint_count(op, sigma, attempts=3):
+        lu, shift, count, downgrade = original(op, sigma, attempts)
+        return lu, shift, count + (sigma == midpoint), downgrade
+
+    monkeypatch.setattr(solvers, "_factor_shifted", wrong_midpoint_count)
+    sl = window_eigs(H, window)
+    assert len(sl) == 4
     assert sl.certificate == HEURISTIC
-    expect = dense.values[np.abs(dense.values - bval) < 0.5 * bval]
-    assert len(sl) == expect.size
-    assert np.allclose(sl.values, expect, atol=1e-7)
+    assert sl.downgrade == solvers.COUNT_MISMATCH == "count mismatch"
 
 
 def test_eigenvector_dump_round_trip(tmp_path):
