@@ -16,14 +16,13 @@ from .fields import (EdgeIntegrals, FieldSpec, GaugeLinks, PotentialField,
                      plaquette_holonomy, sample_field, trivial_links,
                      zero_potential)
 from .operators import (SparseHermitian, assemble_H, conjugate_H,
-                        gershgorin_interval, read_operator, taylor_terms,
-                        write_operator)
+                        gershgorin_interval, taylor_terms)
 from .model import (InterfaceSet, LandauLevel, LandauSet, SigmaUnion,
                     dist_to_sigma, distances_to_sigma, find_gaps,
                     interface_set, landau_levels, omega_collar, sigma_region,
                     skew_invariants)
-from .solvers import (EigenPair, SpectrumSlice, count_below, dense_spectrum,
-                      lowest_eigs, read_slice, window_eigs, write_slice)
+from .solvers import (SpectrumSlice, count_below, dense_spectrum, lowest_eigs,
+                      read_slice, window_eigs, write_slice)
 from .analysis import (ClusterReport, FilteredSlice, LocalizationReport,
                        TrialBound, bandlimited_trial, boundary_filter,
                        cluster_assign, decay_fit, localization_report,

@@ -1,12 +1,12 @@
 """Command-line interface for the experiment pipelines.
 
-Subcommands:
+Subcommands (all but gauge-check select stages and outputs of run):
     run          full preset pipeline with assertions (exit code 0 iff pass)
-    spectrum     assemble + solve only, writing spectrum.csv and eigenvectors
-    model-sigma  level unions, gaps, and interface sets only (no solves)
-    localization localization diagnostics on stored eigenvector dumps
+    spectrum     run's window solve: spectrum.csv and eigenvector dumps
+    model-sigma  run's level unions, gaps and interface sets (sigma.json)
+    localization run's localization.csv from stored eigenvector dumps
     gauge-check  gauge-invariance suite on a reduced instance
-    convergence  sweep table of clustering distances / decay rates across p
+    convergence  run, plus a table of clustering distances / decay rates
 
 Common flags: --config PATH (required), --out DIR, --p LIST, --window A,B,
 --seed N, --threads N, --dry-run.
@@ -110,130 +110,62 @@ def _cmd_run(cfg, args):
     return result.exit_code
 
 
-def _cmd_spectrum(cfg, args):
-    import numpy as np
-
-    from .experiments import (_SPECTRUM_HEADER, _branch_of, _spectrum_rows,
-                              build_instance, sigma_ceiling, _write_csv)
-    from .model import distances_to_sigma, sigma_region
-    from .solvers import lowest_eigs, window_eigs, write_slice
+def _views(cfg, *stale):
+    """Per-p contexts of the run pipeline; the view's stale tables go first."""
+    from .experiments import PerP
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.dry_run:
-        return _cmd_run(cfg, args)
-    path = out / "spectrum.csv"
-    if path.exists():
-        path.unlink()
-    for p in cfg.p_list:
-        inst = build_instance(cfg, p)
-        op, b = inst["op"], inst["b"]
-        if cfg.window is not None:
-            sl = window_eigs(op, cfg.window, tol=cfg.tol, seed=cfg.seed)
-            top = cfg.window[1]
-        else:
-            sl = lowest_eigs(op, min(20, op.n - 1), tol=cfg.tol,
-                             seed=cfg.seed)
-            top = float(sl.values.max())
-        ceiling = cfg.cutoff if cfg.cutoff is not None \
-            else sigma_ceiling(top, cfg.field_spec.max_intensity())
-        sigma = sigma_region(b, inst["potential"], cutoff=ceiling)
-        dists = distances_to_sigma(sl.values, sigma) if len(sl) \
-            else np.empty(0)
-        branches = [_branch_of(lam, sigma) for lam in sl.values]
-        _write_csv(path, _SPECTRUM_HEADER,
-                   _spectrum_rows(cfg, p, inst["plan"]["h"], sl, dists,
-                                  branches), append=True)
-        write_slice(sl, out / f"eigs_p{p}.bsev")
-        print(f"p={p}: {len(sl)} pairs ({sl.certificate}), N={op.n}")
-    print(f"artifacts: {out}")
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
+    return (PerP(cfg, p) for p in cfg.p_list)
+
+
+def _cmd_spectrum(cfg, args):
+    for st in _views(cfg, "spectrum.csv"):
+        st.write_spectrum()
+        print(f"p={st.p}: {len(st.slice)} pairs ({st.slice.certificate}), "
+              f"N={st.inst['op'].n}")
+    print(f"artifacts: {cfg.out_dir}")
     return 0
 
 
 def _cmd_model_sigma(cfg, args):
-    from .config import plan_geometry
-    from .experiments import _dump_json, _sigma_entry, sigma_ceiling, \
-        build_potential
-    from .fields import sample_field
-    from .lattice import build_lattice
-    from .model import interface_set, sigma_region
+    from .experiments import write_sigma
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     entries = []
-    for p in cfg.p_list:
-        plan = plan_geometry(cfg, p)
-        if args.dry_run:
-            print(f"p={p}: nx={plan['nx']} h={plan['h']:.5g}")
-            continue
-        lattice = build_lattice(plan["kind"], plan["extent"], plan["extent"],
-                                plan["nx"], plan["nx"])
-        b = sample_field(cfg.field_spec, lattice)
-        potential = build_potential(cfg, lattice)
-        top = cfg.window[1] if cfg.window is not None else 1.0
-        ceiling = cfg.cutoff if cfg.cutoff is not None \
-            else sigma_ceiling(top, cfg.field_spec.max_intensity())
-        sigma = sigma_region(b, potential, cutoff=ceiling)
-        interface = None
-        if cfg.window is not None:
-            interface = interface_set(lattice, b, potential, cfg.window,
-                                      ceiling)
-        entries.append(_sigma_entry(p, plan, sigma, interface))
-        print(f"p={p}: {len(sigma.intervals)} intervals, "
+    for st in _views(cfg):
+        entries.append(st.sigma_entry())
+        print(f"p={st.p}: {len(entries[-1]['intervals'])} intervals, "
               f"{len(entries[-1]['gaps'])} gaps")
-    if not args.dry_run:
-        _dump_json(out / "sigma.json", {"experiment": cfg.experiment,
-                                        "entries": entries})
-        print(f"artifacts: {out}")
+    write_sigma(cfg, entries)
+    print(f"artifacts: {cfg.out_dir}")
     return 0
 
 
 def _cmd_localization(cfg, args):
-    from .analysis import localization_report
-    from .experiments import build_instance, sigma_ceiling, _write_csv
-    from .model import interface_set
+    from .experiments import PRESETS
     from .solvers import read_slice
 
-    out = Path(cfg.out_dir)
-    if args.dry_run:
-        return _cmd_run(cfg, args)
-    if cfg.window is None:
-        print("localization needs a gap window in the config",
+    if not PRESETS[cfg.experiment].edge_states:
+        print(f"the {cfg.experiment} preset has no localization report",
               file=sys.stderr)
         return 2
-    path = out / "localization.csv"
-    if path.exists():
-        path.unlink()
-    b_max = cfg.field_spec.max_intensity()
     wrote = 0
-    for p in cfg.p_list:
-        dump = out / f"eigs_p{p}.bsev"
-        if not dump.exists():
-            print(f"p={p}: no dump {dump}, skipping", file=sys.stderr)
+    for st in _views(cfg, "localization.csv"):
+        if not st.dump.exists():
+            print(f"p={st.p}: no dump {st.dump}, skipping", file=sys.stderr)
             continue
-        sl = read_slice(dump)
-        inst = build_instance(cfg, p)
-        if sl.vectors.shape[0] != inst["op"].n:
-            print(f"p={p}: dump dimension {sl.vectors.shape[0]} does not "
-                  f"match the configured lattice ({inst['op'].n})",
+        st.slice = read_slice(st.dump)
+        if st.slice.vectors.shape[0] != st.inst["op"].n:
+            print(f"p={st.p}: dump dimension {len(st.slice.vectors)} does "
+                  f"not match the lattice ({st.inst['op'].n})",
                   file=sys.stderr)
             return 2
-        ceiling = cfg.cutoff if cfg.cutoff is not None \
-            else sigma_ceiling(cfg.window[1], b_max)
-        interface = interface_set(inst["lattice"], inst["b"],
-                                  inst["potential"], cfg.window, ceiling)
-        rep = localization_report(sl, interface, p, b_max,
-                                  b_min=cfg.field_spec.min_intensity(),
-                                  c_min=cfg.c_min, c_cap=cfg.c_cap)
-        _write_csv(path,
-                   ["experiment", "p", "h", "seed", "index", "c_star",
-                    "kappa", "W_at_cmin"],
-                   [[cfg.experiment, p, inst["plan"]["h"], cfg.seed, e.index,
-                     e.c_star, e.kappa, e.w_at_cmin] for e in rep.entries],
-                   append=True)
-        wrote += len(rep.entries)
-        print(f"p={p}: {len(rep.entries)} entries")
-    print(f"artifacts: {out}")
+        st.write_localization()
+        wrote += len(st.slice)
+        print(f"p={st.p}: {len(st.slice)} entries")
+    print(f"artifacts: {cfg.out_dir}")
     return 0 if wrote else 2
 
 
@@ -275,24 +207,14 @@ def _cmd_gauge_check(cfg, args):
 
 
 def _cmd_convergence(cfg, args):
-    from .experiments import run_experiment, _write_csv
+    from .experiments import run_experiment, write_convergence
 
-    if args.dry_run:
-        return _cmd_run(cfg, args)
     result = run_experiment(cfg)
     summary = result.summary
-    out = Path(cfg.out_dir)
-    rows = []
-    per_p = summary.get("results", {}).get("per_p", [])
-    for entry in per_p:
-        rows.append([cfg.experiment, entry["p"], cfg.seed,
-                     entry.get("max_distance", ""),
-                     entry.get("kappa_median", "")])
+    write_convergence(cfg, summary)
+    for entry in summary.get("results", {}).get("per_p", []):
         print(f"p={entry['p']}: "
               + "  ".join(f"{k}={v}" for k, v in entry.items() if k != "p"))
-    _write_csv(out / "convergence.csv",
-               ["experiment", "p", "seed", "max_distance", "kappa_median"],
-               rows)
     exponent = summary.get("results", {}).get("clustering_exponent")
     if exponent is not None:
         print(f"clustering exponent: {exponent:.4f}")
@@ -319,6 +241,9 @@ def main(argv=None):
 
     try:
         cfg = _load_config(args)
+        # every view but gauge-check dry-runs as the plan of run
+        if args.dry_run and args.command != "gauge-check":
+            return _cmd_run(cfg, args)
         return _COMMANDS[args.command](cfg, args)
     except MagspecError as exc:
         print(f"error: {exc}", file=sys.stderr)

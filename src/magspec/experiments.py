@@ -1,17 +1,26 @@
-"""Preset experiment pipelines and machine-readable reports.
+"""One per-p pipeline for every preset, and its machine-readable reports.
 
-Each pipeline sweeps the configured tensor powers, assembles and solves the
-operator, runs the spectral and localization diagnostics, and writes
-plot-ready CSV tables plus a summary of pass/fail assertions.  Partial
-results are flushed per sweep entry, so a failing run still leaves its
-completed artifacts on disk.
+Each tensor power p runs the same stages, held by a lazy ``PerP`` context
+that is dropped before the next p: ``build_instance``; the level union
+(``sigma_region``) and, where the preset uses one, the interface set of the
+configured window; the window solve; the preset's diagnostics (cluster
+report, wall filter, localization report, norm-bound trials for p in
+``trials_p``).  A preset (``PRESETS``) adds only a ``*_limits`` function,
+the single copy of its solve window and level-union cutoff, and assertion
+functions over the per-p results and across p.  ``run_experiment`` runs
+every stage and writes tables, eigenvector dumps, ``sigma.json`` and a
+``summary.json`` of pass/fail assertions, flushing tables per p so a failed
+run keeps its finished artifacts; the CLI's ``spectrum``, ``model-sigma``
+and ``localization`` select stages and outputs of the same context.
 """
 
 import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -108,6 +117,20 @@ def _write_csv(path, header, rows, append=False):
             writer.writerow([_fmt(x) for x in row])
 
 
+def _dump_json(path, obj):
+    def default(o):
+        if isinstance(o, (np.integer,)):
+            return int(o)
+        if isinstance(o, (np.floating,)):
+            return float(o)
+        if isinstance(o, np.ndarray):
+            return o.tolist()
+        raise TypeError(f"not serializable: {type(o)}")
+
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, default=default, allow_nan=True)
+
+
 def _rle_rows(mask_grid):
     """Run-length encoding per grid row: lists of [start, length]."""
     out = []
@@ -118,24 +141,6 @@ def _rle_rows(mask_grid):
     return out
 
 
-def _sigma_entry(p, plan, sigma, interface=None):
-    entry = {
-        "p": p,
-        "h": plan["h"],
-        "intervals": [[lo, hi] for lo, hi, _ in sigma.intervals],
-        "branch_labels": [list(map(list, labels))
-                          for _, _, labels in sigma.intervals],
-        "gaps": [list(g) for g in find_gaps(sigma)],
-        "cutoff": sigma.cutoff,
-    }
-    if interface is not None:
-        entry["interface_rle"] = _rle_rows(
-            interface.mask.reshape(interface.lattice.site_ny,
-                                   interface.lattice.site_nx))
-        entry["interface_sites"] = int(interface.mask.sum())
-    return entry
-
-
 def _branch_of(lam, sigma):
     """Label (k, mu) of the nearest unmerged branch interval."""
     best = (np.inf, (-1, -1))
@@ -144,6 +149,26 @@ def _branch_of(lam, sigma):
         if d < best[0] or (d == best[0] and (k, mu) < best[1]):
             best = (d, (k, mu))
     return best[1]
+
+
+_SPECTRUM_HEADER = ["experiment", "p", "h", "seed", "index", "lambda",
+                    "residual", "dist_to_sigma", "branch_k", "branch_mu"]
+
+
+def write_sigma(cfg, entries):
+    """sigma.json: one level-union entry per p."""
+    _dump_json(Path(cfg.out_dir) / "sigma.json",
+               {"experiment": cfg.experiment, "entries": entries})
+
+
+def write_convergence(cfg, summary):
+    """convergence.csv: per p of a finished run, distance and decay rate."""
+    rows = [[cfg.experiment, e["p"], cfg.seed, e.get("max_distance", ""),
+             e.get("kappa_median", "")]
+            for e in summary.get("results", {}).get("per_p", [])]
+    _write_csv(Path(cfg.out_dir) / "convergence.csv",
+               ["experiment", "p", "seed", "max_distance", "kappa_median"],
+               rows)
 
 
 class _Assertions:
@@ -160,242 +185,304 @@ class _Assertions:
         return all(item["passed"] for item in self.items)
 
 
-def _spectrum_rows(cfg, p, h, sl, dists, branches):
-    rows = []
-    for i in range(len(sl)):
-        k, mu = branches[i]
-        rows.append([cfg.experiment, p, h, cfg.seed, i, sl.values[i],
-                     sl.residuals[i], dists[i], k, mu])
-    return rows
+# ----------------------------------------------------------------------
+# the per-p pipeline
 
+class PerP:
+    """The pipeline stages of one p; each runs on first use and is kept.
 
-_SPECTRUM_HEADER = ["experiment", "p", "h", "seed", "index", "lambda",
-                    "residual", "dist_to_sigma", "branch_k", "branch_mu"]
+    A view may set ``slice`` before first use to take the solve stage's
+    output from a dump instead of solving.
+    """
+
+    def __init__(self, cfg, p):
+        self.cfg = cfg
+        self.p = p
+        self.preset = PRESETS[cfg.experiment]
+        self.solve_window, self.cutoff = self.preset.limits(cfg)
+        self.out = Path(cfg.out_dir)
+        self.dump = self.out / f"eigs_p{p}.bsev"
+
+    @cached_property
+    def inst(self):
+        return build_instance(self.cfg, self.p)
+
+    @property
+    def h(self):
+        return self.inst["plan"]["h"]
+
+    @cached_property
+    def sigma(self):
+        return sigma_region(self.inst["b"], self.inst["potential"],
+                            cutoff=self.cutoff)
+
+    @cached_property
+    def interface(self):
+        """Interface set of the configured window, if the preset uses one."""
+        if not self.preset.interface or self.cfg.window is None:
+            return None
+        inst = self.inst
+        return interface_set(inst["lattice"], inst["b"], inst["potential"],
+                             self.cfg.window, self.sigma.cutoff)
+
+    @cached_property
+    def slice(self):
+        """Certified window solve; an open lower end starts just below the
+        Gershgorin bound."""
+        lo, hi = self.solve_window
+        op = self.inst["op"]
+        if lo is None:
+            lo = gershgorin_interval(op)[0] - 1e-6
+        return window_eigs(op, (lo, hi), tol=self.cfg.tol, seed=self.cfg.seed)
+
+    @cached_property
+    def filtered(self):
+        return boundary_filter(self.slice, self.inst["lattice"], self.p,
+                               self.cfg.field_spec.max_intensity())
+
+    @property
+    def shown(self):
+        """Spectrum-table pairs: wall artifacts dropped, or flagged in place
+        where the preset writes edge states."""
+        return self.slice if self.preset.edge_states else self.filtered.kept
+
+    @cached_property
+    def cluster(self):
+        return cluster_assign(self.shown, self.sigma, p=self.p, h=self.h)
+
+    @cached_property
+    def localization(self):
+        cfg, spec = self.cfg, self.cfg.field_spec
+        return localization_report(
+            self.slice, self.interface, self.p, spec.max_intensity(),
+            b_min=spec.min_intensity(), c_min=cfg.c_min, c_cap=cfg.c_cap)
+
+    def norm_bound_trials(self):
+        """Random compactly supported trials of the norm lower bound."""
+        cfg, p, inst, interface = self.cfg, self.p, self.inst, self.interface
+        lam = 0.5 * (cfg.window[0] + cfg.window[1])
+        collar = omega_collar(inst["lattice"], interface, p)
+        sig_omega = sigma_region(inst["b"], inst["potential"], region=collar,
+                                 cutoff=self.sigma.cutoff)
+        gaps = []
+        for t in range(cfg.trials):
+            u = bandlimited_trial(inst["lattice"], interface, p,
+                                  cfg.field_spec.min_intensity(),
+                                  seed=cfg.seed * 100003 + 1009 * p + t)
+            res = norm_lower_bound_trial(inst["op"], interface.omega,
+                                         sig_omega, lam, u)
+            gaps.append(res.bound_gap)
+        return dict(p=p, max_gap=float(np.max(gaps)),
+                    mean_gap=float(np.mean(gaps)), d_lambda=res.distance)
+
+    def sigma_entry(self):
+        sigma = self.sigma
+        entry = {"p": self.p, "h": self.h,
+                 "intervals": [[lo, hi] for lo, hi, _ in sigma.intervals],
+                 "branch_labels": [list(map(list, labels))
+                                   for _, _, labels in sigma.intervals],
+                 "gaps": [list(g) for g in find_gaps(sigma)],
+                 "cutoff": sigma.cutoff}
+        interface = self.interface
+        if interface is not None:
+            entry["interface_rle"] = _rle_rows(
+                interface.mask.reshape(interface.lattice.site_ny,
+                                       interface.lattice.site_nx))
+            entry["interface_sites"] = int(interface.mask.sum())
+        return entry
+
+    def _rows(self, entries):
+        """Provenance columns plus one row per entry."""
+        cfg = self.cfg
+        return [[cfg.experiment, self.p, self.h, cfg.seed, *e]
+                for e in entries]
+
+    def _spectrum_rows(self):
+        sl, sigma = self.shown, self.sigma
+        dists = distances_to_sigma(sl.values, sigma) if len(sl) \
+            else np.empty(0)
+        return self._rows([i, lam, sl.residuals[i], dists[i],
+                           *_branch_of(lam, sigma)]
+                          for i, lam in enumerate(sl.values))
+
+    def write_spectrum(self):
+        """spectrum.csv rows of the shown pairs, and the eigenvector dump."""
+        _write_csv(self.out / "spectrum.csv", _SPECTRUM_HEADER,
+                   self._spectrum_rows(), append=True)
+        write_slice(self.slice, self.dump)
+
+    def write_localization(self):
+        _write_csv(self.out / "localization.csv", _SPECTRUM_HEADER[:5]
+                   + ["c_star", "kappa", "W_at_cmin"],
+                   self._rows([e.index, e.c_star, e.kappa, e.w_at_cmin]
+                              for e in self.localization.entries),
+                   append=True)
+
+    def write_edge_states(self):
+        """gap_states.csv and localization.csv rows, and the dump."""
+        rows = [row + [e.boundary_fraction, e.artifact] for row, e in
+                zip(self._spectrum_rows(), self.localization.entries)]
+        _write_csv(self.out / "gap_states.csv",
+                   _SPECTRUM_HEADER + ["boundary_fraction", "artifact_flag"],
+                   rows, append=True)
+        self.write_localization()
+        write_slice(self.slice, self.dump)
 
 
 # ----------------------------------------------------------------------
-# preset pipelines
+# preset rules
 
-def _run_torus_constant(cfg, out, assertions):
+def _cutoff(cfg, window_top, b):
+    return cfg.cutoff if cfg.cutoff is not None \
+        else sigma_ceiling(window_top, b)
+
+
+def _torus_limits(cfg):
+    """The lowest Landau cluster; the configured window is not used."""
     bval = cfg.c1 / TWO_PI
     window = (0.6 * bval, 1.4 * bval)
-    summary = {"per_p": []}
-    sigma_entries = []
-    for p in cfg.p_list:
-        inst = build_instance(cfg, p)
-        op, lattice, b = inst["op"], inst["lattice"], inst["b"]
-        sl = window_eigs(op, window, tol=cfg.tol, seed=cfg.seed)
-        ceiling = cfg.cutoff if cfg.cutoff is not None \
-            else sigma_ceiling(window[1], bval)
-        sigma = sigma_region(b, inst["potential"], cutoff=ceiling)
-        rep = cluster_assign(sl, sigma, p=p, h=inst["plan"]["h"])
-        branches = [_branch_of(lam, sigma) for lam in sl.values]
-        _write_csv(out / "spectrum.csv", _SPECTRUM_HEADER,
-                   _spectrum_rows(cfg, p, inst["plan"]["h"], sl,
-                                  rep.distances, branches), append=True)
-        write_slice(sl, out / f"eigs_p{p}.bsev")
-        sigma_entries.append(_sigma_entry(p, inst["plan"], sigma))
-
-        expect = p * cfg.c1
-        assertions.check(f"cluster_count_p{p}",
-                         len(sl) == expect and sl.certificate == CERTIFIED,
-                         measured=len(sl), threshold=expect)
-        mean_dev = abs(float(sl.values.mean()) - bval) / bval if len(sl) \
-            else math.inf
-        assertions.check(f"cluster_mean_p{p}", mean_dev <= 0.05,
-                         measured=mean_dev, threshold=0.05)
-        summary["per_p"].append(dict(p=p, n_cluster=len(sl),
-                                     certificate=sl.certificate,
-                                     mean_dev=mean_dev,
-                                     max_distance=rep.max_distance))
-    _dump_json(out / "sigma.json", {"experiment": cfg.experiment,
-                                    "entries": sigma_entries})
-    return summary
+    return window, _cutoff(cfg, window[1], bval)
 
 
-def _run_radial_dip(cfg, out, assertions):
-    """Interval clustering of the full low spectrum and its rate across p."""
-    ceiling = cfg.cutoff if cfg.cutoff is not None else 2.0
-    b_max = cfg.field_spec.max_intensity()
-    summary = {"per_p": [], "ceiling": ceiling}
-    sigma_entries = []
-    max_dists = []
-    for p in cfg.p_list:
-        inst = build_instance(cfg, p)
-        op, lattice, b = inst["op"], inst["lattice"], inst["b"]
-        lo = gershgorin_interval(op)[0] - 1e-6
-        sl = window_eigs(op, (lo, ceiling), tol=cfg.tol, seed=cfg.seed)
-        filt = boundary_filter(sl, lattice, p, b_max)
-        sigma = sigma_region(b, inst["potential"],
-                             cutoff=sigma_ceiling(ceiling, b_max))
-        kept = filt.kept
-        rep = cluster_assign(kept, sigma, p=p, h=inst["plan"]["h"])
-        branches = [_branch_of(lam, sigma) for lam in kept.values]
-        _write_csv(out / "spectrum.csv", _SPECTRUM_HEADER,
-                   _spectrum_rows(cfg, p, inst["plan"]["h"], kept,
-                                  rep.distances, branches), append=True)
-        write_slice(sl, out / f"eigs_p{p}.bsev")
-        if cfg.window is not None:
-            interface = interface_set(lattice, b, inst["potential"],
-                                      cfg.window, sigma.cutoff)
-        else:
-            interface = None
-        sigma_entries.append(_sigma_entry(p, inst["plan"], sigma, interface))
-        max_dists.append((p, rep.max_distance))
-        summary["per_p"].append(dict(
-            p=p, n_below=len(sl), n_kept=len(kept),
-            n_artifacts=len(filt.artifacts), certificate=sl.certificate,
-            max_distance=rep.max_distance, mean_distance=rep.mean_distance))
-
-    floored = [(p, max(d, DISTANCE_FLOOR)) for p, d in max_dists]
-    at_floor = all(d <= DISTANCE_FLOOR for _, d in max_dists)
-    if at_floor:
-        # distances are numerically zero at every p: clustering holds
-        # outright and no meaningful rate can be fitted
-        summary["clustering_exponent"] = None
-        assertions.check("clustering_rate", True, measured=0.0,
-                         threshold=-0.25)
-    else:
-        exponent = scaling_exponent(floored)
-        summary["clustering_exponent"] = exponent
-        assertions.check("clustering_rate", exponent <= -0.25,
-                         measured=exponent, threshold=-0.25)
-    summary["max_distances"] = max_dists
-    _dump_json(out / "sigma.json", {"experiment": cfg.experiment,
-                                    "entries": sigma_entries})
-    return summary
+def _torus_checks(st, assertions):
+    cfg, p, sl, rep = st.cfg, st.p, st.slice, st.cluster
+    bval = cfg.c1 / TWO_PI
+    expect = p * cfg.c1
+    assertions.check(f"cluster_count_p{p}",
+                     len(sl) == expect and sl.certificate == CERTIFIED,
+                     measured=len(sl), threshold=expect)
+    mean_dev = abs(float(sl.values.mean()) - bval) / bval if len(sl) \
+        else math.inf
+    assertions.check(f"cluster_mean_p{p}", mean_dev <= 0.05,
+                     measured=mean_dev, threshold=0.05)
+    return dict(p=p, n_cluster=len(sl), certificate=sl.certificate,
+                downgrade=sl.downgrade, mean_dev=mean_dev,
+                max_distance=rep.max_distance)
 
 
-def _run_potential_bump(cfg, out, assertions):
-    """Gap edge states: existence, localization, decay rates, norm bounds."""
+def _dip_limits(cfg):
+    """All pairs below ``cutoff`` (default 2.0), union one spacing above."""
+    top = cfg.cutoff if cfg.cutoff is not None else 2.0
+    return (None, top), sigma_ceiling(top, cfg.field_spec.max_intensity())
+
+
+def _dip_checks(st, assertions):
+    sl, filt, rep = st.slice, st.filtered, st.cluster
+    return dict(p=st.p, n_below=len(sl), n_kept=len(filt.kept),
+                n_artifacts=len(filt.artifacts), certificate=sl.certificate,
+                downgrade=sl.downgrade, max_distance=rep.max_distance,
+                mean_distance=rep.mean_distance)
+
+
+def _dip_sweep(cfg, per_p, trials, assertions):
+    """Interval clustering rate of the worst distance across p."""
+    max_dists = [(e["p"], e["max_distance"]) for e in per_p]
+    # distances numerically zero at every p: clustering holds outright and
+    # no meaningful rate can be fitted
+    exponent = None
+    if not all(d <= DISTANCE_FLOOR for _, d in max_dists):
+        exponent = scaling_exponent(
+            [(p, max(d, DISTANCE_FLOOR)) for p, d in max_dists])
+    assertions.check("clustering_rate", exponent is None or exponent <= -0.25,
+                     measured=0.0 if exponent is None else exponent,
+                     threshold=-0.25)
+    return {"ceiling": _dip_limits(cfg)[0][1],
+            "clustering_exponent": exponent, "max_distances": max_dists}
+
+
+def _bump_limits(cfg):
+    """The configured gap window shrunk by ``window_margin`` at each end."""
     window = cfg.window
     inner = (window[0] + cfg.window_margin, window[1] - cfg.window_margin)
-    b_max = cfg.field_spec.max_intensity()
-    b_min = cfg.field_spec.min_intensity()
-    ceiling = cfg.cutoff if cfg.cutoff is not None \
-        else sigma_ceiling(window[1], b_max)
-    summary = {"per_p": [], "window": list(window), "inner_window": list(inner)}
-    sigma_entries = []
-    kappa_by_p = {}
+    return inner, _cutoff(cfg, window[1], cfg.field_spec.max_intensity())
 
-    for p in cfg.p_list:
-        inst = build_instance(cfg, p)
-        op, lattice, b = inst["op"], inst["lattice"], inst["b"]
-        interface = interface_set(lattice, b, inst["potential"], window,
-                                  cutoff=ceiling)
-        sl = window_eigs(op, inner, tol=cfg.tol, seed=cfg.seed)
-        sigma = sigma_region(b, inst["potential"], cutoff=ceiling)
-        dists = distances_to_sigma(sl.values, sigma) if len(sl) \
-            else np.empty(0)
-        loc = localization_report(sl, interface, p, b_max, b_min=b_min,
-                                  c_min=cfg.c_min, c_cap=cfg.c_cap)
-        genuine = [e for e in loc.entries if not e.artifact]
 
-        rows = []
-        for i, e in enumerate(loc.entries):
-            k, mu = _branch_of(e.value, sigma)
-            rows.append([cfg.experiment, p, inst["plan"]["h"], cfg.seed, i,
-                         e.value, sl.residuals[i], dists[i], k, mu,
-                         e.boundary_fraction, e.artifact])
-        _write_csv(out / "gap_states.csv",
-                   _SPECTRUM_HEADER + ["boundary_fraction", "artifact_flag"],
-                   rows, append=True)
-        _write_csv(out / "localization.csv",
-                   ["experiment", "p", "h", "seed", "index", "c_star",
-                    "kappa", "W_at_cmin"],
-                   [[cfg.experiment, p, inst["plan"]["h"], cfg.seed, e.index,
-                     e.c_star, e.kappa, e.w_at_cmin] for e in loc.entries],
-                   append=True)
-        write_slice(sl, out / f"eigs_p{p}.bsev")
-        sigma_entries.append(_sigma_entry(p, inst["plan"], sigma, interface))
+def _bump_checks(st, assertions):
+    p, sl, loc = st.p, st.slice, st.localization
+    genuine = [e for e in loc.entries if not e.artifact]
+    assertions.check(
+        f"gap_states_exist_p{p}",
+        len(genuine) >= 1 and sl.certificate == CERTIFIED,
+        measured=len(genuine), threshold=1)
+    worst_far = max((e.far_mass_fraction for e in genuine), default=1.0)
+    assertions.check(f"gap_states_interface_mass_p{p}", worst_far <= 0.05,
+                     measured=worst_far, threshold=0.05)
+    worst_w = max((e.w_at_cmin for e in genuine), default=math.inf)
+    assertions.check(f"weighted_mass_cap_p{p}", worst_w <= loc.c_cap,
+                     measured=worst_w, threshold=loc.c_cap)
+    kappas = [abs(e.kappa) for e in genuine if np.isfinite(e.kappa)]
+    return dict(p=p, n_window=len(sl), n_genuine=len(genuine),
+                certificate=sl.certificate, downgrade=sl.downgrade,
+                worst_far_mass=worst_far, worst_w_at_cmin=worst_w,
+                kappa_median=float(np.median(kappas)) if kappas else math.nan,
+                c_min=loc.c_min, c_cap=loc.c_cap)
 
-        assertions.check(
-            f"gap_states_exist_p{p}",
-            len(genuine) >= 1 and sl.certificate == CERTIFIED,
-            measured=len(genuine), threshold=1)
-        worst_far = max((e.far_mass_fraction for e in genuine), default=1.0)
-        assertions.check(f"gap_states_interface_mass_p{p}", worst_far <= 0.05,
-                         measured=worst_far, threshold=0.05)
-        worst_w = max((e.w_at_cmin for e in genuine), default=math.inf)
-        assertions.check(f"weighted_mass_cap_p{p}", worst_w <= loc.c_cap,
-                         measured=worst_w, threshold=loc.c_cap)
-        kappas = [abs(e.kappa) for e in genuine if np.isfinite(e.kappa)]
-        kappa_by_p[p] = float(np.median(kappas)) if kappas else math.nan
-        summary["per_p"].append(dict(
-            p=p, n_window=len(sl), n_genuine=len(genuine),
-            certificate=sl.certificate, worst_far_mass=worst_far,
-            worst_w_at_cmin=worst_w, kappa_median=kappa_by_p[p],
-            c_min=loc.c_min, c_cap=loc.c_cap))
 
-    summary["kappa_by_p"] = kappa_by_p
+def _bump_sweep(cfg, per_p, trials, assertions):
+    """Decay rates doubling from p to 4p; norm bound uniform in p."""
+    kappa_by_p = {e["p"]: e["kappa_median"] for e in per_p}
+    results = {"window": list(cfg.window),
+               "inner_window": list(_bump_limits(cfg)[0]),
+               "kappa_by_p": kappa_by_p}
     for p in cfg.p_list:
         if 4 * p in kappa_by_p and np.isfinite(kappa_by_p[p]):
             ratio = kappa_by_p[4 * p] / kappa_by_p[p]
             assertions.check(f"decay_rate_doubling_p{p}_to_{4 * p}",
                              1.5 <= ratio <= 2.5, measured=ratio,
                              threshold=[1.5, 2.5])
-            summary[f"kappa_ratio_{4 * p}_over_{p}"] = ratio
-
+            results[f"kappa_ratio_{4 * p}_over_{p}"] = ratio
     if cfg.trials_p:
-        summary["norm_bound"] = _run_norm_bound_trials(cfg, out, assertions,
-                                                       window, ceiling)
-    _dump_json(out / "sigma.json", {"experiment": cfg.experiment,
-                                    "entries": sigma_entries})
-    return summary
+        norm = results["norm_bound"] = [trials[p] for p in cfg.trials_p]
+        if len(norm) >= 2:
+            first, last = norm[0], norm[-1]
+            bound = 1.5 * first["max_gap"] + 0.1
+            assertions.check(
+                f"norm_bound_uniform_p{first['p']}_to_{last['p']}",
+                last["max_gap"] <= bound,
+                measured=last["max_gap"], threshold=bound)
+    return results
 
 
-def _run_norm_bound_trials(cfg, out, assertions, window, ceiling):
-    """Random compactly supported trials of the norm lower bound."""
-    lam = 0.5 * (window[0] + window[1])
-    b_min = cfg.field_spec.min_intensity()
-    per_p = []
-    for p in cfg.trials_p:
-        inst = build_instance(cfg, p)
-        op, lattice, b = inst["op"], inst["lattice"], inst["b"]
-        interface = interface_set(lattice, b, inst["potential"], window,
-                                  cutoff=ceiling)
-        collar = omega_collar(lattice, interface, p)
-        sig_omega = sigma_region(b, inst["potential"], region=collar,
-                                 cutoff=ceiling)
-        gaps = []
-        for t in range(cfg.trials):
-            u = bandlimited_trial(lattice, interface, p, b_min,
-                                  seed=cfg.seed * 100003 + 1009 * p + t)
-            res = norm_lower_bound_trial(op, interface.omega, sig_omega,
-                                         lam, u)
-            gaps.append(res.bound_gap)
-        per_p.append(dict(p=p, max_gap=float(np.max(gaps)),
-                          mean_gap=float(np.mean(gaps)),
-                          d_lambda=res.distance))
-    if len(per_p) >= 2:
-        first, last = per_p[0], per_p[-1]
-        bound = 1.5 * first["max_gap"] + 0.1
-        assertions.check(
-            f"norm_bound_uniform_p{first['p']}_to_{last['p']}",
-            last["max_gap"] <= bound,
-            measured=last["max_gap"], threshold=bound)
-    return per_p
+@dataclass(frozen=True)
+class Preset:
+    limits: Callable          # cfg -> (solve window, level-union cutoff)
+    checks: Callable          # (PerP, assertions) -> per-p summary entry
+    sweep: Callable | None = None  # (cfg, per_p, trials, assertions) -> dict
+    interface: bool = False    # builds the interface set of cfg.window
+    edge_states: bool = False  # localization tables and norm-bound trials
 
 
-_PIPELINES = {
-    "torus_constant": _run_torus_constant,
-    "radial_dip": _run_radial_dip,
-    "potential_bump": _run_potential_bump,
+PRESETS = {
+    "torus_constant": Preset(_torus_limits, _torus_checks),
+    "radial_dip": Preset(_dip_limits, _dip_checks, _dip_sweep, interface=True),
+    "potential_bump": Preset(_bump_limits, _bump_checks, _bump_sweep,
+                             interface=True, edge_states=True),
 }
 
 
-def _dump_json(path, obj):
-    def default(o):
-        if isinstance(o, (np.integer,)):
-            return int(o)
-        if isinstance(o, (np.floating,)):
-            return float(o)
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"not serializable: {type(o)}")
-
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, default=default, allow_nan=True)
+def _run_sweep(cfg, assertions):
+    preset = PRESETS[cfg.experiment]
+    trial_ps = set(cfg.trials_p) if preset.edge_states else set()
+    per_p, sigma_entries, trials = [], [], {}
+    for p in sorted(set(cfg.p_list) | trial_ps):
+        # stages run lazily, so rebinding frees the previous p's context
+        # before this p does any work
+        st = PerP(cfg, p)
+        if p in cfg.p_list:
+            per_p.append(preset.checks(st, assertions))
+            if preset.edge_states:
+                st.write_edge_states()
+            else:
+                st.write_spectrum()
+            sigma_entries.append(st.sigma_entry())
+        if p in trial_ps:
+            trials[p] = st.norm_bound_trials()
+    del st
+    results = {"per_p": per_p}
+    if preset.sweep is not None:
+        results.update(preset.sweep(cfg, per_p, trials, assertions))
+    write_sigma(cfg, sigma_entries)
+    return results
 
 
 def plan_report(cfg):
@@ -419,16 +506,14 @@ def run_experiment(cfg, dry_run=False):
 
     # stale tables from previous runs must not survive a re-run
     for name in ("spectrum.csv", "gap_states.csv", "localization.csv"):
-        path = out / name
-        if path.exists():
-            path.unlink()
+        (out / name).unlink(missing_ok=True)
 
     assertions = _Assertions()
     summary = {"experiment": cfg.experiment, "seed": cfg.seed,
                "p_list": list(cfg.p_list)}
     error = None
     try:
-        summary["results"] = _PIPELINES[cfg.experiment](cfg, out, assertions)
+        summary["results"] = _run_sweep(cfg, assertions)
     except MagspecError as exc:
         error = f"{type(exc).__name__}: {exc}"
         summary["error"] = error

@@ -22,10 +22,6 @@ import scipy.sparse as sp
 from .errors import (ConjugationOverflowError, ConsistencyError)
 from .lattice import Lattice
 
-BSHP_MAGIC = b"BSHP"
-BSHP_VERSION = 1
-
-
 @dataclass
 class SparseHermitian:
     """Sparse operator with block structure for rank-r sections.
@@ -45,9 +41,6 @@ class SparseHermitian:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def matvec(self, x):
-        return self.matrix @ x
 
     def copy(self):
         return replace(self, matrix=self.matrix.copy())
@@ -200,37 +193,3 @@ def taylor_terms(op, weight, p):
     b = replace(op, matrix=b_mat, hermitian=op.hermitian)
     return a, b
 
-
-def write_operator(op, path):
-    """Binary dump: little-endian header + CSR arrays (values as re/im pairs)."""
-    mat = op.matrix.tocsr()
-    mat.sort_indices()
-    flags = 1 if op.hermitian else 0
-    header = struct.pack("<4sIQQI", BSHP_MAGIC, BSHP_VERSION,
-                         mat.shape[0], mat.nnz, flags)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(mat.indptr.astype("<u8").tobytes())
-        fh.write(mat.indices.astype("<u8").tobytes())
-        interleaved = np.empty(2 * mat.nnz, dtype="<f8")
-        interleaved[0::2] = mat.data.real
-        interleaved[1::2] = mat.data.imag
-        fh.write(interleaved.tobytes())
-
-
-def read_operator(path, p=1, spacing=(1.0, 1.0), rank=1, lattice=None):
-    """Read a BSHP dump; metadata not stored in the format is rehydrated
-    from the keyword arguments."""
-    with open(path, "rb") as fh:
-        magic, version, dim, nnz, flags = struct.unpack("<4sIQQI", fh.read(28))
-        if magic != BSHP_MAGIC:
-            raise ConsistencyError(f"bad magic {magic!r} in operator dump")
-        if version != BSHP_VERSION:
-            raise ConsistencyError(f"unsupported operator dump version {version}")
-        indptr = np.frombuffer(fh.read(8 * (dim + 1)), dtype="<u8").astype(np.int64)
-        indices = np.frombuffer(fh.read(8 * nnz), dtype="<u8").astype(np.int64)
-        raw = np.frombuffer(fh.read(16 * nnz), dtype="<f8")
-    data = raw[0::2] + 1j * raw[1::2]
-    mat = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    return SparseHermitian(matrix=mat, p=p, spacing=tuple(spacing), rank=rank,
-                           hermitian=bool(flags & 1), lattice=lattice)

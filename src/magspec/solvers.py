@@ -34,13 +34,6 @@ _SEED_BASE = 0xB05E
 
 
 @dataclass
-class EigenPair:
-    value: float
-    vector: np.ndarray
-    residual: float
-
-
-@dataclass
 class SpectrumSlice:
     """Eigenpairs sorted ascending with a completeness certificate."""
 
@@ -55,11 +48,6 @@ class SpectrumSlice:
 
     def __len__(self):
         return self.values.size
-
-    @property
-    def pairs(self):
-        return [EigenPair(float(self.values[i]), self.vectors[:, i],
-                          float(self.residuals[i])) for i in range(len(self))]
 
     def select(self, keep):
         keep = np.asarray(keep)

@@ -1,8 +1,11 @@
 """Config parsing, sizing rules, CLI subcommands, reproducibility."""
 
+import ast
+import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +129,11 @@ def test_cli_dry_run_and_run(tmp_path, capsys):
     assert "[PASS] cluster_count_p2" in out
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
+    # every per-p entry says why its certificate was downgraded, if it was
+    per_p = summary["results"]["per_p"]
+    assert per_p and all(e["certificate"] == "certified"
+                         and "downgrade" in e and e["downgrade"] is None
+                         for e in per_p)
     assert (tmp_path / "out" / "spectrum.csv").exists()
     assert (tmp_path / "out" / "eigs_p2.bsev").exists()
 
@@ -163,12 +171,62 @@ def test_cli_localization_on_dumps(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 16\n"
                      f"out = {tmp_path}/out\n")
     assert main(["run", "--config", cfg]) == 0
+    from_run = (tmp_path / "out" / "localization.csv").read_text()
     assert main(["localization", "--config", cfg]) == 0
     capsys.readouterr()
-    loc = (tmp_path / "out" / "localization.csv").read_text().splitlines()
+    assert (tmp_path / "out" / "localization.csv").read_text() == from_run
+    loc = from_run.splitlines()
     assert loc[0].split(",") == ["experiment", "p", "h", "seed", "index",
                                  "c_star", "kappa", "W_at_cmin"]
     assert len(loc) > 1
+
+
+def test_cli_spectrum_solves_run_window(tmp_path, capsys):
+    # without --window the torus view solves run's lowest-cluster window,
+    # which holds the whole 8-fold Landau cluster at p = 8
+    cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 8\nnx = 32\n"
+                     f"out = {tmp_path}/out\n")
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert "p=8: 8 pairs (certified)" in capsys.readouterr().out
+
+
+_SMALL = {
+    "torus_constant": "p = 2\nnx = 16\n",
+    "radial_dip": "p = 2, 4\nnx = 24\n",
+    "potential_bump": "p = 4\nnx = 32\ntrials_p = 4\ntrials = 5\n",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(_SMALL))
+def test_views_write_what_run_writes(tmp_path, capsys, preset):
+    cfg = _write_cfg(tmp_path, f"experiment = {preset}\n{_SMALL[preset]}"
+                     f"out = {tmp_path}/run\n")
+    assert main(["run", "--config", cfg]) == 0
+    view = tmp_path / "view"
+    assert main(["model-sigma", "--config", cfg, "--out", str(view)]) == 0
+    assert main(["spectrum", "--config", cfg, "--out", str(view)]) == 0
+    capsys.readouterr()
+
+    def entries(root):
+        return json.loads((root / "sigma.json").read_text())["entries"]
+
+    def table(path):
+        with open(path, newline="") as fh:
+            return [row[:10] for row in csv.reader(fh)]
+
+    assert entries(view) == entries(tmp_path / "run")
+    ran = "gap_states.csv" if preset == "potential_bump" else "spectrum.csv"
+    assert table(view / "spectrum.csv") == table(tmp_path / "run" / ran)
+
+
+def test_cli_imports_no_private_experiments_name():
+    tree = ast.parse((Path(__file__).parents[1] / "src" / "magspec"
+                      / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module in ("experiments", "magspec.experiments")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_cli_convergence_table(tmp_path, capsys):

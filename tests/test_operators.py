@@ -1,4 +1,4 @@
-"""Operator assembly, weight conjugation, Taylor terms, binary dumps."""
+"""Operator assembly, weight conjugation, Taylor terms."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ import pytest
 from conftest import TWO_PI, torus_constant_setup
 from magspec import (FieldSpec, assemble_H, build_lattice, conjugate_H,
                      constant_potential, dense_spectrum, distance_to_set,
-                     gaussian_bump_potential, read_operator, sample_field,
+                     gaussian_bump_potential, sample_field,
                      smooth_distance, taylor_terms, trivial_links,
-                     write_operator, zero_potential, interface_set,
+                     zero_potential, interface_set,
                      edge_integrals, gauge_links)
 from magspec.errors import ConjugationOverflowError, ConsistencyError
 from magspec.lattice import WeightField
@@ -172,19 +172,3 @@ def test_taylor_remainder_third_order():
 
     ratio = remainder(1e-2) / remainder(5e-3)
     assert 6.0 <= ratio <= 10.0
-
-
-def test_operator_dump_round_trip(tmp_path):
-    lat, spec, b, links, V, H = torus_constant_setup(nx=8, p=2)
-    path = tmp_path / "op.bshp"
-    write_operator(H, path)
-    back = read_operator(path, p=H.p, spacing=H.spacing, rank=H.rank)
-    assert back.hermitian == H.hermitian
-    assert (back.matrix != H.matrix).nnz == 0
-
-
-def test_operator_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bshp"
-    path.write_bytes(b"NOPE" + bytes(24))
-    with pytest.raises(ConsistencyError):
-        read_operator(path)
