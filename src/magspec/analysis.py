@@ -85,6 +85,32 @@ def weighted_mass(vector, dist, c, p):
         return float(np.exp(log_mass))
 
 
+def _weighted_masses(vector, dist, rates, p):
+    """``weighted_mass`` at every rate, with |u|^2, its log and the plain
+    mass taken once.
+
+    The same arithmetic per rate, so each value equals the scalar one bit
+    for bit.  One site-length temporary per rate, not a rates x sites
+    block: freeing multi-megabyte blocks raises glibc's dynamic mmap
+    threshold, and the next p's window solve then peaked about 16 MB
+    higher (potential_bump, p = 64 then 128); the loop was also faster.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if np.any(rates < 0):
+        raise ValueError("decay rate c must be nonnegative")
+    amp2 = _site_amplitude_sq(vector, dist.lattice.n_sites)
+    carrier = amp2 > 0
+    if not carrier.any():
+        raise ValueError("vector has zero norm")
+    log_amp2 = np.log(amp2[carrier])
+    d = dist.values[carrier]
+    log_mass = np.array([logsumexp(s * d + log_amp2)
+                         for s in 2.0 * rates * np.sqrt(p)])
+    log_mass -= logsumexp(log_amp2)
+    with np.errstate(over="ignore"):
+        return np.where(rates == 0, 1.0, np.exp(log_mass))
+
+
 def mass_fraction_beyond(vector, dist, threshold):
     """Fraction of |u|^2 mass at distance strictly greater than threshold."""
     amp2 = _site_amplitude_sq(vector, dist.lattice.n_sites)
@@ -98,8 +124,10 @@ def decay_fit(vector, dist, floor=1e-12):
     """Least-squares slope of log(shell RMS of |u|) against shell distance.
 
     Shells have width 2h; only shells whose RMS amplitude exceeds the floor
-    enter the fit, and at least four are required.  Returns kappa in units of
-    inverse length (negative for decaying profiles).
+    enter the fit, and at least four are required.  Returns (kappa, its
+    standard error, usable shells): kappa in units of inverse length
+    (negative for decaying profiles), the error from the fit's residual
+    scatter.
     """
     lat = dist.lattice
     h = max(lat.spacing_x, lat.spacing_y)
@@ -121,8 +149,9 @@ def decay_fit(vector, dist, floor=1e-12):
         raise InsufficientDataError(
             f"only {int(usable.sum())} usable shells above the floor; need 4")
     centers = (np.arange(n_shells) + 0.5) * width
-    slope, _ = np.polyfit(centers[usable], np.log(rms[usable]), 1)
-    return float(slope)
+    (slope, _), cov = np.polyfit(centers[usable], np.log(rms[usable]), 1,
+                                 cov=True)
+    return float(slope), float(np.sqrt(cov[0, 0])), int(usable.sum())
 
 
 @dataclass
@@ -212,6 +241,8 @@ class LocalizationEntry:
     c_star: float
     w_at_cmin: float
     kappa: float              # nan when the decay fit lacks shells
+    kappa_stderr: float       # standard error of kappa; nan likewise
+    shells: int | None        # usable shells of the fit; None likewise
     boundary_fraction: float
     far_mass_fraction: float  # mass beyond 3 magnetic lengths from the set
     artifact: bool
@@ -242,23 +273,23 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
         c_grid = np.linspace(0.0, 6.0 * c_min, 25)
     filt = boundary_filter(sl, lat, p, b_max)
     ell3 = 3.0 / np.sqrt(p * b_max)
+    rates = np.append(c_grid, c_min)
     entries = []
     for i in range(len(sl)):
         vec = sl.vectors[:, i]
-        w = np.array([weighted_mass(vec, interface.distance, c, p)
-                      for c in c_grid])
+        masses = _weighted_masses(vec, interface.distance, rates, p)
+        w, w_at_cmin = masses[:-1], float(masses[-1])
         admissible = np.flatnonzero(w <= c_cap)
         c_star = float(c_grid[admissible[-1]]) if admissible.size else 0.0
-        w_at_cmin = weighted_mass(vec, interface.distance, c_min, p)
         try:
-            kappa = decay_fit(vec, interface.distance)
+            kappa, stderr, shells = decay_fit(vec, interface.distance)
         except InsufficientDataError:
-            kappa = float("nan")
+            kappa, stderr, shells = float("nan"), float("nan"), None
         far = mass_fraction_beyond(vec, interface.distance, ell3)
         entries.append(LocalizationEntry(
             index=i, value=float(sl.values[i]), w_grid=w, c_star=c_star,
-            w_at_cmin=w_at_cmin, kappa=kappa,
-            boundary_fraction=float(filt.fractions[i]),
+            w_at_cmin=w_at_cmin, kappa=kappa, kappa_stderr=stderr,
+            shells=shells, boundary_fraction=float(filt.fractions[i]),
             far_mass_fraction=far, artifact=bool(filt.artifact_mask[i])))
     return LocalizationReport(entries=entries, c_grid=np.asarray(c_grid),
                               c_min=float(c_min), c_cap=float(c_cap), p=int(p))

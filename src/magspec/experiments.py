@@ -332,6 +332,12 @@ class PerP:
 # ----------------------------------------------------------------------
 # preset rules
 
+def _solve_record(sl):
+    """Certificate, downgrade reason and Krylov work of one window solve."""
+    return dict(certificate=sl.certificate, downgrade=sl.downgrade,
+                krylov_k=sl.krylov_k, growth_rounds=sl.growth_rounds)
+
+
 def _cutoff(cfg, window_top, b):
     return cfg.cutoff if cfg.cutoff is not None \
         else sigma_ceiling(window_top, b)
@@ -355,9 +361,8 @@ def _torus_checks(st, assertions):
         else math.inf
     assertions.check(f"cluster_mean_p{p}", mean_dev <= 0.05,
                      measured=mean_dev, threshold=0.05)
-    return dict(p=p, n_cluster=len(sl), certificate=sl.certificate,
-                downgrade=sl.downgrade, mean_dev=mean_dev,
-                max_distance=rep.max_distance)
+    return dict(p=p, n_cluster=len(sl), **_solve_record(sl),
+                mean_dev=mean_dev, max_distance=rep.max_distance)
 
 
 def _dip_limits(cfg):
@@ -369,8 +374,8 @@ def _dip_limits(cfg):
 def _dip_checks(st, assertions):
     sl, filt, rep = st.slice, st.filtered, st.cluster
     return dict(p=st.p, n_below=len(sl), n_kept=len(filt.kept),
-                n_artifacts=len(filt.artifacts), certificate=sl.certificate,
-                downgrade=sl.downgrade, max_distance=rep.max_distance,
+                n_artifacts=len(filt.artifacts), **_solve_record(sl),
+                max_distance=rep.max_distance,
                 mean_distance=rep.mean_distance)
 
 
@@ -410,11 +415,14 @@ def _bump_checks(st, assertions):
     worst_w = max((e.w_at_cmin for e in genuine), default=math.inf)
     assertions.check(f"weighted_mass_cap_p{p}", worst_w <= loc.c_cap,
                      measured=worst_w, threshold=loc.c_cap)
-    kappas = [abs(e.kappa) for e in genuine if np.isfinite(e.kappa)]
+    fitted = [e for e in genuine if np.isfinite(e.kappa)]
+    kappas = [abs(e.kappa) for e in fitted]
     return dict(p=p, n_window=len(sl), n_genuine=len(genuine),
-                certificate=sl.certificate, downgrade=sl.downgrade,
+                **_solve_record(sl),
                 worst_far_mass=worst_far, worst_w_at_cmin=worst_w,
                 kappa_median=float(np.median(kappas)) if kappas else math.nan,
+                kappa_stderr_max=max((e.kappa_stderr for e in fitted),
+                                     default=math.nan),
                 c_min=loc.c_min, c_cap=loc.c_cap)
 
 

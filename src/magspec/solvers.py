@@ -5,9 +5,15 @@ the solver.  Interior windows are solved by shift-invert Krylov iteration at
 the window midpoint; completeness is certified by inertia counts (Sylvester's
 law) at the window ends and checked against the count at the midpoint.  Each
 shift gets one symmetric-mode diagonal-pivot factorization of H - sigma,
-which serves both its inertia count and every shift-invert solve there.  A
-certificate that falls back to heuristic says why in ``downgrade``.  Start
-vectors are seeded, so runs are reproducible.
+which serves both its inertia count and every shift-invert solve there.
+
+The Krylov solve asks for exactly the certified count c(beta) - c(alpha):
+at the midpoint shift those are the eigenvalues of largest |1/(lambda -
+sigma)|, so extra pairs would all lie outside the window, typically in the
+dense, nearly degenerate band beyond a gap, where ARPACK pays most to
+converge them.  Only a shortfall grows k.  A slice records its final k and
+the growth rounds; a certificate that falls back to heuristic says why in
+``downgrade``.  Start vectors are seeded, so runs are reproducible.
 """
 
 import struct
@@ -45,6 +51,8 @@ class SpectrumSlice:
     requested: int | None = None
     tol: float = 0.0
     downgrade: str | None = None  # why the certificate is only heuristic
+    krylov_k: int | None = None   # pairs the final Krylov solve asked for
+    growth_rounds: int = 0        # times a shortfall made the solve grow k
 
     def __len__(self):
         return self.values.size
@@ -56,7 +64,9 @@ class SpectrumSlice:
                              residuals=self.residuals[keep],
                              certificate=self.certificate,
                              window=self.window, requested=self.requested,
-                             tol=self.tol, downgrade=self.downgrade)
+                             tol=self.tol, downgrade=self.downgrade,
+                             krylov_k=self.krylov_k,
+                             growth_rounds=self.growth_rounds)
 
 
 def default_tol(op):
@@ -214,6 +224,7 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
     del lu  # free the factor before the N x m copies below
 
     out = _sorted_slice(op, w, u, HEURISTIC, requested=m, tol=tol)
+    out.krylov_k = m
     bad = out.residuals > tol
     if bad.any():
         raise ConvergenceError(
@@ -231,10 +242,15 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
 
     Inertia counts at the two endpoints determine how many eigenvalues the
     window must hold (at an alpha below the Gershgorin bound, zero without a
-    factorization).  The one factor at the midpoint drives every solve and
-    counts the pairs that must lie below it.  The slice is certified when
-    every trusted count matches the pairs found.  Factorization breakdown at
-    a shift triggers up to three jitter retries.
+    factorization).  The Krylov solve asks for exactly that many pairs, with
+    no buffer: every eigenvalue inside the window is nearer the midpoint
+    shift than any outside it, so the count names the wanted pairs, and a
+    buffer would only converge unwanted ones beyond the window's ends.  A
+    shortfall grows k to 2k + 8 and solves again; an untrusted count starts
+    from 16 and never grows.  The one factor at the midpoint drives every
+    solve and counts the pairs that must lie below it.  The slice is
+    certified when every trusted count matches the pairs found.
+    Factorization breakdown at a shift triggers up to three jitter retries.
     """
     alpha, beta = float(window[0]), float(window[1])
     if not alpha < beta:
@@ -254,14 +270,14 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     if expected == 0:
         return SpectrumSlice(values=np.empty(0), vectors=np.empty((op.n, 0)),
                              residuals=np.empty(0), certificate=CERTIFIED,
-                             window=(alpha, beta), tol=tol)
+                             window=(alpha, beta), tol=tol, krylov_k=0)
 
-    guess = expected if expected is not None else 8
-    k = min(max(guess + 8, 8), op.n - 2)
+    k = min(16 if expected is None else expected, op.n - 2)
     lu, shift, c_mid, why_mid = _factor_shifted(op, 0.5 * (alpha + beta))
     opinv = _shift_inverse(lu, shift)
     v0 = _start_vector(op.n, seed)
 
+    rounds = 0
     while True:
         try:
             w, u = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM",
@@ -277,11 +293,13 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
         got = int(np.sum((w >= alpha) & (w <= beta)))
         if expected is not None and got < expected and k < op.n - 2:
             k = min(2 * k + 8, op.n - 2)
+            rounds += 1
             continue
         break
     del lu, opinv  # free the factor before the N x k copies below
 
     full = _sorted_slice(op, w, u, HEURISTIC, window=(alpha, beta), tol=tol)
+    full.krylov_k, full.growth_rounds = k, rounds
     out = full.select(np.flatnonzero((full.values >= alpha)
                                      & (full.values <= beta)))
     bad = out.residuals > tol

@@ -93,11 +93,20 @@ def test_weighted_mass_monotone_in_rate():
 def test_decay_fit_synthetic_exponential():
     lat, d = _point_distance_field(nx=64, extent=4.0)
     u = np.exp(-5.0 * d.values)
-    kappa = decay_fit(u, d)
+    kappa, stderr, shells = decay_fit(u, d)
     assert kappa == pytest.approx(-5.0, rel=0.02)
+    assert 0 < stderr < 0.01 * abs(kappa)
+    assert shells >= 4
+
+    # noise on the shell profile shows up in the error, not in the count
+    rng = np.random.default_rng(4)
+    noisy = u * np.exp(rng.normal(0.0, 0.5, lat.n_sites))
+    _, noisy_stderr, noisy_shells = decay_fit(noisy, d)
+    assert noisy_stderr > 2 * stderr and noisy_shells == shells
 
     flat = np.ones(lat.n_sites)
-    assert abs(decay_fit(flat, d)) < 1e-10
+    kappa, stderr, _ = decay_fit(flat, d)
+    assert abs(kappa) < 1e-10 and stderr < 1e-10
 
 
 def test_decay_fit_insufficient_shells():
@@ -106,6 +115,27 @@ def test_decay_fit_insufficient_shells():
     u[d.values == 0.0] = 1.0  # support only in the zero shell
     with pytest.raises(InsufficientDataError):
         decay_fit(u, d)
+
+
+def test_localization_report_masses_equal_scalar_reference():
+    lat, spec, b, links, V, H = bump_rectangle_setup(nx=32, p=8)
+    from magspec import localization_report
+    K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
+    rng = np.random.default_rng(11)
+    vecs = rng.standard_normal((lat.n_sites, 3)) + 0j
+    vecs[:, 0] = np.exp(-3.0 * K.distance.values)  # localized at the set
+    vecs[:5, 1] = 0.0                               # sites without mass
+    vecs /= np.linalg.norm(vecs, axis=0)
+    sl = SpectrumSlice(values=np.zeros(3), vectors=vecs,
+                       residuals=np.zeros(3), certificate="heuristic")
+    rep = localization_report(sl, K, 8, 1.0, c_min=0.3)
+    for i, e in enumerate(rep.entries):
+        scalar = [weighted_mass(vecs[:, i], K.distance, c, 8)
+                  for c in rep.c_grid]
+        assert np.array_equal(e.w_grid, scalar)
+        assert e.w_at_cmin == weighted_mass(vecs[:, i], K.distance, 0.3, 8)
+        kappa, stderr, shells = decay_fit(vecs[:, i], K.distance)
+        assert (e.kappa, e.kappa_stderr, e.shells) == (kappa, stderr, shells)
 
 
 def test_scaling_exponent_cases():

@@ -129,10 +129,13 @@ def test_cli_dry_run_and_run(tmp_path, capsys):
     assert "[PASS] cluster_count_p2" in out
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["passed"] is True
-    # every per-p entry says why its certificate was downgraded, if it was
+    # every per-p entry says why its certificate was downgraded, if it was,
+    # and how much Krylov work its solve took
     per_p = summary["results"]["per_p"]
     assert per_p and all(e["certificate"] == "certified"
                          and "downgrade" in e and e["downgrade"] is None
+                         and e["krylov_k"] == e["n_cluster"]
+                         and e["growth_rounds"] == 0
                          for e in per_p)
     assert (tmp_path / "out" / "spectrum.csv").exists()
     assert (tmp_path / "out" / "eigs_p2.bsev").exists()

@@ -1,6 +1,7 @@
 """Dense oracle, lowest/window Krylov solvers, inertia certification."""
 
 import importlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -231,6 +232,71 @@ def test_midpoint_count_mismatch_downgrades(monkeypatch):
     assert len(sl) == 4
     assert sl.certificate == HEURISTIC
     assert sl.downgrade == solvers.COUNT_MISMATCH == "count mismatch"
+
+
+@pytest.fixture
+def eigsh_spy(monkeypatch):
+    """Records the k of every ARPACK call; setting ``drop_first`` to a window
+    removes one pair inside it from the first call's result."""
+    original = spla.eigsh
+    spy = SimpleNamespace(calls=[], drop_first=None)
+
+    def spying(*args, **kwargs):
+        w, u = original(*args, **kwargs)
+        spy.calls.append(kwargs["k"])
+        if spy.drop_first is not None and len(spy.calls) == 1:
+            lo, hi = spy.drop_first
+            keep = np.ones(w.size, dtype=bool)
+            keep[np.flatnonzero((w >= lo) & (w <= hi))[0]] = False
+            w, u = w[keep], u[:, keep]
+        return w, u
+
+    monkeypatch.setattr(spla, "eigsh", spying)
+    return spy
+
+
+def _torus_cluster_window(nx=24, p=4):
+    lat, spec, b, links, V, H = torus_constant_setup(nx=nx, p=p)
+    bval = 1 / TWO_PI
+    return H, (0.6 * bval, 1.4 * bval)
+
+
+def test_window_krylov_k_is_inertia_count(eigsh_spy):
+    H, window = _torus_cluster_window(nx=32, p=8)
+    expected = count_below(H, window[1])[0] - count_below(H, window[0])[0]
+    sl = window_eigs(H, window)
+    assert eigsh_spy.calls == [expected] == [len(sl)] == [8]
+    assert (sl.krylov_k, sl.growth_rounds) == (8, 0)
+    assert sl.certificate == CERTIFIED
+
+
+def test_window_shortfall_grows_k_once(eigsh_spy):
+    H, window = _torus_cluster_window()
+    eigsh_spy.drop_first = window
+    sl = window_eigs(H, window)
+    assert eigsh_spy.calls == [4, 2 * 4 + 8]
+    assert (sl.krylov_k, sl.growth_rounds) == (16, 1)
+    assert len(sl) == 4
+    assert sl.certificate == CERTIFIED and sl.downgrade is None
+
+
+def test_window_untrusted_count_starts_from_16(eigsh_spy, monkeypatch):
+    H, window = _torus_cluster_window()
+    original = solvers._factor_shifted
+
+    def untrusted_at_beta(op, sigma, attempts=3):
+        lu, shift, count, downgrade = original(op, sigma, attempts)
+        if sigma == window[1]:
+            downgrade = "off-diagonal pivot"
+        return lu, shift, count, downgrade
+
+    monkeypatch.setattr(solvers, "_factor_shifted", untrusted_at_beta)
+    sl = window_eigs(H, window)
+    assert eigsh_spy.calls == [16]
+    assert (sl.krylov_k, sl.growth_rounds) == (16, 0)
+    assert len(sl) == 4
+    assert sl.certificate == HEURISTIC
+    assert sl.downgrade == "off-diagonal pivot"
 
 
 def test_eigenvector_dump_round_trip(tmp_path):
