@@ -2,8 +2,18 @@
 
 Config files are UTF-8 text with optional [section] headers (the headers are
 organizational; keys form one flat namespace), ``key = value`` lines, and
-``#`` comments.  Unknown keys are rejected by name, syntax errors carry line
-numbers.  Three experiments ship as presets:
+``#`` comments.  Each rule is stated once:
+
+- ``_KEYS`` lists every key with its value parser; unknown keys are
+  rejected by name, and syntax and value errors carry line numbers.
+- A config is the preset's values, then the file's keys, layered over the
+  defaults of ``ExperimentConfig``, of the field parameters (``_field_from``)
+  and of ``PotentialSpec``.  A preset names its field and potential kind,
+  so the field and ``v_*`` keys override its parameters.
+- Sizing finds the interface radius with ``model.levels_in_window``, the
+  level test that builds the lattice interface set.
+
+Three experiments ship as presets:
 
     torus_constant   flat torus, constant field with integer total flux;
                      exact lowest-cluster multiplicity counts
@@ -15,18 +25,21 @@ numbers.  Three experiments ship as presets:
 Lattice sizes follow the resolution rule h sqrt(p b_max) <= 0.25 (standard)
 or 0.1 (high-accuracy), so the magnetic length spans at least 4 (resp. 10)
 cells at every requested p; plane domains follow the truncation rule
-half-width >= r_K + 6 / sqrt(p b_min).
+half-width >= r_K + 6 / sqrt(p b_min).  A potential from a file has no
+radial profile, so like a non-radial field it needs an explicit extent.
 """
 
+import copy
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import FieldSpec
 from .lattice import RECTANGLE, TORUS
+from .model import levels_in_window
 
 RESOLUTION_RULES = {"standard": 0.25, "high-accuracy": 0.1}
 
@@ -67,78 +80,77 @@ class ExperimentConfig:
     c1: int = 1                   # torus Chern number
 
 
+# each preset's values, named by config key (lattice_kind, which no key
+# sets, by its field); a key the preset does not name keeps the default of
+# its ExperimentConfig field, field parameter (_field_from) or PotentialSpec
+# field
 _PRESETS = {
     "torus_constant": dict(
-        lattice_kind=TORUS,
-        field=lambda raw: FieldSpec.constant(raw.get("c1", 1) / TWO_PI),
-        potential=PotentialSpec(kind="none"),
-        p_list=[4, 8, 16],
-        window=None,
-        cutoff=None,
-        extent=TWO_PI,
-        resolution="high-accuracy",
-    ),
+        lattice_kind=TORUS, field="constant", potential="none",
+        p=[4, 8, 16], window=None, extent=TWO_PI,
+        resolution="high-accuracy"),
     "radial_dip": dict(
-        lattice_kind=RECTANGLE,
-        field=lambda raw: FieldSpec.radial_dip(
-            raw.get("b_inf", 1.0), raw.get("depth", 0.3), raw.get("width", 1.0)),
-        potential=PotentialSpec(kind="none"),
-        p_list=[8, 16, 32, 64],
-        window=(1.6, 2.4),
-        cutoff=2.0,
-        extent=None,
-        resolution="high-accuracy",
-    ),
+        lattice_kind=RECTANGLE, field="radial_dip", potential="none",
+        p=[8, 16, 32, 64], window=(1.6, 2.4), cutoff=2.0,
+        resolution="high-accuracy"),
     "potential_bump": dict(
-        lattice_kind=RECTANGLE,
-        field=lambda raw: FieldSpec.constant(raw.get("b", 1.0)),
-        potential=PotentialSpec(kind="bump", height=1.0, width=1.0),
-        p_list=[16, 32, 64],
-        window=(1.3, 1.7),
-        cutoff=4.0,
-        extent=None,
-        resolution="standard",
-        trials_p=[8, 16, 32],
-    ),
+        lattice_kind=RECTANGLE, field="constant", potential="bump",
+        p=[16, 32, 64], window=(1.3, 1.7), cutoff=4.0, trials_p=[8, 16, 32]),
 }
 
-_KNOWN_KEYS = {
-    "experiment", "p", "seed", "out", "resolution", "nx", "extent", "cutoff",
-    "window", "window_margin", "tol", "max_sites", "trials", "trials_p",
-    "c_min", "c_cap", "field", "b", "b_inf", "depth", "height", "width",
-    "b_minus", "b_plus", "c1", "potential", "v_height", "v_width", "v_matrix",
-    "v_rank", "v_file",
-}
 
-_INT_LIST_KEYS = {"p", "trials_p"}
-_FLOAT_KEYS = {"extent", "cutoff", "window_margin", "tol", "c_min", "c_cap",
-               "b", "b_inf", "depth", "height", "width", "b_minus", "b_plus",
-               "v_height", "v_width"}
-_INT_KEYS = {"seed", "nx", "max_sites", "trials", "c1", "v_rank"}
-
-
-def _parse_scalar(key, value, lineno):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") \
-            from exc
-    return value
-
-
-def _parse_list(value, cast, key, lineno):
+def _items(value):
     body = value.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    items = [s for s in re.split(r"[,\s]+", body.strip()) if s]
-    try:
-        return [cast(s) for s in items]
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") \
-            from exc
+    return [s for s in re.split(r"[,\s]+", body.strip()) if s]
+
+
+def _ints(value):
+    return [int(s) for s in _items(value)]
+
+
+def _floats(value):
+    return [float(s) for s in _items(value)]
+
+
+def _window(value):
+    vals = _floats(value)
+    if len(vals) != 2:
+        raise ConfigError("window needs two values")
+    return tuple(vals)
+
+
+# every config key with its value parser.  The field keys go to
+# _field_from, "potential" and the v_* keys to _potential_from, and the
+# others set the ExperimentConfig field of their name (see _RENAMED).
+_KEYS = {
+    "experiment": str, "p": _ints, "seed": int, "out": str,
+    "resolution": str, "nx": int, "extent": float, "cutoff": float,
+    "window": _window, "window_margin": float, "tol": float,
+    "max_sites": int, "trials": int, "trials_p": _ints, "c_min": float,
+    "c_cap": float, "c1": int,
+    "field": str, "b": float, "b_inf": float, "depth": float,
+    "height": float, "width": float, "b_minus": float, "b_plus": float,
+    "potential": str, "v_height": float, "v_width": float,
+    "v_matrix": lambda value: tuple(_floats(value)), "v_rank": int,
+    "v_file": str,
+}
+
+_RENAMED = {"p": "p_list", "out": "out_dir"}
+
+# ExperimentConfig fields set straight from a key or a preset value
+_SETTINGS = {f.name for f in fields(ExperimentConfig)} \
+    - {"field_spec", "potential"}
+
+# potential kind -> the keys it reads, each with the PotentialSpec field
+# it sets
+_POTENTIAL_KEYS = {
+    "none": {},
+    "bump": {"v_height": "height", "v_width": "width", "v_rank": "rank"},
+    "const": {"v_matrix": "matrix", "v_rank": "rank"},
+    "file": {"v_file": "path"},
+}
 
 
 def parse_config(text):
@@ -154,103 +166,76 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: expected key = value, got "
                               f"{line.strip()!r}")
         key, value = (s.strip() for s in body.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _INT_LIST_KEYS:
-            raw[key] = _parse_list(value, int, key, lineno)
-        elif key == "window":
-            vals = _parse_list(value, float, key, lineno)
-            if len(vals) != 2:
-                raise ConfigError(f"line {lineno}: window needs two values")
-            raw[key] = tuple(vals)
-        elif key == "v_matrix":
-            raw[key] = tuple(_parse_list(value, float, key, lineno))
-        else:
-            raw[key] = _parse_scalar(key, value, lineno)
+        try:
+            raw[key] = _KEYS[key](value)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: cannot parse {key} = "
+                              f"{value!r}") from exc
     return build_config(raw)
 
 
 def build_config(raw):
-    """Fill preset defaults, then validate the combined settings."""
+    """Layer the preset's values, then the raw keys, over the defaults;
+    then validate the combined settings."""
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     name = raw["experiment"]
     if name not in _PRESETS:
         raise ConfigError(f"unknown experiment {name!r}; choose from "
                           f"{sorted(_PRESETS)}")
-    preset = _PRESETS[name]
-
-    field_spec = _field_from(raw) if "field" in raw else preset["field"](raw)
-    potential = _potential_from(raw) if "potential" in raw \
-        else preset["potential"]
-
+    keys = copy.deepcopy({**_PRESETS[name], **raw})
+    if keys["lattice_kind"] == TORUS and "field" not in raw:
+        # c1 flux quanta through the preset's 2 pi x 2 pi torus
+        keys["b"] = keys.get("c1", ExperimentConfig.c1) / TWO_PI
+    settings = {_RENAMED.get(k, k): v for k, v in keys.items()}
     cfg = ExperimentConfig(
-        experiment=name,
-        field_spec=field_spec,
-        potential=potential,
-        lattice_kind=preset["lattice_kind"],
-        p_list=list(raw.get("p", preset["p_list"])),
-        window=raw.get("window", preset["window"]),
-        window_margin=raw.get("window_margin", 0.05),
-        cutoff=raw.get("cutoff", preset["cutoff"]),
-        resolution=raw.get("resolution", preset["resolution"]),
-        extent=raw.get("extent", preset["extent"]),
-        nx=raw.get("nx"),
-        tol=raw.get("tol"),
-        max_sites=raw.get("max_sites", 2_000_000),
-        seed=raw.get("seed", 0),
-        out_dir=raw.get("out", "magspec_out"),
-        trials=raw.get("trials", 100),
-        trials_p=list(raw.get("trials_p", preset.get("trials_p", []))),
-        c_min=raw.get("c_min"),
-        c_cap=raw.get("c_cap", 10.0),
-        c1=raw.get("c1", 1),
-    )
+        field_spec=_field_from(keys), potential=_potential_from(keys),
+        **{k: v for k, v in settings.items() if k in _SETTINGS})
     validate_config(cfg)
     return cfg
 
 
-def _field_from(raw):
-    kind = raw["field"]
+def _field_from(keys):
+    kind = keys["field"]
     if kind == "constant":
-        return FieldSpec.constant(raw.get("b", 1.0))
+        return FieldSpec.constant(keys.get("b", 1.0))
     if kind == "radial_dip":
-        return FieldSpec.radial_dip(raw.get("b_inf", 1.0),
-                                    raw.get("depth", 0.3),
-                                    raw.get("width", 1.0))
+        return FieldSpec.radial_dip(keys.get("b_inf", 1.0),
+                                    keys.get("depth", 0.3),
+                                    keys.get("width", 1.0))
     if kind == "radial_bump":
-        return FieldSpec.radial_bump(raw.get("b_inf", 1.0),
-                                     raw.get("height", 0.3),
-                                     raw.get("width", 1.0))
+        return FieldSpec.radial_bump(keys.get("b_inf", 1.0),
+                                     keys.get("height", 0.3),
+                                     keys.get("width", 1.0))
     if kind == "transition":
-        return FieldSpec.transition(raw.get("b_minus", 1.0),
-                                    raw.get("b_plus", 2.0),
-                                    raw.get("width", 1.0))
+        return FieldSpec.transition(keys.get("b_minus", 1.0),
+                                    keys.get("b_plus", 2.0),
+                                    keys.get("width", 1.0))
     raise ConfigError(f"unknown field preset {kind!r}")
 
 
-def _potential_from(raw):
-    kind = raw["potential"]
-    if kind == "none":
-        return PotentialSpec(kind="none")
-    if kind == "bump":
-        return PotentialSpec(kind="bump", height=raw.get("v_height", 1.0),
-                             width=raw.get("v_width", 1.0),
-                             rank=raw.get("v_rank", 1))
+def _potential_from(keys):
+    kind = keys["potential"]
+    if kind not in _POTENTIAL_KEYS:
+        raise ConfigError(f"unknown potential kind {kind!r}")
+    pot = PotentialSpec(kind=kind, **{
+        name: keys[key] for key, name in _POTENTIAL_KEYS[kind].items()
+        if key in keys})
     if kind == "const":
-        if "v_matrix" not in raw:
+        if pot.matrix is None:
             raise ConfigError("potential = const requires v_matrix")
-        rank = raw.get("v_rank", 1)
-        if len(raw["v_matrix"]) != rank * rank:
-            raise ConfigError(f"v_matrix needs rank^2 = {rank * rank} entries")
-        return PotentialSpec(kind="const", matrix=raw["v_matrix"], rank=rank)
-    if kind == "file":
-        if "v_file" not in raw:
-            raise ConfigError("potential = file requires v_file")
-        return PotentialSpec(kind="file", path=raw["v_file"])
-    raise ConfigError(f"unknown potential kind {kind!r}")
+        if len(pot.matrix) != pot.rank * pot.rank:
+            raise ConfigError(f"v_matrix needs rank^2 = {pot.rank * pot.rank} "
+                              f"entries")
+    if kind == "file" and pot.path is None:
+        raise ConfigError("potential = file requires v_file")
+    return pot
 
 
 def validate_config(cfg):
@@ -277,25 +262,31 @@ def validate_config(cfg):
 def interface_radius(cfg, r_max=None, samples=4001):
     """Outermost radius where some local level meets the window (radial data).
 
-    Solved on a fine 1D radial grid; 0 when the window set is empty.
+    Applies the interface set's level test (``model.levels_in_window``) to
+    the field and the potential branches on a fine 1D radial grid; 0 when
+    the window set is empty.
     """
     if cfg.window is None:
         return 0.0
-    spec = cfg.field_spec
+    spec, pot = cfg.field_spec, cfg.potential
     if not spec.is_radial:
         raise ConfigError(f"auto-sizing needs a radial field; give an "
                           f"explicit extent for preset {spec.preset}")
+    if pot.kind == "file":
+        raise ConfigError("auto-sizing needs a radial potential; give an "
+                          "explicit extent for potential = file")
     width = dict(spec.params).get("width", 1.0)
     if r_max is None:
-        r_max = 8.0 * max(width, cfg.potential.width, 1.0)
+        r_max = 8.0 * max(width, pot.width, 1.0)
     r = np.linspace(0.0, r_max, samples)
     b = spec.intensity(r, np.zeros_like(r))
-    v = np.zeros_like(r)
-    if cfg.potential.kind == "bump":
-        v = cfg.potential.height * np.exp(-(r / cfg.potential.width) ** 2)
-    a_win, b_win = cfg.window
-    k_lo = np.maximum(np.ceil((a_win - v - b) / (2.0 * b)), 0.0)
-    hit = (2.0 * k_lo + 1.0) * b + v <= b_win
+    v = np.zeros((samples, 1))
+    if pot.kind == "bump":  # every branch is height exp(-|x|^2 / width^2)
+        v[:, 0] = pot.height * np.exp(-(r / pot.width) ** 2)
+    elif pot.kind == "const":
+        m = np.reshape(pot.matrix, (pot.rank, pot.rank))
+        v = np.broadcast_to(np.linalg.eigvalsh(m), (samples, pot.rank))
+    hit = levels_in_window(b, v, cfg.window)
     return float(r[hit].max()) if hit.any() else 0.0
 
 
@@ -304,14 +295,9 @@ def plan_geometry(cfg, p):
     rule = RESOLUTION_RULES[cfg.resolution]
     b_max = cfg.field_spec.max_intensity()
     b_min = cfg.field_spec.min_intensity()
-    if cfg.lattice_kind == TORUS:
-        extent = cfg.extent if cfg.extent is not None else TWO_PI
-    else:
-        if cfg.extent is not None:
-            extent = cfg.extent
-        else:
-            r_k = interface_radius(cfg)
-            extent = 2.0 * (r_k + 6.0 / math.sqrt(p * b_min))
+    extent = cfg.extent
+    if extent is None:
+        extent = 2.0 * (interface_radius(cfg) + 6.0 / math.sqrt(p * b_min))
     nx = cfg.nx if cfg.nx is not None \
         else max(int(math.ceil(extent * math.sqrt(p * b_max) / rule)), 2)
     if cfg.lattice_kind == RECTANGLE:

@@ -27,7 +27,7 @@ import numpy as np
 from .analysis import (bandlimited_trial, boundary_filter, cluster_assign,
                        localization_report, norm_lower_bound_trial,
                        scaling_exponent)
-from .config import TWO_PI, plan_geometry
+from .config import plan_geometry
 from .errors import ConfigError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
@@ -338,21 +338,19 @@ def _solve_record(sl):
                 krylov_k=sl.krylov_k, growth_rounds=sl.growth_rounds)
 
 
-def _cutoff(cfg, window_top, b):
-    return cfg.cutoff if cfg.cutoff is not None \
-        else sigma_ceiling(window_top, b)
-
-
 def _torus_limits(cfg):
-    """The lowest Landau cluster; the configured window is not used."""
-    bval = cfg.c1 / TWO_PI
+    """The lowest Landau cluster; the configured window is not used.  The
+    union cutoff is ``cutoff``, or one level spacing above the window."""
+    bval = cfg.field_spec.max_intensity()
     window = (0.6 * bval, 1.4 * bval)
-    return window, _cutoff(cfg, window[1], bval)
+    cutoff = cfg.cutoff if cfg.cutoff is not None \
+        else sigma_ceiling(window[1], bval)
+    return window, cutoff
 
 
 def _torus_checks(st, assertions):
     cfg, p, sl, rep = st.cfg, st.p, st.slice, st.cluster
-    bval = cfg.c1 / TWO_PI
+    bval = cfg.field_spec.max_intensity()
     expect = p * cfg.c1
     assertions.check(f"cluster_count_p{p}",
                      len(sl) == expect and sl.certificate == CERTIFIED,
@@ -366,9 +364,9 @@ def _torus_checks(st, assertions):
 
 
 def _dip_limits(cfg):
-    """All pairs below ``cutoff`` (default 2.0), union one spacing above."""
-    top = cfg.cutoff if cfg.cutoff is not None else 2.0
-    return (None, top), sigma_ceiling(top, cfg.field_spec.max_intensity())
+    """All pairs below ``cutoff``, union one spacing above."""
+    return (None, cfg.cutoff), sigma_ceiling(cfg.cutoff,
+                                             cfg.field_spec.max_intensity())
 
 
 def _dip_checks(st, assertions):
@@ -396,10 +394,11 @@ def _dip_sweep(cfg, per_p, trials, assertions):
 
 
 def _bump_limits(cfg):
-    """The configured gap window shrunk by ``window_margin`` at each end."""
+    """The configured gap window shrunk by ``window_margin`` at each end;
+    the union cut at ``cutoff``."""
     window = cfg.window
     inner = (window[0] + cfg.window_margin, window[1] - cfg.window_margin)
-    return inner, _cutoff(cfg, window[1], cfg.field_spec.max_intensity())
+    return inner, cfg.cutoff
 
 
 def _bump_checks(st, assertions):

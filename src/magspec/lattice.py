@@ -22,9 +22,6 @@ from .errors import ConsistencyError, EmptyMaskError, InvalidSpecError
 TORUS = "torus"
 RECTANGLE = "rectangle_dirichlet"
 
-# Worst-case overestimate of the 8-neighbor chamfer metric vs Euclidean.
-CHAMFER_SLACK = 1.08
-
 
 @dataclass
 class Lattice:

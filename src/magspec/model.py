@@ -113,7 +113,6 @@ class SigmaUnion:
     intervals: list       # (lo, hi, labels) with labels a tuple of (k, mu)
     branches: list        # (k, mu, lo, hi)
     cutoff: float
-    n_region_sites: int = 0
 
     @property
     def bounds(self):
@@ -187,7 +186,7 @@ def sigma_region(b, potential, region=None, cutoff=None):
             k += 1
     merged = _merge(branches, cutoff)
     return SigmaUnion(intervals=merged, branches=sorted(set(branches)),
-                      cutoff=float(cutoff), n_region_sites=int(region.sum()))
+                      cutoff=float(cutoff))
 
 
 @dataclass
@@ -201,22 +200,29 @@ class InterfaceSet:
     lattice: object
 
 
+def levels_in_window(b, v, window):
+    """Whether some level (2k+1) b + V_mu, k >= 0, lies in the closed window.
+
+    ``b`` holds the field intensity at each point and ``v`` the potential
+    branches there, shape (points, branches); one boolean per point.  This
+    is the one level test behind the interface set and its sizing radius.
+    """
+    a_win, b_win = window
+    b = np.asarray(b, dtype=float)[:, None]
+    # smallest k with (2k+1) b + V >= a_win, clamped at 0
+    k_lo = np.maximum(np.ceil((a_win - v - b) / (2.0 * b)), 0.0)
+    return ((2.0 * k_lo + 1.0) * b + v <= b_win).any(axis=1)
+
+
 def interface_set(lattice, b, potential, window, cutoff):
-    """Sitewise test of whether some level (2k+1) b + V_mu lands in the window."""
+    """Sites where some level (2k+1) b + V_mu lands in the window."""
     a_win, b_win = float(window[0]), float(window[1])
     if not (a_win < b_win):
         raise WindowError(f"window [{a_win}, {b_win}] is empty")
     if b_win > cutoff:
         raise WindowError(f"window top {b_win} exceeds the cutoff {cutoff}")
-    bvals = b.site_values
-    veigs = potential.eigenvalues
-    mask = np.zeros(lattice.n_sites, dtype=bool)
-    for mu in range(veigs.shape[1]):
-        vm = veigs[:, mu]
-        # smallest k with (2k+1) b + V >= a_win, clamped at 0
-        k_lo = np.ceil((a_win - vm - bvals) / (2.0 * bvals))
-        k_lo = np.maximum(k_lo, 0.0)
-        mask |= (2.0 * k_lo + 1.0) * bvals + vm <= b_win
+    mask = levels_in_window(b.site_values, potential.eigenvalues,
+                            (a_win, b_win))
     omega = ~mask
     if mask.any():
         dist = distance_to_set(lattice, mask)

@@ -126,10 +126,6 @@ def hermiticity_defect(op):
     return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
 
 
-def _site_of_row(op):
-    return np.arange(op.n) // op.rank
-
-
 def conjugate_H(op, weight, tau, p, guard=30.0):
     """Diagonal similarity exp(tau sqrt(p) Phi) H exp(-tau sqrt(p) Phi).
 

@@ -17,7 +17,7 @@ the growth rounds; a certificate that falls back to heuristic says why in
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,7 +48,6 @@ class SpectrumSlice:
     residuals: np.ndarray
     certificate: str
     window: tuple | None = None
-    requested: int | None = None
     tol: float = 0.0
     downgrade: str | None = None  # why the certificate is only heuristic
     krylov_k: int | None = None   # pairs the final Krylov solve asked for
@@ -59,14 +58,9 @@ class SpectrumSlice:
 
     def select(self, keep):
         keep = np.asarray(keep)
-        return SpectrumSlice(values=self.values[keep],
-                             vectors=self.vectors[:, keep],
-                             residuals=self.residuals[keep],
-                             certificate=self.certificate,
-                             window=self.window, requested=self.requested,
-                             tol=self.tol, downgrade=self.downgrade,
-                             krylov_k=self.krylov_k,
-                             growth_rounds=self.growth_rounds)
+        return replace(self, values=self.values[keep],
+                       vectors=self.vectors[:, keep],
+                       residuals=self.residuals[keep])
 
 
 def default_tol(op):
@@ -109,16 +103,14 @@ def _orthonormalize_clusters(values, vectors):
     return vectors
 
 
-def _sorted_slice(op, values, vectors, certificate, window=None,
-                  requested=None, tol=0.0):
+def _sorted_slice(op, values, vectors, certificate, window=None, tol=0.0):
     order = np.argsort(values)
     values = np.asarray(values)[order]
     vectors = np.array(vectors)[:, order]
     vectors = _orthonormalize_clusters(values, vectors)
     residuals = _residuals(op, values, vectors)
     return SpectrumSlice(values=values, vectors=vectors, residuals=residuals,
-                         certificate=certificate, window=window,
-                         requested=requested, tol=tol)
+                         certificate=certificate, window=window, tol=tol)
 
 
 def _factor_shifted(op, sigma, attempts=3):
@@ -180,7 +172,7 @@ def dense_spectrum(op):
     if not op.hermitian:
         raise NotHermitianError("dense oracle requires the hermitian flag")
     w, u = sla.eigh(op.matrix.toarray())
-    return _sorted_slice(op, w, u, CERTIFIED, requested=op.n)
+    return _sorted_slice(op, w, u, CERTIFIED)
 
 
 def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
@@ -189,7 +181,8 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
     The shift sits below the Gershgorin lower bound, so the factorized
     operator is definite and the iteration targets the bottom of the
     spectrum.  Certificate is upgraded to certified when an inertia count
-    confirms that exactly m eigenvalues lie below the largest one returned.
+    confirms that exactly m eigenvalues lie below the largest one returned;
+    a tiny instance is solved densely and counted from its own eigenvalues.
     """
     m = int(m)
     if not op.hermitian:
@@ -199,39 +192,40 @@ def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
     if tol is None:
         tol = default_tol(op)
 
-    lo, hi = gershgorin_interval(op)
-    if op.n <= max(2 * m + 16, 64) and op.n <= DENSE_GUARD:
+    dense = op.n <= max(2 * m + 16, 64) and op.n <= DENSE_GUARD
+    if dense:
         # tiny instance: Krylov subspace would exhaust the space anyway
         full = dense_spectrum(op)
-        out = full.select(np.arange(m))
-        out.requested = m
-        out.tol = tol
-        return out
+        out = replace(full.select(np.arange(m)), tol=tol)
+    else:
+        lo, hi = gershgorin_interval(op)
+        lu, shift, _, _ = _factor_shifted(
+            op, lo - max(1e-3 * (hi - lo), 1e-6))
+        v0 = _start_vector(op.n, seed)
+        try:
+            w, u = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM",
+                              v0=v0, maxiter=maxiter, tol=0,
+                              OPinv=_shift_inverse(lu, shift))
+        except spla.ArpackNoConvergence as exc:
+            partial = None
+            if exc.eigenvalues is not None and exc.eigenvalues.size:
+                partial = _sorted_slice(op, exc.eigenvalues,
+                                        exc.eigenvectors, HEURISTIC, tol=tol)
+            raise ConvergenceError(f"Krylov iteration did not converge for "
+                                   f"m = {m}", partial=partial) from exc
+        del lu  # free the factor before the N x m copies below
 
-    lu, shift, _, _ = _factor_shifted(op, lo - max(1e-3 * (hi - lo), 1e-6))
-    v0 = _start_vector(op.n, seed)
-    try:
-        w, u = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM", v0=v0,
-                          maxiter=maxiter, tol=0,
-                          OPinv=_shift_inverse(lu, shift))
-    except spla.ArpackNoConvergence as exc:
-        partial = None
-        if exc.eigenvalues is not None and exc.eigenvalues.size:
-            partial = _sorted_slice(op, exc.eigenvalues, exc.eigenvectors,
-                                    HEURISTIC, requested=m, tol=tol)
-        raise ConvergenceError(f"Krylov iteration did not converge for "
-                               f"m = {m}", partial=partial) from exc
-    del lu  # free the factor before the N x m copies below
-
-    out = _sorted_slice(op, w, u, HEURISTIC, requested=m, tol=tol)
-    out.krylov_k = m
-    bad = out.residuals > tol
-    if bad.any():
-        raise ConvergenceError(
-            f"{int(bad.sum())} residuals exceed tol = {tol:.3g} "
-            f"(worst {out.residuals.max():.3g})", partial=out)
+        out = _sorted_slice(op, w, u, HEURISTIC, tol=tol)
+        out.krylov_k = m
+        bad = out.residuals > tol
+        if bad.any():
+            raise ConvergenceError(
+                f"{int(bad.sum())} residuals exceed tol = {tol:.3g} "
+                f"(worst {out.residuals.max():.3g})", partial=out)
     probe = out.values[-1] + max(10 * tol, 1e-10 * max(1.0, abs(out.values[-1])))
-    count, why = count_below(op, probe)
+    # the dense eigenvalues give the count without a factorization
+    count, why = (int(np.sum(full.values < probe)), None) if dense \
+        else count_below(op, probe)
     out.downgrade = why or (None if count == m else COUNT_MISMATCH)
     out.certificate = HEURISTIC if out.downgrade else CERTIFIED
     return out

@@ -2,9 +2,11 @@
 
 import ast
 import csv
+import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -319,3 +321,146 @@ def test_provenance_columns_on_every_row(tmp_path):
         assert col in header
     seed_col = header.index("seed")
     assert all(r.split(",")[seed_col] == "9" for r in rows[1:])
+
+
+# ----------------------------------------------------------------------
+# every field of the parsed config, pinned for each preset and shipped file
+
+_REPO = Path(__file__).parents[1]
+
+_NO_POTENTIAL = {"kind": "none", "height": 1.0, "width": 1.0, "matrix": None,
+                 "rank": 1, "path": None}
+_SETTINGS = {"window_margin": 0.05, "nx": None, "tol": None,
+             "max_sites": 2_000_000, "seed": 0, "out_dir": "magspec_out",
+             "trials": 100, "trials_p": [], "c_min": None, "c_cap": 10.0,
+             "c1": 1}
+_PINNED = {
+    "torus_constant": dict(
+        _SETTINGS, experiment="torus_constant",
+        field_spec={"preset": "constant",
+                    "params": (("b", 0.15915494309189535),)},
+        potential=_NO_POTENTIAL, lattice_kind="torus", p_list=[4, 8, 16],
+        window=None, cutoff=None, resolution="high-accuracy",
+        extent=6.283185307179586),
+    "radial_dip": dict(
+        _SETTINGS, experiment="radial_dip",
+        field_spec={"preset": "radial_dip",
+                    "params": (("b_inf", 1.0), ("depth", 0.3),
+                               ("width", 1.0))},
+        potential=_NO_POTENTIAL, lattice_kind="rectangle_dirichlet",
+        p_list=[8, 16, 32, 64], window=(1.6, 2.4), cutoff=2.0,
+        resolution="high-accuracy", extent=None),
+    "potential_bump": dict(
+        _SETTINGS, experiment="potential_bump",
+        field_spec={"preset": "constant", "params": (("b", 1.0),)},
+        potential=dict(_NO_POTENTIAL, kind="bump"),
+        lattice_kind="rectangle_dirichlet", p_list=[16, 32, 64],
+        window=(1.3, 1.7), cutoff=4.0, resolution="standard", extent=None,
+        trials_p=[8, 16, 32]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_preset_minimal_config_pinned(name):
+    cfg = parse_config(f"experiment = {name}\n")
+    assert dataclasses.asdict(cfg) == _PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_shipped_config_pinned(name):
+    text = (_REPO / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+    assert dataclasses.asdict(parse_config(text)) == dict(
+        _PINNED[name], out_dir=f"out_{name}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("experiment = torus_constant\nbogus line\n",
+     "line 2: expected key = value, got 'bogus line'"),
+    ("experiment = torus_constant\nfoo = 1\n", "line 2: unknown key 'foo'"),
+    ("experiment = torus_constant\np = 4\np = 8\n",
+     "line 3: duplicate key 'p'"),
+    ("experiment = torus_constant\nseed = 1.5\n",
+     "line 2: cannot parse seed = '1.5'"),
+    ("experiment = torus_constant\ntol = tiny\n",
+     "line 2: cannot parse tol = 'tiny'"),
+    ("experiment = torus_constant\np = 4, x\n",
+     "line 2: cannot parse p = '4, x'"),
+    ("experiment = potential_bump\nwindow = 1.3, x\n",
+     "line 2: cannot parse window = '1.3, x'"),
+    ("experiment = potential_bump\nwindow = 1.3\n",
+     "line 2: window needs two values"),
+    ("experiment = potential_bump\nv_matrix = a\n",
+     "line 2: cannot parse v_matrix = 'a'"),
+    ("p = 4\n", "missing required key 'experiment'"),
+    ("experiment = nope\n",
+     "unknown experiment 'nope'; choose from "
+     "['potential_bump', 'radial_dip', 'torus_constant']"),
+    ("experiment = radial_dip\nfield = nope\n", "unknown field preset 'nope'"),
+    ("experiment = potential_bump\npotential = nope\n",
+     "unknown potential kind 'nope'"),
+    ("experiment = potential_bump\npotential = const\n",
+     "potential = const requires v_matrix"),
+    ("experiment = potential_bump\npotential = const\nv_rank = 2\n"
+     "v_matrix = 1, 0, 1\n", "v_matrix needs rank^2 = 4 entries"),
+    ("experiment = potential_bump\npotential = file\n",
+     "potential = file requires v_file"),
+    ("experiment = torus_constant\np =\n", "p list must be non-empty"),
+    ("experiment = torus_constant\np = 0, 4\n", "all p must be >= 1"),
+    ("experiment = torus_constant\np = 8, 4\n",
+     "p list must be strictly ascending"),
+    ("experiment = potential_bump\nwindow = 1.7, 1.3\n",
+     "window (1.7, 1.3) is empty"),
+    ("experiment = potential_bump\nresolution = coarse\n",
+     "resolution must be one of ['high-accuracy', 'standard']"),
+    ("experiment = torus_constant\np = 256\nmax_sites = 100\n",
+     "resolution rule needs nx = 402 (161604 sites) at p = 256, above "
+     "max_sites = 100; raise max_sites or reduce p"),
+    ("experiment = radial_dip\nfield = transition\n",
+     "auto-sizing needs a radial field; give an explicit extent for preset "
+     "transition"),
+])
+def test_config_error_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
+def test_preset_potential_honours_v_keys():
+    cfg = parse_config("experiment = potential_bump\nv_height = 2.0\n"
+                       "v_width = 0.5\n")
+    assert (cfg.potential.height, cfg.potential.width) == (2.0, 0.5)
+
+
+def test_const_potential_moves_sizing_radius():
+    # the level 1.35 of V = 0.35 lies in [1.3, 1.7] at every site: the
+    # sizing must see the set the lattice builds, not the field alone
+    from magspec.experiments import build_instance
+    from magspec.model import interface_set
+
+    cfg = parse_config("experiment = potential_bump\np = 4\n"
+                       "potential = const\nv_matrix = 0.35\n")
+    inst = build_instance(cfg, 4)
+    mask = interface_set(inst["lattice"], inst["b"], inst["potential"],
+                         cfg.window, cfg.cutoff).mask
+    assert mask.all()
+    assert interface_radius(cfg) == pytest.approx(8.0)
+
+
+def test_file_potential_needs_extent(tmp_path):
+    text = ("experiment = potential_bump\npotential = file\n"
+            f"v_file = {tmp_path / 'pot.npy'}\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == ("auto-sizing needs a radial potential; give "
+                               "an explicit extent for potential = file")
+    assert parse_config(text + "extent = 4.0\n").extent == 4.0
+
+
+def test_readme_names_exactly_the_config_keys():
+    from magspec.config import _KEYS
+
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    paragraph = next(block for block in readme.split("\n\n")
+                     if block.startswith("Recognized keys:"))
+    assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(_KEYS)
+    assert len(_KEYS) == 31

@@ -216,6 +216,20 @@ def test_lowest_one_factorization_per_shift(splu_calls, m, certificate,
     _assert_symmetric_mode_factors(splu_calls, 2)
 
 
+@pytest.mark.parametrize("m, certificate, downgrade", [
+    (4, CERTIFIED, None),
+    (2, HEURISTIC, "count mismatch"),   # cuts the 4-fold lowest cluster
+])
+def test_lowest_dense_path_counts_below_probe(splu_calls, m, certificate,
+                                              downgrade):
+    # N = 64 takes the dense path, whose own values give the count
+    lat, spec, b, links, V, H = torus_constant_setup(nx=8, p=4)
+    sl = lowest_eigs(H, m)
+    assert len(sl) == m
+    assert sl.certificate == certificate and sl.downgrade == downgrade
+    _assert_symmetric_mode_factors(splu_calls, 0)
+
+
 def test_midpoint_count_mismatch_downgrades(monkeypatch):
     lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
     bval = 1 / TWO_PI
