@@ -21,8 +21,8 @@ from .model import (InterfaceSet, LandauLevel, LandauSet, SigmaUnion,
                     dist_to_sigma, distances_to_sigma, find_gaps,
                     interface_set, landau_levels, omega_collar, sigma_region,
                     skew_invariants)
-from .solvers import (SpectrumSlice, count_below, dense_spectrum, lowest_eigs,
-                      read_slice, window_eigs, write_slice)
+from .solvers import (SpectrumSlice, count_below, dense_spectrum, read_slice,
+                      window_eigs, write_slice)
 from .analysis import (ClusterReport, FilteredSlice, LocalizationReport,
                        TrialBound, bandlimited_trial, boundary_filter,
                        cluster_assign, decay_fit, localization_report,

@@ -7,8 +7,8 @@ organizational; keys form one flat namespace), ``key = value`` lines, and
 - ``_KEYS`` lists every key with its value parser; unknown keys are
   rejected by name, and syntax and value errors carry line numbers.
 - A config is the preset's values, then the file's keys, layered over the
-  defaults of ``ExperimentConfig``, of the field parameters (``_field_from``)
-  and of ``PotentialSpec``.  A preset names its field and potential kind,
+  defaults of ``ExperimentConfig``, of the ``FieldSpec`` constructors and
+  of ``PotentialSpec``.  A preset names its field and potential kind,
   so the field and ``v_*`` keys override its parameters.
 - Sizing finds the interface radius with ``model.levels_in_window``, the
   level test that builds the lattice interface set.
@@ -55,6 +55,10 @@ class PotentialSpec:
     rank: int = 1
     path: str | None = None
 
+    def __post_init__(self):
+        if self.kind not in _POTENTIAL_KEYS:
+            raise ConfigError(f"unknown potential kind {self.kind!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -82,8 +86,8 @@ class ExperimentConfig:
 
 # each preset's values, named by config key (lattice_kind, which no key
 # sets, by its field); a key the preset does not name keeps the default of
-# its ExperimentConfig field, field parameter (_field_from) or PotentialSpec
-# field
+# its ExperimentConfig field, FieldSpec constructor parameter or
+# PotentialSpec field
 _PRESETS = {
     "torus_constant": dict(
         lattice_kind=TORUS, field="constant", potential="none",
@@ -143,6 +147,15 @@ _RENAMED = {"p": "p_list", "out": "out_dir"}
 _SETTINGS = {f.name for f in fields(ExperimentConfig)} \
     - {"field_spec", "potential"}
 
+# field preset -> the keys its FieldSpec constructor reads; a key the
+# file does not give keeps the constructor's default
+_FIELD_KEYS = {
+    "constant": ("b",),
+    "radial_dip": ("b_inf", "depth", "width"),
+    "radial_bump": ("b_inf", "height", "width"),
+    "transition": ("b_minus", "b_plus", "width"),
+}
+
 # potential kind -> the keys it reads, each with the PotentialSpec field
 # it sets
 _POTENTIAL_KEYS = {
@@ -190,7 +203,10 @@ def build_config(raw):
         raise ConfigError(f"unknown experiment {name!r}; choose from "
                           f"{sorted(_PRESETS)}")
     keys = copy.deepcopy({**_PRESETS[name], **raw})
-    if keys["lattice_kind"] == TORUS and "field" not in raw:
+    if keys["lattice_kind"] == TORUS:
+        if "field" in raw or "b" in raw:
+            raise ConfigError("the torus field is constant with b = c1 / "
+                              "2 pi; set c1, not field or b")
         # c1 flux quanta through the preset's 2 pi x 2 pi torus
         keys["b"] = keys.get("c1", ExperimentConfig.c1) / TWO_PI
     settings = {_RENAMED.get(k, k): v for k, v in keys.items()}
@@ -203,29 +219,16 @@ def build_config(raw):
 
 def _field_from(keys):
     kind = keys["field"]
-    if kind == "constant":
-        return FieldSpec.constant(keys.get("b", 1.0))
-    if kind == "radial_dip":
-        return FieldSpec.radial_dip(keys.get("b_inf", 1.0),
-                                    keys.get("depth", 0.3),
-                                    keys.get("width", 1.0))
-    if kind == "radial_bump":
-        return FieldSpec.radial_bump(keys.get("b_inf", 1.0),
-                                     keys.get("height", 0.3),
-                                     keys.get("width", 1.0))
-    if kind == "transition":
-        return FieldSpec.transition(keys.get("b_minus", 1.0),
-                                    keys.get("b_plus", 2.0),
-                                    keys.get("width", 1.0))
-    raise ConfigError(f"unknown field preset {kind!r}")
+    if kind not in _FIELD_KEYS:
+        raise ConfigError(f"unknown field preset {kind!r}")
+    return getattr(FieldSpec, kind)(
+        **{key: keys[key] for key in _FIELD_KEYS[kind] if key in keys})
 
 
 def _potential_from(keys):
     kind = keys["potential"]
-    if kind not in _POTENTIAL_KEYS:
-        raise ConfigError(f"unknown potential kind {kind!r}")
     pot = PotentialSpec(kind=kind, **{
-        name: keys[key] for key, name in _POTENTIAL_KEYS[kind].items()
+        name: keys[key] for key, name in _POTENTIAL_KEYS.get(kind, {}).items()
         if key in keys})
     if kind == "const":
         if pot.matrix is None:

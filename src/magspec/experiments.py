@@ -28,7 +28,7 @@ from .analysis import (bandlimited_trial, boundary_filter, cluster_assign,
                        localization_report, norm_lower_bound_trial,
                        scaling_exponent)
 from .config import plan_geometry
-from .errors import ConfigError, MagspecError
+from .errors import MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
@@ -69,10 +69,8 @@ def build_potential(cfg, lattice):
     if pot.kind == "const":
         m = np.asarray(pot.matrix, dtype=complex).reshape(pot.rank, pot.rank)
         return constant_potential(lattice, m)
-    if pot.kind == "file":
-        vals = np.load(pot.path)
-        return PotentialField(vals, lattice)
-    raise ConfigError(f"unknown potential kind {pot.kind!r}")
+    vals = np.load(pot.path)  # "file": PotentialSpec refuses other kinds
+    return PotentialField(vals, lattice)
 
 
 def build_instance(cfg, p):

@@ -33,55 +33,46 @@ MAX_RANK = 8
 class FieldSpec:
     """One of the supported magnetic intensity profiles.
 
-    Presets: ``constant(b)``, ``radial_dip(b_inf, depth, width)``,
-    ``radial_bump(b_inf, height, width)``, ``transition(b_minus, b_plus,
-    width)``.  Construction rejects profiles that are not strictly positive.
+    Presets: ``constant``, ``radial_dip``, ``radial_bump``, ``transition``;
+    each constructor's signature holds its parameters' defaults, which
+    config files inherit.  Construction rejects a non-positive width and
+    profiles that are not strictly positive.
     """
 
     preset: str
     params: tuple  # ordered (name, value) pairs; kept hashable
 
     @classmethod
-    def constant(cls, b):
-        spec = cls("constant", (("b", float(b)),))
-        spec._check_positive()
-        return spec
+    def constant(cls, b=1.0):
+        return cls._make("constant", b=b)
 
     @classmethod
-    def radial_dip(cls, b_inf, depth, width=1.0):
-        spec = cls("radial_dip", (("b_inf", float(b_inf)), ("depth", float(depth)),
-                                  ("width", float(width))))
-        if width <= 0:
-            raise InvalidSpecError("width must be positive")
-        spec._check_positive()
-        return spec
+    def radial_dip(cls, b_inf=1.0, depth=0.3, width=1.0):
+        return cls._make("radial_dip", b_inf=b_inf, depth=depth, width=width)
 
     @classmethod
-    def radial_bump(cls, b_inf, height, width=1.0):
-        spec = cls("radial_bump", (("b_inf", float(b_inf)), ("height", float(height)),
-                                   ("width", float(width))))
-        if width <= 0:
-            raise InvalidSpecError("width must be positive")
-        spec._check_positive()
-        return spec
+    def radial_bump(cls, b_inf=1.0, height=0.3, width=1.0):
+        return cls._make("radial_bump", b_inf=b_inf, height=height,
+                         width=width)
 
     @classmethod
-    def transition(cls, b_minus, b_plus, width=1.0):
-        spec = cls("transition", (("b_minus", float(b_minus)), ("b_plus", float(b_plus)),
-                                  ("width", float(width))))
-        if width <= 0:
+    def transition(cls, b_minus=1.0, b_plus=2.0, width=1.0):
+        return cls._make("transition", b_minus=b_minus, b_plus=b_plus,
+                         width=width)
+
+    @classmethod
+    def _make(cls, preset, **params):
+        spec = cls(preset, tuple((k, float(v)) for k, v in params.items()))
+        if "width" in params and spec["width"] <= 0:
             raise InvalidSpecError("width must be positive")
-        spec._check_positive()
+        if spec.min_intensity() <= 0:
+            raise PositivityError(
+                f"field preset {preset} with {dict(spec.params)} is not "
+                f"uniformly positive (min {spec.min_intensity():g})")
         return spec
 
     def __getitem__(self, name):
         return dict(self.params)[name]
-
-    def _check_positive(self):
-        if self.min_intensity() <= 0:
-            raise PositivityError(
-                f"field preset {self.preset} with {dict(self.params)} is not "
-                f"uniformly positive (min {self.min_intensity():g})")
 
     def min_intensity(self):
         """Analytic infimum of b over the plane."""

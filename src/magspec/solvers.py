@@ -1,4 +1,4 @@
-"""Eigensolvers: dense oracle, lowest-m, and certified interior windows.
+"""Eigensolvers: a dense oracle and certified interior windows.
 
 All returned residuals are recomputed from the matrix, never trusted from
 the solver.  Interior windows are solved by shift-invert Krylov iteration at
@@ -47,7 +47,6 @@ class SpectrumSlice:
     vectors: np.ndarray          # (n, k), columns unit norm
     residuals: np.ndarray
     certificate: str
-    window: tuple | None = None
     tol: float = 0.0
     downgrade: str | None = None  # why the certificate is only heuristic
     krylov_k: int | None = None   # pairs the final Krylov solve asked for
@@ -103,14 +102,14 @@ def _orthonormalize_clusters(values, vectors):
     return vectors
 
 
-def _sorted_slice(op, values, vectors, certificate, window=None, tol=0.0):
+def _sorted_slice(op, values, vectors, certificate, tol=0.0):
     order = np.argsort(values)
     values = np.asarray(values)[order]
     vectors = np.array(vectors)[:, order]
     vectors = _orthonormalize_clusters(values, vectors)
     residuals = _residuals(op, values, vectors)
     return SpectrumSlice(values=values, vectors=vectors, residuals=residuals,
-                         certificate=certificate, window=window, tol=tol)
+                         certificate=certificate, tol=tol)
 
 
 def _factor_shifted(op, sigma, attempts=3):
@@ -120,6 +119,11 @@ def _factor_shifted(op, sigma, attempts=3):
     signs of the real U diagonal give the inertia (Sylvester).  A singular
     factorization jitters the shift, up to ``attempts`` tries.  Returns (lu
     or None, shift used, negative pivots, None or why the count is untrusted).
+
+    The diagonal is read from a full copy of ``lu.U``: scipy's ``SuperLU``
+    object exposes only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``,
+    ``shape`` and ``solve`` (checked on scipy 1.17), with no accessor for
+    the pivots alone.
     """
     n = op.n
     shift = float(sigma)
@@ -175,62 +179,6 @@ def dense_spectrum(op):
     return _sorted_slice(op, w, u, CERTIFIED)
 
 
-def lowest_eigs(op, m, tol=None, seed=0, maxiter=None):
-    """m lowest eigenpairs by shift-invert Krylov iteration.
-
-    The shift sits below the Gershgorin lower bound, so the factorized
-    operator is definite and the iteration targets the bottom of the
-    spectrum.  Certificate is upgraded to certified when an inertia count
-    confirms that exactly m eigenvalues lie below the largest one returned;
-    a tiny instance is solved densely and counted from its own eigenvalues.
-    """
-    m = int(m)
-    if not op.hermitian:
-        raise NotHermitianError("lowest_eigs requires the hermitian flag")
-    if m < 1 or m >= op.n:
-        raise WindowError(f"need 1 <= m < N, got m = {m}, N = {op.n}")
-    if tol is None:
-        tol = default_tol(op)
-
-    dense = op.n <= max(2 * m + 16, 64) and op.n <= DENSE_GUARD
-    if dense:
-        # tiny instance: Krylov subspace would exhaust the space anyway
-        full = dense_spectrum(op)
-        out = replace(full.select(np.arange(m)), tol=tol)
-    else:
-        lo, hi = gershgorin_interval(op)
-        lu, shift, _, _ = _factor_shifted(
-            op, lo - max(1e-3 * (hi - lo), 1e-6))
-        v0 = _start_vector(op.n, seed)
-        try:
-            w, u = spla.eigsh(op.matrix, k=m, sigma=shift, which="LM",
-                              v0=v0, maxiter=maxiter, tol=0,
-                              OPinv=_shift_inverse(lu, shift))
-        except spla.ArpackNoConvergence as exc:
-            partial = None
-            if exc.eigenvalues is not None and exc.eigenvalues.size:
-                partial = _sorted_slice(op, exc.eigenvalues,
-                                        exc.eigenvectors, HEURISTIC, tol=tol)
-            raise ConvergenceError(f"Krylov iteration did not converge for "
-                                   f"m = {m}", partial=partial) from exc
-        del lu  # free the factor before the N x m copies below
-
-        out = _sorted_slice(op, w, u, HEURISTIC, tol=tol)
-        out.krylov_k = m
-        bad = out.residuals > tol
-        if bad.any():
-            raise ConvergenceError(
-                f"{int(bad.sum())} residuals exceed tol = {tol:.3g} "
-                f"(worst {out.residuals.max():.3g})", partial=out)
-    probe = out.values[-1] + max(10 * tol, 1e-10 * max(1.0, abs(out.values[-1])))
-    # the dense eigenvalues give the count without a factorization
-    count, why = (int(np.sum(full.values < probe)), None) if dense \
-        else count_below(op, probe)
-    out.downgrade = why or (None if count == m else COUNT_MISMATCH)
-    out.certificate = HEURISTIC if out.downgrade else CERTIFIED
-    return out
-
-
 def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     """All eigenpairs inside [alpha, beta] by shift-invert at the midpoint.
 
@@ -264,7 +212,7 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     if expected == 0:
         return SpectrumSlice(values=np.empty(0), vectors=np.empty((op.n, 0)),
                              residuals=np.empty(0), certificate=CERTIFIED,
-                             window=(alpha, beta), tol=tol, krylov_k=0)
+                             tol=tol, krylov_k=0)
 
     k = min(16 if expected is None else expected, op.n - 2)
     lu, shift, c_mid, why_mid = _factor_shifted(op, 0.5 * (alpha + beta))
@@ -280,8 +228,7 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
             partial = None
             if exc.eigenvalues is not None and exc.eigenvalues.size:
                 partial = _sorted_slice(op, exc.eigenvalues,
-                                        exc.eigenvectors, HEURISTIC,
-                                        window=(alpha, beta), tol=tol)
+                                        exc.eigenvectors, HEURISTIC, tol=tol)
             raise ConvergenceError("window iteration did not converge",
                                    partial=partial) from exc
         got = int(np.sum((w >= alpha) & (w <= beta)))
@@ -292,7 +239,7 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
         break
     del lu, opinv  # free the factor before the N x k copies below
 
-    full = _sorted_slice(op, w, u, HEURISTIC, window=(alpha, beta), tol=tol)
+    full = _sorted_slice(op, w, u, HEURISTIC, tol=tol)
     full.krylov_k, full.growth_rounds = k, rounds
     out = full.select(np.flatnonzero((full.values >= alpha)
                                      & (full.values <= beta)))

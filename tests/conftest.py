@@ -4,9 +4,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from magspec.operators import SparseHermitian
-from magspec import (FieldSpec, assemble_H, build_lattice, edge_integrals,
-                     gauge_links, gaussian_bump_potential, sample_field,
-                     zero_potential)
+from magspec import (FieldSpec, assemble_H, build_lattice, dense_spectrum,
+                     edge_integrals, gauge_links, gaussian_bump_potential,
+                     gershgorin_interval, sample_field, zero_potential)
 
 TWO_PI = 2 * np.pi
 
@@ -16,6 +16,15 @@ def op_from_dense(a, p=1, spacing=(1.0, 1.0), rank=1, hermitian=True,
     return SparseHermitian(matrix=sp.csr_matrix(np.asarray(a, dtype=complex)),
                            p=p, spacing=spacing, rank=rank,
                            hermitian=hermitian, lattice=lattice)
+
+
+def lowest_window(H, m):
+    """Window holding exactly the m lowest eigenvalues, from below the
+    Gershgorin bound to midway between the dense lambda_m and lambda_(m+1);
+    returned with the dense eigenvalues."""
+    w = dense_spectrum(H).values
+    assert w[m] - w[m - 1] > 1e-6, "window edge cuts a cluster"
+    return (gershgorin_interval(H)[0] - 1e-6, 0.5 * (w[m - 1] + w[m])), w
 
 
 def torus_constant_setup(nx=24, p=4, c1=1):

@@ -12,15 +12,16 @@ import pytest
 import scipy.linalg
 
 from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
-                      torus_constant_setup)
+                      lowest_window, torus_constant_setup)
 from magspec import (FieldSpec, apply_gauge_transform, assemble_H,
                      build_lattice, conjugate_H, dense_spectrum, dist_to_sigma,
-                     find_gaps, interface_set, landau_levels, lowest_eigs,
-                     sample_field, smooth_distance, taylor_terms,
-                     window_eigs, zero_potential)
+                     find_gaps, interface_set, landau_levels, sample_field,
+                     smooth_distance, taylor_terms, window_eigs,
+                     zero_potential)
 from magspec.config import build_config
 from magspec.experiments import build_instance, run_experiment
 from magspec.model import SigmaUnion
+from magspec.solvers import CERTIFIED
 
 
 def _report(num, name, passed, detail, elapsed, budget):
@@ -68,6 +69,7 @@ def test_criterion_1_gauge_invariance():
 def test_criterion_2_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
+    slices = []
     cases = [
         torus_constant_setup(nx=32, p=4),            # 1024 sites
         dip_rectangle_setup(nx=33, p=8),             # 1024 interior sites
@@ -75,12 +77,16 @@ def test_criterion_2_oracle_equivalence():
     ]
     for lat, spec, b, links, V, H in cases:
         assert H.n <= 1024
-        dense = dense_spectrum(H)
-        krylov = lowest_eigs(H, 20)
-        worst = max(worst, float(np.abs(krylov.values
-                                        - dense.values[:20]).max()))
-    _report(2, "oracle equivalence", worst <= 1e-8,
-            f"worst |krylov - dense| = {worst:.2e} <= 1e-8 over 3 presets",
+        window, dense = lowest_window(H, 20)
+        sl = window_eigs(H, window)
+        slices.append((len(sl), sl.certificate))
+        err = np.abs(sl.values - dense[:20]).max() if len(sl) == 20 \
+            else np.inf
+        worst = max(worst, float(err))
+    passed = worst <= 1e-8 and slices == [(20, CERTIFIED)] * 3
+    _report(2, "oracle equivalence", passed,
+            f"(pairs, certificate) {slices}; worst |window - dense| = "
+            f"{worst:.2e} <= 1e-8 over 3 presets",
             time.perf_counter() - start, 30.0)
 
 

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from magspec.cli import main
-from magspec.config import (build_config, interface_radius, parse_config,
-                            plan_geometry)
+from magspec.config import (PotentialSpec, build_config, interface_radius,
+                            parse_config, plan_geometry)
 from magspec.errors import ConfigError
 from magspec.experiments import run_experiment
 
@@ -418,11 +418,20 @@ def test_shipped_config_pinned(name):
     ("experiment = radial_dip\nfield = transition\n",
      "auto-sizing needs a radial field; give an explicit extent for preset "
      "transition"),
+    ("experiment = torus_constant\nb = 0.3\n",
+     "the torus field is constant with b = c1 / 2 pi; set c1, not field or b"),
+    ("experiment = torus_constant\nfield = constant\n",
+     "the torus field is constant with b = c1 / 2 pi; set c1, not field or b"),
 ])
 def test_config_error_messages(text, message):
     with pytest.raises(ConfigError) as info:
         parse_config(text)
     assert str(info.value) == message
+
+
+def test_potential_spec_refuses_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown potential kind 'nope'"):
+        PotentialSpec(kind="nope")
 
 
 def test_preset_potential_honours_v_keys():

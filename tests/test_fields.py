@@ -192,6 +192,13 @@ def test_transition_field_landau_gauge_flux():
     assert np.abs(sums - approx).max() < 1e-4
 
 
+@pytest.mark.parametrize("preset", ["radial_dip", "radial_bump",
+                                    "transition"])
+def test_field_width_must_be_positive(preset):
+    with pytest.raises(InvalidSpecError, match="width must be positive"):
+        getattr(FieldSpec, preset)(width=0.0)
+
+
 def test_potential_validation_and_eigenvalues():
     lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 6, 6)
     bad = np.zeros((lat.n_sites, 2, 2), dtype=complex)

@@ -1,4 +1,4 @@
-"""Dense oracle, lowest/window Krylov solvers, inertia certification."""
+"""Dense oracle, window Krylov solver, inertia certification."""
 
 import importlib
 from types import SimpleNamespace
@@ -8,10 +8,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import TWO_PI, op_from_dense, torus_constant_setup
+from conftest import (TWO_PI, lowest_window, op_from_dense,
+                      torus_constant_setup)
 from magspec import (assemble_H, build_lattice, count_below, dense_spectrum,
-                     lowest_eigs, read_slice, trivial_links, window_eigs,
-                     write_slice, zero_potential)
+                     read_slice, trivial_links, window_eigs, write_slice,
+                     zero_potential)
 from magspec import solvers
 from magspec.errors import (ConvergenceError, DenseSizeError,
                             NotHermitianError, WindowError)
@@ -42,7 +43,8 @@ def test_dense_guards():
 def test_lowest_free_field_ground_state():
     lat = build_lattice("torus", TWO_PI, TWO_PI, 16, 16)
     H = assemble_H(lat, trivial_links(lat, 2), zero_potential(lat), 2)
-    sl = lowest_eigs(H, 1)
+    sl = window_eigs(H, lowest_window(H, 1)[0])
+    assert len(sl) == 1
     assert abs(sl.values[0]) <= sl.tol
     u = sl.vectors[:, 0]
     overlap = abs(np.vdot(u, np.ones(H.n) / np.sqrt(H.n)))
@@ -53,7 +55,9 @@ def test_lowest_free_field_first_excited_level():
     n_side, p = 20, 2
     lat = build_lattice("torus", TWO_PI, TWO_PI, n_side, n_side)
     H = assemble_H(lat, trivial_links(lat, p), zero_potential(lat), p)
-    sl = lowest_eigs(H, 6)
+    # the third level, wave vectors (+-1, +-1), is 4-fold too: keep it whole
+    sl = window_eigs(H, lowest_window(H, 9)[0])
+    assert len(sl) == 9
     h = lat.spacing_x
     lam2 = (1 / p) * (2 / h**2) * (1 - np.cos(TWO_PI / n_side))
     assert np.allclose(sl.values[1:5], lam2, rtol=1e-10)  # 4-fold degenerate
@@ -62,9 +66,10 @@ def test_lowest_free_field_first_excited_level():
 
 def test_lowest_matches_dense_oracle():
     lat, spec, b, links, V, H = torus_constant_setup(nx=16, p=4)
-    dense = dense_spectrum(H)
-    sl = lowest_eigs(H, 20)
-    assert np.abs(sl.values - dense.values[:20]).max() <= 1e-8
+    window, dense = lowest_window(H, 20)
+    sl = window_eigs(H, window)
+    assert len(sl) == 20
+    assert np.abs(sl.values - dense[:20]).max() <= 1e-8
     gram = sl.vectors.conj().T @ sl.vectors
     assert np.abs(gram - np.eye(20)).max() <= 1e-8
     assert np.all(sl.residuals <= sl.tol)
@@ -161,8 +166,14 @@ def test_inertia_consistency_on_assembled_operator():
 
 def test_convergence_error_carries_partial():
     lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
-    with pytest.raises(ConvergenceError):
-        lowest_eigs(H, 40, maxiter=1)
+    with pytest.raises(ConvergenceError) as info:
+        window_eigs(H, lowest_window(H, 40)[0], maxiter=1)
+    partial = info.value.partial
+    assert partial is not None and 1 <= len(partial) <= 39
+    assert partial.certificate == HEURISTIC
+    resid = H.matrix @ partial.vectors - partial.vectors * partial.values
+    assert np.allclose(partial.residuals, np.linalg.norm(resid, axis=0),
+                       rtol=1e-12, atol=0)
 
 
 @pytest.fixture
@@ -201,33 +212,6 @@ def test_window_one_factorization_per_shift(splu_calls, lower,
     assert len(sl) == 4
     assert sl.certificate == CERTIFIED and sl.downgrade is None
     _assert_symmetric_mode_factors(splu_calls, factorizations)
-
-
-@pytest.mark.parametrize("m, certificate, downgrade", [
-    (4, CERTIFIED, None),
-    (5, HEURISTIC, "count mismatch"),   # cuts the 4-fold second cluster
-])
-def test_lowest_one_factorization_per_shift(splu_calls, m, certificate,
-                                            downgrade):
-    lat, spec, b, links, V, H = torus_constant_setup(nx=16, p=4)
-    sl = lowest_eigs(H, m)
-    assert len(sl) == m
-    assert sl.certificate == certificate and sl.downgrade == downgrade
-    _assert_symmetric_mode_factors(splu_calls, 2)
-
-
-@pytest.mark.parametrize("m, certificate, downgrade", [
-    (4, CERTIFIED, None),
-    (2, HEURISTIC, "count mismatch"),   # cuts the 4-fold lowest cluster
-])
-def test_lowest_dense_path_counts_below_probe(splu_calls, m, certificate,
-                                              downgrade):
-    # N = 64 takes the dense path, whose own values give the count
-    lat, spec, b, links, V, H = torus_constant_setup(nx=8, p=4)
-    sl = lowest_eigs(H, m)
-    assert len(sl) == m
-    assert sl.certificate == certificate and sl.downgrade == downgrade
-    _assert_symmetric_mode_factors(splu_calls, 0)
 
 
 def test_midpoint_count_mismatch_downgrades(monkeypatch):
@@ -315,7 +299,8 @@ def test_window_untrusted_count_starts_from_16(eigsh_spy, monkeypatch):
 
 def test_eigenvector_dump_round_trip(tmp_path):
     lat, spec, b, links, V, H = torus_constant_setup(nx=12, p=4)
-    sl = lowest_eigs(H, 5)
+    sl = window_eigs(H, lowest_window(H, 4)[0])
+    assert len(sl) == 4
     path = tmp_path / "vecs.bsev"
     write_slice(sl, path)
     back = read_slice(path)
