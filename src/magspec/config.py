@@ -207,6 +207,9 @@ def build_config(raw):
         if "field" in raw or "b" in raw:
             raise ConfigError("the torus field is constant with b = c1 / "
                               "2 pi; set c1, not field or b")
+        if "extent" in raw:
+            raise ConfigError("b = c1 / 2 pi closes into a bundle only on "
+                              "the 2 pi x 2 pi torus; do not set extent")
         # c1 flux quanta through the preset's 2 pi x 2 pi torus
         keys["b"] = keys.get("c1", ExperimentConfig.c1) / TWO_PI
     settings = {_RENAMED.get(k, k): v for k, v in keys.items()}

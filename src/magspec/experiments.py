@@ -331,9 +331,11 @@ class PerP:
 # preset rules
 
 def _solve_record(sl):
-    """Certificate, downgrade reason and Krylov work of one window solve."""
+    """Certificate, downgrade reason, Krylov work and rotation symmetry of
+    one window solve."""
     return dict(certificate=sl.certificate, downgrade=sl.downgrade,
-                krylov_k=sl.krylov_k, growth_rounds=sl.growth_rounds)
+                krylov_k=sl.krylov_k, growth_rounds=sl.growth_rounds,
+                symmetry=sl.symmetry, symmetry_defect=sl.symmetry_defect)
 
 
 def _torus_limits(cfg):
@@ -426,6 +428,7 @@ def _bump_checks(st, assertions):
 def _bump_sweep(cfg, per_p, trials, assertions):
     """Decay rates doubling from p to 4p; norm bound uniform in p."""
     kappa_by_p = {e["p"]: e["kappa_median"] for e in per_p}
+    stderr_by_p = {e["p"]: e["kappa_stderr_max"] for e in per_p}
     results = {"window": list(cfg.window),
                "inner_window": list(_bump_limits(cfg)[0]),
                "kappa_by_p": kappa_by_p}
@@ -435,7 +438,13 @@ def _bump_sweep(cfg, per_p, trials, assertions):
             assertions.check(f"decay_rate_doubling_p{p}_to_{4 * p}",
                              1.5 <= ratio <= 2.5, measured=ratio,
                              threshold=[1.5, 2.5])
-            results[f"kappa_ratio_{4 * p}_over_{p}"] = ratio
+            name = f"kappa_ratio_{4 * p}_over_{p}"
+            results[name] = ratio
+            # first-order propagation, each kappa taken with the largest
+            # slope standard error among the genuine states at its p
+            results[f"{name}_stderr"] = ratio * math.hypot(
+                stderr_by_p[4 * p] / kappa_by_p[4 * p],
+                stderr_by_p[p] / kappa_by_p[p])
     if cfg.trials_p:
         norm = results["norm_bound"] = [trials[p] for p in cfg.trials_p]
         if len(norm) >= 2:

@@ -94,6 +94,21 @@ class Lattice:
         return iy * self.site_nx + ix
 
     @cached_property
+    def rotation(self):
+        """Site permutation of the quarter turn (x, y) -> (-y, x), or None.
+
+        ``rotation[s]`` is the site that s turns into: (ix, iy) goes to
+        (site_nx - 1 - iy, ix).  Defined only on a square rectangle, whose
+        sites are centred at the origin; None on the torus and on a
+        non-square rectangle.
+        """
+        if self.is_torus or self.nx != self.ny \
+                or self.extent_x != self.extent_y:
+            return None
+        gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
+        return self.site_index(self.site_nx - 1 - gy, gx).ravel()
+
+    @cached_property
     def _edges(self):
         """Directed axis edges (+x first, then +y), each stored once.
 

@@ -5,6 +5,7 @@ them live).  The heavy preset sweeps run once as session fixtures and feed
 the criteria that share them.
 """
 
+import math
 import time
 
 import numpy as np
@@ -126,11 +127,14 @@ def test_criterion_4_clustering_rate(preset_b_summary):
                      if a["name"] == "clustering_rate")
     dists = ", ".join(f"p={p}: {d:.2e}" for p, d in res["max_distances"])
     exponent = res["clustering_exponent"]
+    # a silent fallback to the full-space solve fails here, not only slows
+    symmetry = [e["symmetry"] for e in res["per_p"]]
     detail = (f"max distances [{dists}]; exponent = "
               f"{exponent if exponent is not None else 'n/a (all at floor)'}"
-              f" (bound -0.25)")
-    _report(4, "clustering rate", assertion["passed"], detail,
-            summary["elapsed"], 900.0)
+              f" (bound -0.25); symmetry {symmetry}")
+    passed = assertion["passed"] \
+        and symmetry == ["C4"] * len(summary["p_list"])
+    _report(4, "clustering rate", passed, detail, summary["elapsed"], 900.0)
 
 
 def test_criterion_5_gap_edge_states(preset_c_summary):
@@ -139,11 +143,12 @@ def test_criterion_5_gap_edge_states(preset_c_summary):
     checks = [a for a in summary["assertions"]
               if a["name"].startswith(("gap_states_", "weighted_mass_"))]
     assert checks, f"no edge-state assertions found in {names}"
-    ok = all(a["passed"] for a in checks)
     per_p = summary["results"]["per_p"]
+    ok = all(a["passed"] for a in checks) \
+        and [e["symmetry"] for e in per_p] == ["C4"] * len(summary["p_list"])
     detail = "; ".join(
-        f"p={e['p']}: {e['n_genuine']} genuine ({e['certificate']}), "
-        f"far mass {e['worst_far_mass']:.1e}, W(c_min) "
+        f"p={e['p']}: {e['n_genuine']} genuine ({e['certificate']}, "
+        f"{e['symmetry']}), far mass {e['worst_far_mass']:.1e}, W(c_min) "
         f"{e['worst_w_at_cmin']:.2f}" for e in per_p)
     _report(5, "gap edge states localize", ok, detail,
             summary["elapsed"], 1200.0)
@@ -152,10 +157,12 @@ def test_criterion_5_gap_edge_states(preset_c_summary):
 def test_criterion_6_decay_rate_law(preset_c_summary):
     summary = preset_c_summary.summary
     ratio = summary["results"].get("kappa_ratio_64_over_16")
-    ok = ratio is not None and 1.5 <= ratio <= 2.5
+    stderr = summary["results"].get("kappa_ratio_64_over_16_stderr")
+    ok = ratio is not None and 1.5 <= ratio <= 2.5 \
+        and stderr is not None and 0 < stderr < math.inf
     _report(6, "sqrt(p) decay-rate law", ok,
-            f"|kappa_64| / |kappa_16| = "
-            f"{ratio:.3f} in [1.5, 2.5]" if ratio else "ratio unavailable",
+            f"|kappa_64| / |kappa_16| = {ratio:.3f} +- {stderr:.3f} in "
+            f"[1.5, 2.5]" if ratio and stderr else "ratio unavailable",
             0.0, 1200.0)
 
 

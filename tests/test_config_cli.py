@@ -422,6 +422,9 @@ def test_shipped_config_pinned(name):
      "the torus field is constant with b = c1 / 2 pi; set c1, not field or b"),
     ("experiment = torus_constant\nfield = constant\n",
      "the torus field is constant with b = c1 / 2 pi; set c1, not field or b"),
+    ("experiment = torus_constant\np = 4\nextent = 3.0\n",
+     "b = c1 / 2 pi closes into a bundle only on the 2 pi x 2 pi torus; do "
+     "not set extent"),
 ])
 def test_config_error_messages(text, message):
     with pytest.raises(ConfigError) as info:

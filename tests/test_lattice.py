@@ -173,3 +173,25 @@ def test_smooth_distance_degraded_mode():
     w = smooth_distance(d, 10**6)  # rho = 5e-4 < h = 1/8
     assert w.degraded
     assert np.array_equal(w.values, d.values)
+
+
+@pytest.mark.parametrize("nx", [6, 7])
+def test_rotation_is_the_quarter_turn(nx):
+    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    rot, pos = lat.rotation, lat.positions
+    assert np.array_equal(np.sort(rot), np.arange(lat.n_sites))
+    assert np.allclose(pos[rot], np.column_stack([-pos[:, 1], pos[:, 0]]),
+                       atol=1e-14)
+    # the origin is a site, and the only fixed one, when site_nx is odd
+    fixed = np.flatnonzero(rot == np.arange(lat.n_sites))
+    assert fixed.size == lat.site_nx % 2
+    assert np.allclose(pos[fixed], 0.0)
+
+
+@pytest.mark.parametrize("kind, extent_y, ny", [
+    ("torus", 3.0, 6),                 # no centre to turn about
+    ("rectangle_dirichlet", 4.0, 6),   # not square
+    ("rectangle_dirichlet", 3.0, 8),   # square, but unequal grids
+])
+def test_rotation_needs_a_centred_square(kind, extent_y, ny):
+    assert build_lattice(kind, 3.0, extent_y, 6, ny).rotation is None

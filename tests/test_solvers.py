@@ -1,6 +1,7 @@
 """Dense oracle, window Krylov solver, inertia certification."""
 
 import importlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (TWO_PI, lowest_window, op_from_dense,
-                      torus_constant_setup)
-from magspec import (assemble_H, build_lattice, count_below, dense_spectrum,
-                     read_slice, trivial_links, window_eigs, write_slice,
-                     zero_potential)
+from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
+                      lowest_window, op_from_dense, torus_constant_setup)
+from magspec import (FieldSpec, PotentialField, assemble_H, build_lattice,
+                     constant_potential, count_below, dense_spectrum,
+                     edge_integrals, gauge_links, read_slice, trivial_links,
+                     window_eigs, write_slice, zero_potential)
 from magspec import solvers
 from magspec.errors import (ConvergenceError, DenseSizeError,
                             NotHermitianError, WindowError)
-from magspec.solvers import CERTIFIED, HEURISTIC
+from magspec.solvers import C4, CERTIFIED, HEURISTIC, NO_SYMMETRY
 
 
 def test_dense_tiny_cases():
@@ -307,3 +309,140 @@ def test_eigenvector_dump_round_trip(tmp_path):
     assert np.allclose(back.values, sl.values)
     assert np.allclose(back.vectors, sl.vectors)
     assert np.allclose(back.residuals, sl.residuals)
+
+
+# ----------------------------------------------------------------------
+# rotation sectors
+
+
+def _interior_window(H, lo=10, count=20):
+    """Window around dense eigenvalues lo .. lo + count - 1, cut midway
+    between neighbours; returned with those eigenvalues."""
+    w = dense_spectrum(H).values
+    hi = lo + count
+    assert min(w[lo] - w[lo - 1], w[hi] - w[hi - 1]) > 1e-6
+    return (0.5 * (w[lo - 1] + w[lo]), 0.5 * (w[hi - 1] + w[hi])), w[lo:hi]
+
+
+@pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
+@pytest.mark.parametrize("rank", [1, 2])
+def test_sector_bases_split_the_rotation(nx, rank):
+    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    perm = (lat.rotation[:, None] * rank + np.arange(rank)).ravel()
+    n = perm.size
+    bases = [b.toarray() for b in solvers._sector_bases(perm)]
+    orbits, fixed = divmod(n, 4)
+    assert fixed == rank * (lat.site_nx % 2)
+    widths = [b.shape[1] for b in bases]
+    assert widths == [orbits + fixed, orbits, orbits, orbits]
+    u = np.hstack(bases)
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
+    rotate = np.zeros((n, n))
+    rotate[perm, np.arange(n)] = 1.0
+    for m, b in enumerate(bases):
+        assert np.abs(rotate @ b - 1j ** m * b).max() <= 1e-15
+
+
+@pytest.mark.parametrize("setup", [dip_rectangle_setup, bump_rectangle_setup],
+                         ids=["radial_dip", "potential_bump"])
+@pytest.mark.parametrize("nx", [33, 34])  # site_nx even, odd (origin site)
+def test_sector_solve_matches_full_solve(setup, nx):
+    H = setup(nx=nx, p=8)[-1]
+    window, dense = _interior_window(H)
+    sector = window_eigs(H, window)
+    # without its lattice the operator has no rotation to detect
+    full = window_eigs(replace(H, lattice=None), window)
+    assert (sector.symmetry, full.symmetry) == (C4, NO_SYMMETRY)
+    assert 0 <= sector.symmetry_defect \
+        <= solvers.C4_DEFECT_FRACTION * sector.tol
+    assert full.symmetry_defect is None
+    assert len(sector) == len(full) == 20
+    assert np.abs(sector.values - full.values).max() <= sector.tol
+    assert np.abs(sector.values - dense).max() <= sector.tol
+    resid = np.linalg.norm(H.matrix @ sector.vectors
+                           - sector.vectors * sector.values, axis=0)
+    assert np.allclose(sector.residuals, resid, rtol=1e-12, atol=0)
+    assert resid.max() <= sector.tol
+    gram = sector.vectors.conj().T @ sector.vectors
+    assert np.abs(gram - np.eye(20)).max() <= 1e-8
+    assert sector.certificate == full.certificate == CERTIFIED
+    assert sector.downgrade is None
+    assert (sector.krylov_k, sector.growth_rounds) == (20, 0)
+
+
+def test_rank_two_potential_takes_sector_path():
+    lat, spec, b, links, V, H = dip_rectangle_setup(nx=22, p=4)
+    V2 = constant_potential(lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
+    H2 = assemble_H(lat, links, V2, 4)
+    window, dense = _interior_window(H2, lo=6, count=12)
+    sl = window_eigs(H2, window)
+    assert sl.symmetry == C4
+    assert len(sl) == 12 and sl.certificate == CERTIFIED
+    assert np.abs(sl.values - dense).max() <= sl.tol
+    assert sl.residuals.max() <= sl.tol
+
+
+def _torus_case():
+    H = torus_constant_setup(nx=24, p=4)[-1]
+    bval = 1 / TWO_PI
+    return H, (0.6 * bval, 1.4 * bval)
+
+
+def _transition_case():
+    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 25, 25)
+    spec = FieldSpec.transition()
+    links = gauge_links(edge_integrals(spec, lat, "landau"), 4)
+    H = assemble_H(lat, links, zero_potential(lat), 4)
+    return H, _interior_window(H, lo=4, count=8)[0]
+
+
+def _broken_site_case():
+    lat, spec, b, links, V, H = bump_rectangle_setup(nx=25, p=4)
+    values = V.values.copy()
+    values[lat.site_index(3, 5)] += 1e-3
+    H = assemble_H(lat, links, PotentialField(values, lat), 4)
+    return H, _interior_window(H, lo=4, count=8)[0]
+
+
+@pytest.mark.parametrize("case", [_torus_case, _transition_case,
+                                  _broken_site_case],
+                         ids=["torus", "transition", "broken_site"])
+def test_asymmetric_operator_keeps_the_full_solve(case, splu_calls,
+                                                  eigsh_spy):
+    H, window = case()
+    sl = window_eigs(H, window)
+    calls = (len(splu_calls), list(eigsh_spy.calls))
+    del splu_calls[:], eigsh_spy.calls[:]
+    full = window_eigs(replace(H, lattice=None), window)
+    assert sl.symmetry == NO_SYMMETRY
+    if H.lattice.is_torus:
+        assert sl.symmetry_defect is None
+    else:
+        assert sl.symmetry_defect > solvers.C4_DEFECT_FRACTION * sl.tol
+    assert calls == (len(splu_calls), eigsh_spy.calls) == (3, [len(sl)])
+    _assert_symmetric_mode_factors(splu_calls, 3)
+    assert sl.certificate == CERTIFIED and len(sl) > 0
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(sl, name), getattr(full, name))
+
+
+def test_sector_convergence_error_carries_full_partial():
+    H = dip_rectangle_setup(nx=34, p=8)[-1]
+    with pytest.raises(ConvergenceError) as info:
+        window_eigs(H, lowest_window(H, 40)[0], maxiter=1)
+    partial = info.value.partial
+    assert partial is not None and 1 <= len(partial) <= 39
+    assert partial.vectors.shape == (H.n, len(partial))
+    assert partial.certificate == HEURISTIC
+    resid = H.matrix @ partial.vectors - partial.vectors * partial.values
+    assert np.allclose(partial.residuals, np.linalg.norm(resid, axis=0),
+                       rtol=1e-12, atol=0)
+
+
+def test_sector_solve_is_reproducible():
+    H = dip_rectangle_setup(nx=34, p=8)[-1]
+    window, _ = _interior_window(H)
+    first, second = (window_eigs(H, window, seed=3) for _ in range(2))
+    assert first.symmetry == C4
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(first, name), getattr(second, name))
