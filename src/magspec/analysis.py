@@ -37,11 +37,9 @@ class ClusterReport:
     interval_index: np.ndarray   # merged-interval membership, -1 if outside
     interval_counts: np.ndarray
     truncated: bool              # slice reached beyond the union cutoff
-    p: int | None = None
-    h: float | None = None
 
 
-def cluster_assign(sl, sigma, p=None, h=None):
+def cluster_assign(sl, sigma):
     """Assign each eigenvalue its distance to the union and its interval."""
     lams = sl.values
     if lams.size == 0:
@@ -58,7 +56,7 @@ def cluster_assign(sl, sigma, p=None, h=None):
     return ClusterReport(distances=dists, max_distance=float(dists.max()),
                          mean_distance=float(dists.mean()),
                          interval_index=idx, interval_counts=counts,
-                         truncated=truncated, p=p, h=h)
+                         truncated=truncated)
 
 
 def weighted_mass(vector, dist, c, p):

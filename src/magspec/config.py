@@ -270,7 +270,8 @@ def interface_radius(cfg, r_max=None, samples=4001):
 
     Applies the interface set's level test (``model.levels_in_window``) to
     the field and the potential branches on a fine 1D radial grid; 0 when
-    the window set is empty.
+    the window set is empty.  A hit at the ray's last sample means the set
+    has no outer radius the ray can see, and the config is refused.
     """
     if cfg.window is None:
         return 0.0
@@ -293,6 +294,10 @@ def interface_radius(cfg, r_max=None, samples=4001):
         m = np.reshape(pot.matrix, (pot.rank, pot.rank))
         v = np.broadcast_to(np.linalg.eigvalsh(m), (samples, pot.rank))
     hit = levels_in_window(b, v, cfg.window)
+    if hit[-1]:
+        raise ConfigError(f"window {cfg.window} meets a local level at the "
+                          f"sizing ray's end r = {r_max:g}: the window is not "
+                          f"in a gap of the far-field levels")
     return float(r[hit].max()) if hit.any() else 0.0
 
 

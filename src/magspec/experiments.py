@@ -246,7 +246,7 @@ class PerP:
 
     @cached_property
     def cluster(self):
-        return cluster_assign(self.shown, self.sigma, p=self.p, h=self.h)
+        return cluster_assign(self.shown, self.sigma)
 
     @cached_property
     def localization(self):

@@ -162,7 +162,6 @@ class ScalarField:
     site_values: np.ndarray
     plaquette_values: np.ndarray
     lattice: Lattice
-    spec: FieldSpec
 
 
 @dataclass
@@ -222,7 +221,7 @@ def sample_field(spec, lattice):
     if worst <= 0:
         raise PositivityError(f"sampled field intensity reaches {worst:g} <= 0")
     return ScalarField(site_values=site_vals, plaquette_values=plaq_vals,
-                       lattice=lattice, spec=spec)
+                       lattice=lattice)
 
 
 def check_flux_quantization(b, lattice, rel_tol=1e-6):
@@ -255,9 +254,7 @@ class EdgeIntegrals:
     """
 
     values: np.ndarray
-    gauge: str
     lattice: Lattice
-    spec: FieldSpec
     total_flux: float | None  # analytic total flux on the torus, else None
 
 
@@ -300,8 +297,7 @@ def _landau_integrals(spec, lattice):
         yw = pos[src[wrap_x], 1]
         vals[wrap_x] -= lattice.extent_x * spec.antiderivative(yw)
         total_flux = float(lattice.extent_x * spec.antiderivative(lattice.extent_y))
-    return EdgeIntegrals(values=vals, gauge=LANDAU, lattice=lattice, spec=spec,
-                         total_flux=total_flux)
+    return EdgeIntegrals(values=vals, lattice=lattice, total_flux=total_flux)
 
 
 def _symmetric_integrals(spec, lattice):
@@ -317,8 +313,7 @@ def _symmetric_integrals(spec, lattice):
         r = np.hypot(q[:, 0], q[:, 1])
         cross = q[:, 0] * step[:, 1] - q[:, 1] * step[:, 0]
         vals += 0.5 * spec.azimuthal_profile(r) * cross
-    return EdgeIntegrals(values=vals, gauge=SYMMETRIC, lattice=lattice, spec=spec,
-                         total_flux=None)
+    return EdgeIntegrals(values=vals, lattice=lattice, total_flux=None)
 
 
 @dataclass

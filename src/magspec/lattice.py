@@ -229,7 +229,6 @@ class DistanceField:
     """Geodesic lattice distance to a target site mask (chamfer metric)."""
 
     values: np.ndarray
-    target: np.ndarray
     lattice: Lattice
 
 
@@ -302,7 +301,7 @@ def distance_to_set(lattice, mask):
     data = np.concatenate([data, np.zeros(targets.size)])
     graph = sp.coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
     dist = dijkstra(graph, directed=False, indices=n)
-    return DistanceField(values=dist[:n], target=mask, lattice=lattice)
+    return DistanceField(values=dist[:n], lattice=lattice)
 
 
 def _bump_stencil(rho, hx, hy):

@@ -195,7 +195,6 @@ class InterfaceSet:
 
     mask: np.ndarray
     omega: np.ndarray
-    window: tuple
     distance: DistanceField
     lattice: object
 
@@ -228,9 +227,9 @@ def interface_set(lattice, b, potential, window, cutoff):
         dist = distance_to_set(lattice, mask)
     else:
         dist = DistanceField(values=np.full(lattice.n_sites, np.inf),
-                             target=mask, lattice=lattice)
-    return InterfaceSet(mask=mask, omega=omega, window=(a_win, b_win),
-                        distance=dist, lattice=lattice)
+                             lattice=lattice)
+    return InterfaceSet(mask=mask, omega=omega, distance=dist,
+                        lattice=lattice)
 
 
 def omega_collar(lattice, interface, p):

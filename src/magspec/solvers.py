@@ -15,34 +15,42 @@ converge them.  Only a shortfall grows k.  A slice records its final k and
 the growth rounds; a certificate that falls back to heuristic says why in
 ``downgrade``.  Start vectors are seeded, so runs are reproducible.
 
-An operator on a square rectangle centred at the origin may commute with the
-quarter turn R, (x, y) -> (-y, x) (a radial field in the symmetric gauge
-and a radial potential do).  ``window_eigs`` then solves the window one
-rotation sector at a time.  Each orbit s, Rs, R^2 s, R^3 s of indices gives
-the column 1/2 sum_j i^(-mj) e_(R^j s) of the isometry B_m onto the
-eigenspace i^m of R (m = 0..3; the origin's components belong to m = 0
-only), and each sector matrix B_m^H H B_m, about N/4 in size, gets the
-one-operator window solve above with its own counts, certificate and
-growth loop.  Sector m's start vector is seeded from (seed, m).
+``window_eigs`` solves one invariant block of H at a time, each the range
+of an isometry B.  An operator on a square rectangle centred at the origin
+may commute with the quarter turn R, (x, y) -> (-y, x) (a radial field in
+the symmetric gauge and a radial potential do); its blocks are then the
+four rotation sectors.  Each orbit s, Rs, R^2 s, R^3 s of indices gives the
+column 1/2 sum_j i^(-mj) e_(R^j s) of the isometry B_m onto the eigenspace
+i^m of R (m = 0..3; the origin's components belong to m = 0 only).  Every
+other operator is one block, the whole space.  Each block gets the window
+solve above, on B_m^H H B_m (about N/4 in size) for a sector, with its own
+counts, certificate and growth loop; sector m's start vector is seeded from
+(seed, m).  One finishing step turns a block's in-window pairs into a
+slice: it sorts them, orthonormalizes degenerate clusters in block space,
+maps them with B_m and computes every residual on the full H; the residual
+check and the midpoint count check then read those full-H residuals.
+Blocks merge by copying their vectors into ascending columns.  One cluster
+QR is enough: the B_m are isometries with mutually orthogonal ranges, so
+vectors orthonormal within a block stay orthonormal after mapping, and
+orthogonal to every other block's.
 
-The sector path is guarded by the commutation defect D = P H P^T - H (P
-the index permutation of R), bounded by its largest absolute row sum, which
-is at least ||D||_2 for Hermitian D.  It is taken only when that bound is at
+The sectors are guarded by the commutation defect D = P H P^T - H (P the
+index permutation of R), bounded by its largest absolute row sum, which is
+at least ||D||_2 for Hermitian D.  They are used only when that bound is at
 most ``C4_DEFECT_FRACTION`` * tol.  Together the four sector matrices are
-unitarily similar to the pinching sum_m Pi_m H Pi_m of H onto the
-eigenspaces of R, which equals the rotation average H_R = 1/4 sum_j R^j H
-R^-j.  Each R^j H R^-j - H is a sum of j conjugated copies of D, and of one
-for j = 3 (R^3 = R^-1), so ||H_R - H|| <= (0 + 1 + 2 + 1) ||D|| / 4 =
-||D||.  By Weyl's inequality each eigenvalue of the union of the sector
-spectra lies within ||D|| of the same-index eigenvalue of H, so each
-inertia count of H_R at a shift lies between the counts of H at that shift
-moved down and up by ||D||.  Counts and certificates are therefore exact
-up to a shift below 1e-6 tol, far below the residual tolerance: the same
-ambiguity every pair within its residual of a window end already has.
-Vectors are mapped back with B_m and every residual is recomputed on the
-full H, so a wrong sector basis cannot pass.  Every other operator,
-including one whose defect exceeds the guard, gets one solve on the whole
-space; the slice records ``symmetry`` ("C4" or "none") and
+unitarily similar to the pinching H_R = sum_m Pi_m H Pi_m of H onto the
+eigenspaces of R, which equals the rotation average 1/4 sum_j R^j H R^-j.
+Each R^j H R^-j - H is a sum of j conjugated copies of D, and of one for
+j = 3 (R^3 = R^-1), so ||H_R - H|| <= (0 + 1 + 2 + 1) ||D|| / 4 = ||D||.
+By Weyl's inequality each eigenvalue of the union of the sector spectra
+lies within ||D|| of the same-index eigenvalue of H, so each inertia count
+of H_R at a shift lies between the counts of H at that shift moved down and
+up by ||D||.  Counts and certificates are therefore exact up to a shift
+below 1e-6 tol, far below the residual tolerance: the same ambiguity every
+pair within its residual of a window end already has.  A pair's full-H
+residual differs from its sector residual by at most ||(H - H_R) Pi_m|| <=
+||D||, so the midpoint check keeps its meaning, and a wrong sector basis
+cannot pass.  The slice records ``symmetry`` ("C4" or "none") and
 ``symmetry_defect`` (the bound, or None without a rotation).
 """
 
@@ -142,17 +150,22 @@ def _orthonormalize_clusters(values, vectors):
     return vectors
 
 
-def _sorted_slice(op, values, vectors, certificate, tol=0.0):
+def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
+    """Ascending slice of op from the raw pairs of one block: the pairs
+    inside ``window`` (all without one), clusters orthonormalized in block
+    space, vectors mapped by ``basis`` (None: the whole space), residuals
+    computed on the full H."""
+    values = np.asarray(values)
     order = np.argsort(values)
-    return _slice(op, np.asarray(values)[order],
-                  np.asarray(vectors)[:, order], certificate, tol)
-
-
-def _slice(op, values, vectors, certificate, tol):
-    """Slice of ascending pairs; vectors are orthonormalized in place."""
-    vectors = _orthonormalize_clusters(values, vectors)
-    residuals = _residuals(op, values, vectors)
-    return SpectrumSlice(values=values, vectors=vectors, residuals=residuals,
+    if window is not None:
+        ascending = values[order]
+        order = order[(ascending >= window[0]) & (ascending <= window[1])]
+    values = values[order]
+    vectors = _orthonormalize_clusters(values, np.asarray(vectors)[:, order])
+    if basis is not None:
+        vectors = basis @ vectors
+    return SpectrumSlice(values=values, vectors=vectors,
+                         residuals=_residuals(op, values, vectors),
                          certificate=certificate, tol=tol)
 
 
@@ -193,14 +206,6 @@ def _factor_shifted(op, sigma, attempts=3):
     return None, shift, 0, "jitter retries exhausted"
 
 
-def _shift_inverse(lu, shift):
-    """(H - shift)^-1 as an operator that solves with the given factor."""
-    if lu is None:
-        raise ConvergenceError(
-            f"factorization failed at shift {shift:.6g} after jitters")
-    return spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=complex)
-
-
 def count_below(op, sigma, attempts=3):
     """Number of eigenvalues strictly below sigma, via inertia.
 
@@ -220,29 +225,29 @@ def dense_spectrum(op):
     if not op.hermitian:
         raise NotHermitianError("dense oracle requires the hermitian flag")
     w, u = sla.eigh(op.matrix.toarray())
-    return _sorted_slice(op, w, u, CERTIFIED)
+    return _finish(op, None, w, u, CERTIFIED)
 
 
 def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     """All eigenpairs inside [alpha, beta] by shift-invert at the midpoint.
 
-    Inertia counts at the two endpoints determine how many eigenvalues the
-    window must hold (at an alpha below the Gershgorin bound, zero without a
+    Each block of the module docstring is solved alone.  Inertia counts at
+    the two endpoints determine how many eigenvalues the block's window must
+    hold (at an alpha below the Gershgorin bound, zero without a
     factorization).  The Krylov solve asks for exactly that many pairs, with
     no buffer: every eigenvalue inside the window is nearer the midpoint
     shift than any outside it, so the count names the wanted pairs, and a
     buffer would only converge unwanted ones beyond the window's ends.  A
     shortfall grows k to 2k + 8 and solves again; an untrusted count starts
     from 16 and never grows.  The one factor at the midpoint drives every
-    solve and counts the pairs that must lie below it.  The slice is
-    certified when every trusted count matches the pairs found.
-    Factorization breakdown at a shift triggers up to three jitter retries.
+    solve and counts the pairs that must lie below it.  Factorization
+    breakdown at a shift triggers up to three jitter retries.
 
-    An operator that commutes with the quarter turn of its lattice (within
-    the guard of the module docstring) is solved one rotation sector at a
-    time: the slice is certified only if every sector is, ``downgrade`` is
-    the first sector's reason, and ``krylov_k`` and ``growth_rounds`` sum
-    over the sectors.
+    The slice is certified when every trusted count of every block matches
+    the pairs found; ``downgrade`` is the first block's reason, and
+    ``krylov_k`` and ``growth_rounds`` sum over the blocks.  The partial of
+    a ``ConvergenceError`` holds the blocks solved so far and the failing
+    block's partial pairs.
     """
     alpha, beta = float(window[0]), float(window[1])
     if not alpha < beta:
@@ -253,30 +258,35 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
         tol = default_tol(op)
 
     bases, defect = _rotation_sectors(op, tol)
-    if bases is None:
-        out = _window_solve(op, alpha, beta, tol, _start_vector(op.n, seed),
-                            maxiter)
-    else:
-        out = _sector_solve(op, bases, alpha, beta, tol, seed, maxiter)
-    out.symmetry = NO_SYMMETRY if bases is None else C4
-    out.symmetry_defect = defect
-    return out
+    symmetry = NO_SYMMETRY if bases is None else C4
+    blocks = [(None, None)] if bases is None else enumerate(bases)
+    parts = []
+    try:
+        for sector, basis in blocks:
+            parts.append(_block_solve(op, basis, sector, alpha, beta, tol,
+                                      seed, maxiter))
+    except ConvergenceError as exc:
+        if exc.partial is not None:
+            parts.append(exc.partial)
+        exc.partial = _merge(op, parts, tol, symmetry, defect) \
+            if parts else None
+        raise
+    return _merge(op, parts, tol, symmetry, defect)
 
 
-def _check_residuals(out, tol):
-    bad = out.residuals > tol
-    if bad.any():
-        raise ConvergenceError(
-            f"{int(bad.sum())} window residuals exceed tol = {tol:.3g}",
-            partial=out)
-
-
-def _window_solve(op, alpha, beta, tol, v0, maxiter):
-    """The window solve of one operator, from start vector v0."""
+def _block_solve(op, basis, sector, alpha, beta, tol, seed, maxiter):
+    """The window solve of op on the range of ``basis`` (None: the whole
+    space), from a start vector seeded from (seed, sector)."""
+    block = op
+    if basis is not None:
+        half = basis.conj().T @ (op.matrix @ basis)
+        # averaged with its adjoint, so exactly Hermitian
+        block = replace(op, matrix=(0.5 * (half + half.conj().T)).tocsr(),
+                        lattice=None)
     c_lo, why_lo = 0, None  # no eigenvalue lies below the Gershgorin bound
-    if alpha >= gershgorin_interval(op)[0]:
-        c_lo, why_lo = count_below(op, alpha)
-    c_hi, why_hi = count_below(op, beta)
+    if alpha >= gershgorin_interval(block)[0]:
+        c_lo, why_lo = count_below(block, alpha)
+    c_hi, why_hi = count_below(block, beta)
     downgrade = why_lo or why_hi
     expected = c_hi - c_lo if downgrade is None else None
 
@@ -285,35 +295,42 @@ def _window_solve(op, alpha, beta, tol, v0, maxiter):
                              residuals=np.empty(0), certificate=CERTIFIED,
                              tol=tol, krylov_k=0)
 
-    k = min(16 if expected is None else expected, op.n - 2)
-    lu, shift, c_mid, why_mid = _factor_shifted(op, 0.5 * (alpha + beta))
-    opinv = _shift_inverse(lu, shift)
+    k = min(16 if expected is None else expected, block.n - 2)
+    lu, shift, c_mid, why_mid = _factor_shifted(block, 0.5 * (alpha + beta))
+    if lu is None:
+        raise ConvergenceError(
+            f"factorization failed at shift {shift:.6g} after jitters")
+    opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=complex)
+    v0 = _start_vector(block.n, seed, sector)
 
     rounds = 0
     while True:
         try:
-            w, u = spla.eigsh(op.matrix, k=k, sigma=shift, which="LM",
+            w, u = spla.eigsh(block.matrix, k=k, sigma=shift, which="LM",
                               v0=v0, maxiter=maxiter, tol=0, OPinv=opinv)
         except spla.ArpackNoConvergence as exc:
             partial = None
             if exc.eigenvalues is not None and exc.eigenvalues.size:
-                partial = _sorted_slice(op, exc.eigenvalues,
-                                        exc.eigenvectors, HEURISTIC, tol=tol)
+                partial = _finish(op, basis, exc.eigenvalues,
+                                  exc.eigenvectors, HEURISTIC, tol)
+                partial.krylov_k, partial.growth_rounds = k, rounds
             raise ConvergenceError("window iteration did not converge",
                                    partial=partial) from exc
         got = int(np.sum((w >= alpha) & (w <= beta)))
-        if expected is not None and got < expected and k < op.n - 2:
-            k = min(2 * k + 8, op.n - 2)
+        if expected is not None and got < expected and k < block.n - 2:
+            k = min(2 * k + 8, block.n - 2)
             rounds += 1
             continue
         break
     del lu, opinv  # free the factor before the N x k copies below
 
-    full = _sorted_slice(op, w, u, HEURISTIC, tol=tol)
-    full.krylov_k, full.growth_rounds = k, rounds
-    out = full.select(np.flatnonzero((full.values >= alpha)
-                                     & (full.values <= beta)))
-    _check_residuals(out, tol)
+    out = _finish(op, basis, w, u, HEURISTIC, tol, (alpha, beta))
+    out.krylov_k, out.growth_rounds = k, rounds
+    bad = out.residuals > tol
+    if bad.any():
+        raise ConvergenceError(
+            f"{int(bad.sum())} window residuals exceed tol = {tol:.3g}",
+            partial=out)
     # a pair within its residual of the shift may lie on either side of it
     below = (np.sum(out.values < shift - out.residuals),
              np.sum(out.values < shift + out.residuals))
@@ -322,6 +339,36 @@ def _window_solve(op, alpha, beta, tol, v0, maxiter):
         downgrade = COUNT_MISMATCH
     out.downgrade = downgrade
     out.certificate = HEURISTIC if downgrade else CERTIFIED
+    return out
+
+
+def _merge(op, parts, tol, symmetry, defect):
+    """One slice of op from its blocks' slices; a single block as it is.
+
+    Each block's vectors are copied straight into their ascending columns
+    of one N x k array.
+    """
+    out = parts[0]
+    if len(parts) > 1:
+        values = np.concatenate([sl.values for sl in parts])
+        order = np.argsort(values)
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        out = SpectrumSlice(
+            values=values[order],
+            vectors=np.empty((op.n, values.size), dtype=complex),
+            residuals=np.concatenate([sl.residuals for sl in parts])[order],
+            certificate=CERTIFIED if all(sl.certificate == CERTIFIED
+                                         for sl in parts) else HEURISTIC,
+            tol=tol, downgrade=next(
+                (sl.downgrade for sl in parts if sl.downgrade), None),
+            krylov_k=sum(sl.krylov_k for sl in parts),
+            growth_rounds=sum(sl.growth_rounds for sl in parts))
+        at = 0
+        for sl in parts:
+            out.vectors[:, position[at:at + len(sl)]] = sl.vectors
+            at += len(sl)
+    out.symmetry, out.symmetry_defect = symmetry, defect
     return out
 
 
@@ -381,63 +428,15 @@ def _sector_bases(perm):
     return bases
 
 
-def _merge_sectors(op, bases, parts, tol):
-    """One slice of the full H from sector slices, in sector order.
-
-    Each sector's vectors are mapped back straight into their ascending
-    positions of one N x k array, so the merge makes no second copy.
-    """
-    values = np.concatenate([sl.values for sl in parts])
-    order = np.argsort(values)
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    vectors = np.empty((op.n, values.size), dtype=complex)
-    at = 0
-    for b, sl in zip(bases, parts):
-        vectors[:, position[at:at + len(sl)]] = b @ sl.vectors
-        at += len(sl)
-    return _slice(op, values[order], vectors, HEURISTIC, tol)
-
-
-def _sector_solve(op, bases, alpha, beta, tol, seed, maxiter):
-    """The window solve sector by sector; residuals are recomputed on H."""
-    parts = []
-    for m, b in enumerate(bases):
-        half = b.conj().T @ (op.matrix @ b)
-        # averaged with its adjoint, so exactly Hermitian
-        compressed = (0.5 * (half + half.conj().T)).tocsr()
-        sector = replace(op, matrix=compressed, lattice=None)
-        try:
-            parts.append(_window_solve(sector, alpha, beta, tol,
-                                       _start_vector(sector.n, seed, m),
-                                       maxiter))
-        except ConvergenceError as exc:
-            if exc.partial is not None:
-                parts.append(exc.partial)
-            exc.partial = _merge_sectors(op, bases, parts, tol) \
-                if parts else None
-            raise
-    out = _merge_sectors(op, bases, parts, tol)
-    out.krylov_k = sum(sl.krylov_k for sl in parts)
-    out.growth_rounds = sum(sl.growth_rounds for sl in parts)
-    _check_residuals(out, tol)
-    out.downgrade = next((sl.downgrade for sl in parts if sl.downgrade), None)
-    out.certificate = HEURISTIC if out.downgrade else CERTIFIED
-    return out
-
-
 def write_slice(sl, path):
-    """Binary eigenvector dump (little-endian, per-pair records)."""
-    n = sl.vectors.shape[0]
+    """Binary eigenvector dump: a header, then per pair its value and
+    residual (``<dd``) and its vector as little-endian complex128."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQQ", BSEV_MAGIC, BSEV_VERSION, n, len(sl)))
+        fh.write(struct.pack("<4sIQQ", BSEV_MAGIC, BSEV_VERSION,
+                             sl.vectors.shape[0], len(sl)))
         for i in range(len(sl)):
-            fh.write(struct.pack("<dd", float(sl.values[i]),
-                                 float(sl.residuals[i])))
-            interleaved = np.empty(2 * n, dtype="<f8")
-            interleaved[0::2] = sl.vectors[:, i].real
-            interleaved[1::2] = sl.vectors[:, i].imag
-            fh.write(interleaved.tobytes())
+            fh.write(struct.pack("<dd", sl.values[i], sl.residuals[i]))
+            fh.write(np.ascontiguousarray(sl.vectors[:, i], dtype="<c16"))
 
 
 def read_slice(path):
@@ -453,7 +452,6 @@ def read_slice(path):
         vectors = np.empty((n, count), dtype=complex)
         for i in range(count):
             values[i], residuals[i] = struct.unpack("<dd", fh.read(16))
-            raw = np.frombuffer(fh.read(16 * n), dtype="<f8")
-            vectors[:, i] = raw[0::2] + 1j * raw[1::2]
+            vectors[:, i] = np.frombuffer(fh.read(16 * n), dtype="<c16")
     return SpectrumSlice(values=values, vectors=vectors, residuals=residuals,
                          certificate=HEURISTIC)

@@ -425,6 +425,15 @@ def test_shipped_config_pinned(name):
     ("experiment = torus_constant\np = 4\nextent = 3.0\n",
      "b = c1 / 2 pi closes into a bundle only on the 2 pi x 2 pi torus; do "
      "not set extent"),
+    # b + 0.35 lies in the window everywhere: K is unbounded
+    ("experiment = potential_bump\np = 4\npotential = const\n"
+     "v_matrix = 0.35\n",
+     "window (1.3, 1.7) meets a local level at the sizing ray's end r = 8: "
+     "the window is not in a gap of the far-field levels"),
+    # b = 1 - 0.3 exp(-r^2) rounds to 1.0 far out, so b + 0.6 meets 1.6
+    ("experiment = radial_dip\np = 4\npotential = const\nv_matrix = 0.6\n",
+     "window (1.6, 2.4) meets a local level at the sizing ray's end r = 8: "
+     "the window is not in a gap of the far-field levels"),
 ])
 def test_config_error_messages(text, message):
     with pytest.raises(ConfigError) as info:
@@ -443,19 +452,24 @@ def test_preset_potential_honours_v_keys():
     assert (cfg.potential.height, cfg.potential.width) == (2.0, 0.5)
 
 
-def test_const_potential_moves_sizing_radius():
+def test_const_potential_unbounded_interface_is_refused():
     # the level 1.35 of V = 0.35 lies in [1.3, 1.7] at every site: the
-    # sizing must see the set the lattice builds, not the field alone
+    # sizing must see the set the lattice builds, not the field alone, and
+    # refuse it, since that set has no outer radius
     from magspec.experiments import build_instance
     from magspec.model import interface_set
 
-    cfg = parse_config("experiment = potential_bump\np = 4\n"
-                       "potential = const\nv_matrix = 0.35\n")
+    text = ("experiment = potential_bump\np = 4\npotential = const\n"
+            "v_matrix = 0.35\n")
+    with pytest.raises(ConfigError, match="not in a gap of the far-field"):
+        parse_config(text)
+    cfg = parse_config(text + "extent = 6.0\n")
     inst = build_instance(cfg, 4)
     mask = interface_set(inst["lattice"], inst["b"], inst["potential"],
                          cfg.window, cfg.cutoff).mask
     assert mask.all()
-    assert interface_radius(cfg) == pytest.approx(8.0)
+    with pytest.raises(ConfigError, match="not in a gap of the far-field"):
+        interface_radius(cfg)
 
 
 def test_file_potential_needs_extent(tmp_path):

@@ -106,8 +106,7 @@ def test_gauge_links_quarter_turn():
     lat = build_lattice("rectangle_dirichlet", 1.0, 1.0, 3, 3)
     vals = np.zeros(lat.n_edges)
     vals[0] = np.pi / 2
-    ints = EdgeIntegrals(values=vals, gauge="landau", lattice=lat,
-                         spec=FieldSpec.constant(1.0), total_flux=None)
+    ints = EdgeIntegrals(values=vals, lattice=lat, total_flux=None)
     links = gauge_links(ints, 1)
     assert links.u[0] == pytest.approx(-1j)
 

@@ -113,7 +113,7 @@ def test_landau_levels_brute_force_equivalence():
 def _field_on(lat, values):
     return ScalarField(site_values=np.asarray(values, dtype=float),
                        plaquette_values=np.ones(lat.n_plaquettes),
-                       lattice=lat, spec=FieldSpec.constant(1.0))
+                       lattice=lat)
 
 
 def test_sigma_region_point_intervals():

@@ -1,6 +1,7 @@
 """Dense oracle, window Krylov solver, inertia certification."""
 
 import importlib
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -311,6 +312,21 @@ def test_eigenvector_dump_round_trip(tmp_path):
     assert np.allclose(back.residuals, sl.residuals)
 
 
+def test_eigenvector_dump_layout(tmp_path):
+    # the round trip cannot see a layout change made to both sides at once
+    sl = dense_spectrum(op_from_dense([[1.0, 0.5j, 0.0], [-0.5j, 2.0, 0.25],
+                                       [0.0, 0.25, 3.0]])).select([0, 2])
+    path = tmp_path / "vecs.bsev"
+    write_slice(sl, path)
+    expect = struct.pack("<4sIQQ", b"BSEV", 1, 3, 2)
+    for i in range(2):
+        v = sl.vectors[:, i]
+        interleaved = np.column_stack([v.real, v.imag]).ravel()
+        expect += struct.pack("<dd", sl.values[i], sl.residuals[i])
+        expect += struct.pack("<6d", *interleaved)
+    assert path.read_bytes() == expect
+
+
 # ----------------------------------------------------------------------
 # rotation sectors
 
@@ -368,6 +384,34 @@ def test_sector_solve_matches_full_solve(setup, nx):
     assert sector.certificate == full.certificate == CERTIFIED
     assert sector.downgrade is None
     assert (sector.krylov_k, sector.growth_rounds) == (20, 0)
+
+
+def test_degenerate_clusters_spanning_sectors():
+    # the free Laplacian's 2-fold pairs at 1.364, 2.710, 3.526 and 4.561
+    # each split over two rotation sectors, so no cluster QR sees a pair
+    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, 24, 24)
+    H = assemble_H(lat, trivial_links(lat, 4), zero_potential(lat), 4)
+    window, dense = lowest_window(H, 11)  # the gap 4.87 .. 5.38
+    sl = window_eigs(H, window)
+    assert sl.symmetry == C4
+    assert len(sl) == np.sum(dense <= window[1]) == 11
+    assert np.abs(sl.values - dense[:11]).max() <= sl.tol
+    bases = solvers._rotation_sectors(H, sl.tol)[0]
+    weight = np.array([np.linalg.norm(b.conj().T @ sl.vectors, axis=0)
+                       for b in bases])
+    sector = weight.argmax(axis=0)
+    assert np.allclose(weight.max(axis=0), 1.0, atol=1e-10)
+    pairs = np.flatnonzero(np.diff(sl.values) <= 1e-9)
+    assert sl.values[pairs] == pytest.approx([1.364, 2.710, 3.526, 4.561],
+                                             abs=1e-3)
+    assert np.all(sector[pairs] != sector[pairs + 1])
+    gram = sl.vectors.conj().T @ sl.vectors
+    assert np.abs(gram - np.eye(11)).max() <= 1e-12
+    resid = np.linalg.norm(H.matrix @ sl.vectors - sl.vectors * sl.values,
+                           axis=0)
+    assert np.allclose(sl.residuals, resid, rtol=1e-12, atol=0)
+    assert resid.max() <= sl.tol
+    assert sl.certificate == CERTIFIED
 
 
 def test_rank_two_potential_takes_sector_path():
