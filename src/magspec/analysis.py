@@ -209,15 +209,10 @@ class FilteredSlice:
 def boundary_filter(sl, lattice, p, b_max):
     """Flag pairs with more than half their mass near the Dirichlet wall.
 
-    The margin is three magnetic lengths 3 / sqrt(p b_max).  Torus slices
-    pass through unchanged (no truncation wall exists there).
+    The margin is three magnetic lengths 3 / sqrt(p b_max).  The torus has
+    no wall (``boundary_distance`` is +inf), so every pair is kept there.
     """
     k = len(sl)
-    if lattice.is_torus:
-        empty = sl.select(np.empty(0, dtype=int))
-        return FilteredSlice(kept=sl, artifacts=empty,
-                             fractions=np.zeros(k),
-                             artifact_mask=np.zeros(k, dtype=bool))
     margin = 3.0 / np.sqrt(p * b_max)
     wall = lattice.boundary_distance()
     near = wall <= margin

@@ -282,7 +282,7 @@ def interface_radius(cfg, r_max=None, samples=4001):
     if pot.kind == "file":
         raise ConfigError("auto-sizing needs a radial potential; give an "
                           "explicit extent for potential = file")
-    width = dict(spec.params).get("width", 1.0)
+    width = spec.radial_profile()[2]
     if r_max is None:
         r_max = 8.0 * max(width, pot.width, 1.0)
     r = np.linspace(0.0, r_max, samples)

@@ -28,7 +28,7 @@ from .analysis import (bandlimited_trial, boundary_filter, cluster_assign,
                        localization_report, norm_lower_bound_trial,
                        scaling_exponent)
 from .config import plan_geometry
-from .errors import MagspecError
+from .errors import ConfigError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
@@ -216,12 +216,23 @@ class PerP:
 
     @cached_property
     def interface(self):
-        """Interface set of the configured window, if the preset uses one."""
+        """Interface set of the configured window, if the preset uses one.
+
+        A set that holds a site of the outermost ring of a Dirichlet plane
+        is refused: its states would be cut by the wall, not localized.
+        """
         if not self.preset.interface or self.cfg.window is None:
             return None
-        inst = self.inst
-        return interface_set(inst["lattice"], inst["b"], inst["potential"],
-                             self.cfg.window, self.sigma.cutoff)
+        inst, window = self.inst, self.cfg.window
+        lattice = inst["lattice"]
+        interface = interface_set(lattice, inst["b"], inst["potential"],
+                                  window, self.sigma.cutoff)
+        ring = lattice.grid(interface.mask)
+        if not lattice.is_torus and (ring[[0, -1]].any()
+                                     or ring[:, [0, -1]].any()):
+            raise ConfigError(f"the interface set of window {window} meets "
+                              f"the Dirichlet wall at p = {self.p}")
+        return interface
 
     @cached_property
     def slice(self):

@@ -74,29 +74,33 @@ class FieldSpec:
     def __getitem__(self, name):
         return dict(self.params)[name]
 
+    def radial_profile(self):
+        """(b_inf, amp, width) of a radial preset's b = b_inf + amp
+        exp(-|x|^2 / width^2); ``constant`` is amp 0, width 1."""
+        if self.preset == "constant":
+            return self["b"], 0.0, 1.0
+        if self.preset == "radial_dip":
+            return self["b_inf"], -self["depth"], self["width"]
+        if self.preset == "radial_bump":
+            return self["b_inf"], self["height"], self["width"]
+        if self.preset == "transition":
+            raise GaugeDomainError(f"preset {self.preset} is not radial")
+        raise InvalidSpecError(f"unknown preset {self.preset!r}")
+
+    def _limits(self):
+        """b's two limits: far field and centre, or b_minus and b_plus."""
+        if self.preset == "transition":
+            return self["b_minus"], self["b_plus"]
+        b_inf, amp, _ = self.radial_profile()
+        return b_inf + amp, b_inf
+
     def min_intensity(self):
         """Analytic infimum of b over the plane."""
-        if self.preset == "constant":
-            return self["b"]
-        if self.preset == "radial_dip":
-            return min(self["b_inf"] - self["depth"], self["b_inf"])
-        if self.preset == "radial_bump":
-            return min(self["b_inf"] + self["height"], self["b_inf"])
-        if self.preset == "transition":
-            return min(self["b_minus"], self["b_plus"])
-        raise InvalidSpecError(f"unknown preset {self.preset!r}")
+        return min(self._limits())
 
     def max_intensity(self):
         """Analytic supremum of b over the plane."""
-        if self.preset == "constant":
-            return self["b"]
-        if self.preset == "radial_dip":
-            return max(self["b_inf"] - self["depth"], self["b_inf"])
-        if self.preset == "radial_bump":
-            return max(self["b_inf"] + self["height"], self["b_inf"])
-        if self.preset == "transition":
-            return max(self["b_minus"], self["b_plus"])
-        raise InvalidSpecError(f"unknown preset {self.preset!r}")
+        return max(self._limits())
 
     @property
     def is_radial(self):
@@ -111,18 +115,11 @@ class FieldSpec:
         """Evaluate b at coordinates (vectorized)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if self.preset == "constant":
-            return np.full(np.broadcast(x, y).shape, self["b"])
-        if self.preset == "radial_dip":
-            r2 = x * x + y * y
-            return self["b_inf"] - self["depth"] * np.exp(-r2 / self["width"] ** 2)
-        if self.preset == "radial_bump":
-            r2 = x * x + y * y
-            return self["b_inf"] + self["height"] * np.exp(-r2 / self["width"] ** 2)
         if self.preset == "transition":
             bm, bp, w = self["b_minus"], self["b_plus"], self["width"]
             return bm + (bp - bm) * 0.5 * (1.0 + np.tanh(y / w))
-        raise InvalidSpecError(f"unknown preset {self.preset!r}")
+        b_inf, amp, w = self.radial_profile()
+        return b_inf + amp * np.exp(-(x * x + y * y) / w ** 2)
 
     def antiderivative(self, y):
         """F(y) = integral of b(0, s) ds from 0 to y, for horizontal profiles."""
@@ -138,21 +135,16 @@ class FieldSpec:
     def azimuthal_profile(self, r):
         """g(r) with theta = g(r)(x dy - y dx), i.e. enclosed flux / (2 pi r^2).
 
-        Satisfies 2 g + r g' = b(r); closed form for each radial preset, with
-        a series-stable branch near r = 0.
+        Satisfies 2 g + r g' = b(r); closed form for the radial profile,
+        with a series-stable branch near r = 0.
         """
         r = np.asarray(r, dtype=float)
-        if self.preset == "constant":
-            return np.full(r.shape, 0.5 * self["b"])
-        if self.preset in ("radial_dip", "radial_bump"):
-            amp = -self["depth"] if self.preset == "radial_dip" else self["height"]
-            w = self["width"]
-            u = (r / w) ** 2
-            # (1 - exp(-u)) / u -> 1 as u -> 0
-            with np.errstate(invalid="ignore"):
-                phi = np.where(u > 0, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0)
-            return 0.5 * self["b_inf"] + 0.5 * amp * phi
-        raise GaugeDomainError(f"preset {self.preset} is not radial")
+        b_inf, amp, w = self.radial_profile()
+        u = (r / w) ** 2
+        # (1 - exp(-u)) / u -> 1 as u -> 0
+        with np.errstate(invalid="ignore"):
+            phi = np.where(u > 0, -np.expm1(-u) / np.where(u > 0, u, 1.0), 1.0)
+        return 0.5 * b_inf + 0.5 * amp * phi
 
 
 @dataclass

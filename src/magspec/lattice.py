@@ -108,40 +108,32 @@ class Lattice:
         gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
         return self.site_index(self.site_nx - 1 - gy, gx).ravel()
 
+    def _neighbors(self, dx, dy):
+        """Each site's neighbour at grid offset (dx, dy), in row-major order.
+
+        Returns (src, dst, wraps).  On the torus every site is a source and
+        its neighbour wraps around the edges (``wraps`` marks those); on the
+        rectangle only sites whose neighbour is stored are sources.
+        """
+        snx, sny = self.site_nx, self.site_ny
+        gx, gy = np.meshgrid(np.arange(snx), np.arange(sny))
+        tx, ty = gx.ravel() + dx, gy.ravel() + dy
+        outside = (tx < 0) | (tx >= snx) | (ty < 0) | (ty >= sny)
+        src = np.arange(self.n_sites) if self.is_torus \
+            else np.flatnonzero(~outside)
+        dst = self.site_index(tx[src] % snx, ty[src] % sny)
+        return src, dst, outside[src]
+
     @cached_property
     def _edges(self):
         """Directed axis edges (+x first, then +y), each stored once.
 
-        Returns (src, dst, axis, wraps); torus edges from the last column/row
-        wrap around, the rectangle simply has no edge toward the boundary.
+        Returns (src, dst, axis, wraps); see ``_neighbors``.
         """
-        snx, sny = self.site_nx, self.site_ny
-        gx, gy = np.meshgrid(np.arange(snx), np.arange(sny))
-        gx, gy = gx.ravel(), gy.ravel()
-        src_list, dst_list, axis_list, wrap_list = [], [], [], []
-
-        if self.is_torus:
-            keep_x = np.ones(gx.size, dtype=bool)
-            keep_y = keep_x
-        else:
-            keep_x = gx < snx - 1
-            keep_y = gy < sny - 1
-
-        # +x edges
-        sx, sy = gx[keep_x], gy[keep_x]
-        src_list.append(self.site_index(sx, sy))
-        dst_list.append(self.site_index((sx + 1) % snx, sy))
-        axis_list.append(np.zeros(sx.size, dtype=np.int8))
-        wrap_list.append(sx == snx - 1)
-        # +y edges
-        sx, sy = gx[keep_y], gy[keep_y]
-        src_list.append(self.site_index(sx, sy))
-        dst_list.append(self.site_index(sx, (sy + 1) % sny))
-        axis_list.append(np.ones(sx.size, dtype=np.int8))
-        wrap_list.append(sy == sny - 1)
-
-        return (np.concatenate(src_list), np.concatenate(dst_list),
-                np.concatenate(axis_list), np.concatenate(wrap_list))
+        x, y = self._neighbors(1, 0), self._neighbors(0, 1)
+        axis = np.repeat(np.arange(2, dtype=np.int8), [x[0].size, y[0].size])
+        src, dst, wraps = (np.concatenate(pair) for pair in zip(x, y))
+        return src, dst, axis, wraps
 
     @property
     def edge_src(self):
@@ -173,12 +165,7 @@ class Lattice:
     @cached_property
     def plaquette_corner_sites(self):
         """Lower-left corner site of each unit cell with four stored corners."""
-        snx, sny = self.site_nx, self.site_ny
-        if self.is_torus:
-            px, py = np.meshgrid(np.arange(snx), np.arange(sny))
-        else:
-            px, py = np.meshgrid(np.arange(snx - 1), np.arange(sny - 1))
-        return self.site_index(px.ravel(), py.ravel())
+        return self._neighbors(1, 1)[0]
 
     @cached_property
     def plaquettes(self):
@@ -187,17 +174,11 @@ class Lattice:
         Counterclockwise circulation is bottom + right - top - left.  Only
         cells whose four corners are stored sites are enumerated.
         """
-        snx, sny = self.site_nx, self.site_ny
-        i00 = self.plaquette_corner_sites
-        px = i00 % snx
-        py = i00 // snx
         lut = self._edge_lookup
-        i10 = self.site_index((px + 1) % snx, py)
-        i01 = self.site_index(px, (py + 1) % sny)
-        bottom = lut[i00, 0]
-        right = lut[i10, 1]
-        top = lut[i01, 0]
-        left = lut[i00, 1]
+        i00 = self.plaquette_corner_sites
+        bottom, left = lut[i00, 0], lut[i00, 1]
+        right = lut[self.edge_dst[bottom], 1]
+        top = lut[self.edge_dst[left], 0]
         return np.column_stack([bottom, right, top, left])
 
     @cached_property
@@ -256,27 +237,15 @@ def build_lattice(kind, extent_x, extent_y, nx, ny):
 
 def _chamfer_graph(lattice):
     """Undirected 8-neighbor graph with physical edge lengths as weights."""
-    snx, sny = lattice.site_nx, lattice.site_ny
     hx, hy = lattice.spacing_x, lattice.spacing_y
     hd = float(np.hypot(hx, hy))
-    gx, gy = np.meshgrid(np.arange(snx), np.arange(sny))
-    gx, gy = gx.ravel(), gy.ravel()
-
     rows, cols, data = [], [], []
-    offsets = [(1, 0, hx), (0, 1, hy), (1, 1, hd), (1, -1, hd)]
-    for dx, dy, w in offsets:
-        if lattice.is_torus:
-            keep = np.ones(gx.size, dtype=bool)
-        else:
-            keep = (gx + dx >= 0) & (gx + dx < snx) & (gy + dy >= 0) & (gy + dy < sny)
-        sx, sy = gx[keep], gy[keep]
-        rows.append(lattice.site_index(sx, sy))
-        cols.append(lattice.site_index((sx + dx) % snx, (sy + dy) % sny))
-        data.append(np.full(sx.size, w))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.concatenate(data)
-    return rows, cols, data
+    for dx, dy, w in [(1, 0, hx), (0, 1, hy), (1, 1, hd), (1, -1, hd)]:
+        src, dst, _ = lattice._neighbors(dx, dy)
+        rows.append(src)
+        cols.append(dst)
+        data.append(np.full(src.size, w))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
 
 
 def distance_to_set(lattice, mask):
@@ -335,24 +304,15 @@ def smooth_distance(dist, p):
         return WeightField(values=dist.values.copy(), smoothing_radius=rho,
                            p=p, lattice=lat, degraded=True)
 
-    d = lat.grid(dist.values).astype(float)
+    d = np.asarray(dist.values, dtype=float)
     offs, weights = _bump_stencil(rho, lat.spacing_x, lat.spacing_y)
     acc = np.zeros_like(d)
     norm = np.zeros_like(d)
-    sny, snx = d.shape
     for (dx, dy), w in zip(offs, weights):
-        if lat.is_torus:
-            shifted = np.roll(np.roll(d, -dy, axis=0), -dx, axis=1)
-            acc += w * shifted
-            norm += w
-        else:
-            ys = slice(max(0, -dy), sny - max(0, dy))
-            yt = slice(max(0, dy), sny - max(0, -dy))
-            xs = slice(max(0, -dx), snx - max(0, dx))
-            xt = slice(max(0, dx), snx - max(0, -dx))
-            acc[ys, xs] += w * d[yt, xt]
-            norm[ys, xs] += w
+        src, dst, _ = lat._neighbors(dx, dy)
+        acc[src] += w * d[dst]
+        norm[src] += w
     phi = acc / norm
     phi = np.clip(phi, d - rho, d + rho)
-    return WeightField(values=phi.ravel(), smoothing_radius=rho, p=p,
+    return WeightField(values=phi, smoothing_radius=rho, p=p,
                        lattice=lat, degraded=False)

@@ -32,7 +32,6 @@ class SparseHermitian:
 
     matrix: sp.csr_matrix
     p: int
-    spacing: tuple
     rank: int
     hermitian: bool
     lattice: Lattice | None = None
@@ -75,39 +74,29 @@ def assemble_H(lattice, links, potential, p):
     src, dst = lattice.edge_src, lattice.edge_dst
     hop = -w_axis[lattice.edge_axis] * u
 
-    rows, cols, vals = [], [], []
-    sites = np.arange(n_sites)
-    if r == 1:
-        rows.append(sites)
-        cols.append(sites)
-        vals.append(diag_kin + potential.values[:, 0, 0])
-        rows += [src, dst]
-        cols += [dst, src]
-        vals += [hop, np.conj(hop)]
-    else:
-        # diagonal blocks: kinetic degree * Id + V(i)
-        a, b = np.meshgrid(np.arange(r), np.arange(r), indexing="ij")
-        a, b = a.ravel(), b.ravel()
-        rows.append((sites[:, None] * r + a[None, :]).ravel())
-        cols.append((sites[:, None] * r + b[None, :]).ravel())
-        blocks = potential.values + diag_kin * np.eye(r)
-        vals.append(blocks.reshape(n_sites, -1).ravel())
-        # hopping blocks are scalar multiples of the identity in the fiber
-        comp = np.arange(r)
-        e_rows = (src[:, None] * r + comp[None, :]).ravel()
-        e_cols = (dst[:, None] * r + comp[None, :]).ravel()
-        e_vals = np.repeat(hop, r)
-        rows += [e_rows, e_cols]
-        cols += [e_cols, e_rows]
-        vals += [e_vals, np.conj(e_vals)]
-
-    mat = sp.coo_matrix(
-        (np.concatenate(vals).astype(complex),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim)).tocsr()
+    # COO triplets, written in place: the diagonal blocks kinetic degree
+    # * Id + V(i), the hopping blocks (scalar multiples of the identity in
+    # the fiber), then their adjoints
+    nd, ne = n_sites * r * r, src.size * r
+    rows = np.empty(nd + 2 * ne, dtype=np.int64)
+    cols = np.empty_like(rows)
+    vals = np.empty(rows.size, dtype=complex)
+    a, b = np.divmod(np.arange(r * r), r)
+    base = np.arange(n_sites)[:, None] * r
+    rows[:nd] = (base + a).ravel()
+    cols[:nd] = (base + b).ravel()
+    vals[:nd] = (potential.values + diag_kin * np.eye(r)).ravel()
+    hop_rows, hop_cols = rows[nd:nd + ne], cols[nd:nd + ne]
+    comp = np.arange(r)
+    np.add(src[:, None] * r, comp, out=hop_rows.reshape(-1, r))
+    np.add(dst[:, None] * r, comp, out=hop_cols.reshape(-1, r))
+    vals[nd:nd + ne].reshape(-1, r)[:] = hop[:, None]
+    rows[nd + ne:], cols[nd + ne:] = hop_cols, hop_rows
+    np.conj(vals[nd:nd + ne], out=vals[nd + ne:])
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    return SparseHermitian(matrix=mat, p=p, spacing=(hx, hy), rank=r,
+    return SparseHermitian(matrix=mat, p=p, rank=r,
                            hermitian=True, lattice=lattice,
                            provenance=_provenance(links, potential, p))
 

@@ -440,18 +440,26 @@ def write_slice(sl, path):
 
 
 def read_slice(path):
-    """Read a BSEV dump; certificates are not stored, so loads are heuristic."""
+    """Read a BSEV dump; certificates are not stored, so loads are heuristic.
+
+    A dump cut short in its header or its pairs is refused.
+    """
     with open(path, "rb") as fh:
-        magic, version, n, count = struct.unpack("<4sIQQ", fh.read(24))
+        header = fh.read(24)
+        if len(header) < 24:
+            raise WindowError(f"eigenvector dump {path} is truncated in its "
+                              f"header ({len(header)} of 24 bytes)")
+        magic, version, n, count = struct.unpack("<4sIQQ", header)
         if magic != BSEV_MAGIC:
             raise WindowError(f"bad magic {magic!r} in eigenvector dump")
         if version != BSEV_VERSION:
             raise WindowError(f"unsupported eigenvector dump version {version}")
-        values = np.empty(count)
-        residuals = np.empty(count)
-        vectors = np.empty((n, count), dtype=complex)
-        for i in range(count):
-            values[i], residuals[i] = struct.unpack("<dd", fh.read(16))
-            vectors[:, i] = np.frombuffer(fh.read(16 * n), dtype="<c16")
-    return SpectrumSlice(values=values, vectors=vectors, residuals=residuals,
+        pairs = np.fromfile(fh, count=count, dtype=[
+            ("value", "<f8"), ("residual", "<f8"), ("vector", "<c16", (n,))])
+    if pairs.size < count:
+        raise WindowError(f"eigenvector dump {path} is truncated: "
+                          f"{pairs.size} of {count} pairs")
+    return SpectrumSlice(values=pairs["value"].copy(),
+                         vectors=np.ascontiguousarray(pairs["vector"].T),
+                         residuals=pairs["residual"].copy(),
                          certificate=HEURISTIC)

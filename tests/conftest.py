@@ -11,11 +11,10 @@ from magspec import (FieldSpec, assemble_H, build_lattice, dense_spectrum,
 TWO_PI = 2 * np.pi
 
 
-def op_from_dense(a, p=1, spacing=(1.0, 1.0), rank=1, hermitian=True,
-                  lattice=None):
+def op_from_dense(a, p=1, rank=1, hermitian=True, lattice=None):
     return SparseHermitian(matrix=sp.csr_matrix(np.asarray(a, dtype=complex)),
-                           p=p, spacing=spacing, rank=rank,
-                           hermitian=hermitian, lattice=lattice)
+                           p=p, rank=rank, hermitian=hermitian,
+                           lattice=lattice)
 
 
 def lowest_window(H, m):

@@ -472,6 +472,22 @@ def test_const_potential_unbounded_interface_is_refused():
         interface_radius(cfg)
 
 
+@pytest.mark.parametrize("text, p", [
+    # K is every site (the level 1.35 of V = 0.35 is in the window)
+    ("potential = const\nv_matrix = 0.35\nextent = 6.0\np = 4\n", 4),
+    # the bump's annulus does not fit inside a plane of side 2; the first
+    # p of the sweep is the trial p = 8
+    ("extent = 2.0\np = 16\n", 8)])
+def test_interface_set_meeting_the_wall_is_refused(tmp_path, text, p):
+    cfg = parse_config(f"experiment = potential_bump\n{text}"
+                       f"out = {tmp_path}/out\n")
+    result = run_experiment(cfg)
+    assert result.exit_code == 1
+    assert result.summary["error"] == (
+        f"ConfigError: the interface set of window (1.3, 1.7) meets the "
+        f"Dirichlet wall at p = {p}")
+
+
 def test_file_potential_needs_extent(tmp_path):
     text = ("experiment = potential_bump\npotential = file\n"
             f"v_file = {tmp_path / 'pot.npy'}\n")

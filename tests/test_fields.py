@@ -28,6 +28,52 @@ def test_radial_dip_formula():
     assert spec.intensity(2.0, 0.0) == pytest.approx(1 - 0.3 * np.exp(-4.0))
 
 
+# each radial preset with its hand-written (b_inf, amp, width)
+_RADIAL = [(FieldSpec.constant(0.8), (0.8, 0.0, 1.0)),
+           (FieldSpec.radial_dip(1.0, 0.3, 1.2), (1.0, -0.3, 1.2)),
+           (FieldSpec.radial_bump(0.9, 0.4, 0.7), (0.9, 0.4, 0.7))]
+
+
+@pytest.mark.parametrize("spec, triple", _RADIAL,
+                         ids=[spec.preset for spec, _ in _RADIAL])
+def test_radial_profile_intensity_and_limits(spec, triple):
+    b_inf, amp, w = triple
+    assert spec.radial_profile() == triple
+    # polar disk of radius 10 w: the centre and, to the last bit, b_inf
+    r, t = np.meshgrid(np.linspace(0.0, 10.0 * w, 401),
+                       np.linspace(0.0, 2 * np.pi, 37))
+    x, y = r * np.cos(t), r * np.sin(t)
+    b = spec.intensity(x, y)
+    assert np.array_equal(b, b_inf + amp * np.exp(-(x * x + y * y) / w ** 2))
+    assert spec.min_intensity() == b.min()
+    assert spec.max_intensity() == b.max()
+
+
+@pytest.mark.parametrize("spec, triple", _RADIAL,
+                         ids=[spec.preset for spec, _ in _RADIAL])
+def test_azimuthal_profile_encloses_the_flux(spec, triple):
+    # 2 g + r g' = b(r) by central differences, and g(0) = b(0) / 2
+    r = np.linspace(0.05, 3.0, 60)
+    d = 1e-5
+    g = spec.azimuthal_profile(r)
+    dg = (spec.azimuthal_profile(r + d) - spec.azimuthal_profile(r - d)) / (2 * d)
+    assert np.allclose(2 * g + r * dg, spec.intensity(r, 0.0), rtol=0, atol=1e-8)
+    assert spec.azimuthal_profile(0.0) == pytest.approx(
+        0.5 * spec.intensity(0.0, 0.0), rel=1e-15)
+
+
+def test_transition_limits_and_no_radial_profile():
+    for b_minus, b_plus in [(1.0, 2.0), (1.5, 0.5)]:
+        spec = FieldSpec.transition(b_minus, b_plus, 0.8)
+        assert spec.min_intensity() == min(b_minus, b_plus)
+        assert spec.max_intensity() == max(b_minus, b_plus)
+        for call in (spec.radial_profile, lambda: spec.azimuthal_profile(1.0)):
+            with pytest.raises(GaugeDomainError, match="is not radial"):
+                call()
+    with pytest.raises(InvalidSpecError, match="unknown preset"):
+        FieldSpec("nope", ()).min_intensity()
+
+
 def test_radial_dip_positivity_rejected():
     with pytest.raises(PositivityError):
         FieldSpec.radial_dip(1.0, 1.5, 1.0)

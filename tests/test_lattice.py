@@ -31,6 +31,35 @@ def test_rectangle_interior_sites():
     assert np.allclose(lat.positions.mean(axis=0), 0.0)
 
 
+def test_torus_edges_and_plaquettes_pinned():
+    # 3 x 3 torus, site = 3 iy + ix: +x edges from every site, then +y
+    lat = build_lattice("torus", 1.0, 1.0, 3, 3)
+    right = [1, 2, 0, 4, 5, 3, 7, 8, 6]  # +x neighbour of each site
+    up = [3, 4, 5, 6, 7, 8, 0, 1, 2]     # +y neighbour of each site
+    sites = list(range(9))
+    assert lat.edge_src.tolist() == sites + sites
+    assert lat.edge_dst.tolist() == right + up
+    assert lat.edge_axis.tolist() == [0] * 9 + [1] * 9
+    assert lat.edge_wraps.tolist() == [False, False, True] * 3 \
+        + [False] * 6 + [True] * 3
+    assert lat.plaquette_corner_sites.tolist() == sites
+    # (bottom, right, top, left): +x edge s, +y edge of right[s], +x edge
+    # of up[s], +y edge s
+    assert lat.plaquettes.tolist() == [[s, 9 + right[s], up[s], 9 + s]
+                                       for s in sites]
+
+
+def test_rectangle_edges_and_plaquettes_pinned():
+    # nx = 4, ny = 3 cells: a 3 x 2 grid of interior sites, no wall edges
+    lat = build_lattice("rectangle_dirichlet", 2.0, 1.5, 4, 3)
+    assert lat.edge_src.tolist() == [0, 1, 3, 4, 0, 1, 2]
+    assert lat.edge_dst.tolist() == [1, 2, 4, 5, 3, 4, 5]
+    assert lat.edge_axis.tolist() == [0, 0, 0, 0, 1, 1, 1]
+    assert lat.edge_wraps.tolist() == [False] * 7
+    assert lat.plaquette_corner_sites.tolist() == [0, 1]
+    assert lat.plaquettes.tolist() == [[0, 5, 2, 4], [1, 6, 3, 5]]
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(InvalidSpecError):
         build_lattice("torus", 1.0, 1.0, 0, 8)

@@ -35,7 +35,7 @@ def test_dense_guards():
     # the guard fires on dimension alone; no need to materialize 4097^2
     from magspec.operators import SparseHermitian
     op = SparseHermitian(matrix=sp.identity(4097, dtype=complex, format="csr"),
-                         p=1, spacing=(1.0, 1.0), rank=1, hermitian=True)
+                         p=1, rank=1, hermitian=True)
     with pytest.raises(DenseSizeError):
         dense_spectrum(op)
     flagless = op_from_dense(np.eye(3), hermitian=False)
@@ -325,6 +325,21 @@ def test_eigenvector_dump_layout(tmp_path):
         expect += struct.pack("<dd", sl.values[i], sl.residuals[i])
         expect += struct.pack("<6d", *interleaved)
     assert path.read_bytes() == expect
+
+
+def test_truncated_dump_is_refused(tmp_path):
+    # cut inside the header, then inside the second of three pairs
+    sl = dense_spectrum(op_from_dense(np.diag([1.0, 2.0, 3.0])))
+    path = tmp_path / "vecs.bsev"
+    write_slice(sl, path)
+    whole = path.read_bytes()
+    assert len(whole) == 24 + 3 * (16 + 3 * 16)
+    for cut, reason in [(10, "in its header"), (len(whole) - 100,
+                                                "1 of 3 pairs")]:
+        path.write_bytes(whole[:cut])
+        with pytest.raises(WindowError) as info:
+            read_slice(path)
+        assert str(path) in str(info.value) and reason in str(info.value)
 
 
 # ----------------------------------------------------------------------
