@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldSpec
+from .fields import FieldSpec, gaussian
 from .lattice import RECTANGLE, TORUS
 from .model import levels_in_window
 
@@ -288,8 +288,8 @@ def interface_radius(cfg, r_max=None, samples=4001):
     r = np.linspace(0.0, r_max, samples)
     b = spec.intensity(r, np.zeros_like(r))
     v = np.zeros((samples, 1))
-    if pot.kind == "bump":  # every branch is height exp(-|x|^2 / width^2)
-        v[:, 0] = pot.height * np.exp(-(r / pot.width) ** 2)
+    if pot.kind == "bump":
+        v[:, 0] = pot.height * gaussian(r, 0.0, pot.width)
     elif pot.kind == "const":
         m = np.reshape(pot.matrix, (pot.rank, pot.rank))
         v = np.broadcast_to(np.linalg.eigvalsh(m), (samples, pot.rank))

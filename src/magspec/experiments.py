@@ -24,9 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (bandlimited_trial, boundary_filter, cluster_assign,
-                       localization_report, norm_lower_bound_trial,
-                       scaling_exponent)
+from .analysis import (_trial_envelopes, bandlimited_trial, boundary_filter,
+                       cluster_assign, localization_report,
+                       norm_lower_bound_trial, scaling_exponent)
 from .config import plan_geometry
 from .errors import ConfigError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
@@ -267,17 +267,21 @@ class PerP:
             b_min=spec.min_intensity(), c_min=cfg.c_min, c_cap=cfg.c_cap)
 
     def norm_bound_trials(self):
-        """Random compactly supported trials of the norm lower bound."""
+        """Random compactly supported trials of the norm lower bound; the
+        trial envelopes, the same at every trial of this p, are taken once."""
         cfg, p, inst, interface = self.cfg, self.p, self.inst, self.interface
+        lattice = inst["lattice"]
+        b_ref = cfg.field_spec.min_intensity()
         lam = 0.5 * (cfg.window[0] + cfg.window[1])
-        collar = omega_collar(inst["lattice"], interface, p)
+        collar = omega_collar(lattice, interface, p)
         sig_omega = sigma_region(inst["b"], inst["potential"], region=collar,
                                  cutoff=self.sigma.cutoff)
+        envelopes = _trial_envelopes(lattice, interface, p, b_ref)
         gaps = []
         for t in range(cfg.trials):
-            u = bandlimited_trial(inst["lattice"], interface, p,
-                                  cfg.field_spec.min_intensity(),
-                                  seed=cfg.seed * 100003 + 1009 * p + t)
+            u = bandlimited_trial(lattice, interface, p, b_ref,
+                                  seed=cfg.seed * 100003 + 1009 * p + t,
+                                  envelopes=envelopes)
             res = norm_lower_bound_trial(inst["op"], interface.omega,
                                          sig_omega, lam, u)
             gaps.append(res.bound_gap)

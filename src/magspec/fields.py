@@ -119,7 +119,7 @@ class FieldSpec:
             bm, bp, w = self["b_minus"], self["b_plus"], self["width"]
             return bm + (bp - bm) * 0.5 * (1.0 + np.tanh(y / w))
         b_inf, amp, w = self.radial_profile()
-        return b_inf + amp * np.exp(-(x * x + y * y) / w ** 2)
+        return b_inf + amp * gaussian(x, y, w)
 
     def antiderivative(self, y):
         """F(y) = integral of b(0, s) ds from 0 to y, for horizontal profiles."""
@@ -195,10 +195,16 @@ def constant_potential(lattice, matrix):
     return PotentialField(np.broadcast_to(m, (lattice.n_sites,) + m.shape).copy(), lattice)
 
 
+def gaussian(x, y, width):
+    """exp(-|x|^2 / width^2): the profile of the radial field presets and of
+    the potential bump."""
+    return np.exp(-(x * x + y * y) / width ** 2)
+
+
 def gaussian_bump_potential(lattice, height, width=1.0, rank=1):
     """Scalar radial bump height * exp(-|x|^2 / width^2) times the identity."""
     pos = lattice.positions
-    prof = height * np.exp(-(pos[:, 0] ** 2 + pos[:, 1] ** 2) / width ** 2)
+    prof = height * gaussian(pos[:, 0], pos[:, 1], width)
     vals = np.einsum("i,jk->ijk", prof, np.eye(rank)).astype(complex)
     return PotentialField(vals, lattice)
 

@@ -442,7 +442,8 @@ def write_slice(sl, path):
 def read_slice(path):
     """Read a BSEV dump; certificates are not stored, so loads are heuristic.
 
-    A dump cut short in its header or its pairs is refused.
+    A dump cut short in its header or its pairs, or with bytes after its
+    last pair, is refused.
     """
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -456,9 +457,14 @@ def read_slice(path):
             raise WindowError(f"unsupported eigenvector dump version {version}")
         pairs = np.fromfile(fh, count=count, dtype=[
             ("value", "<f8"), ("residual", "<f8"), ("vector", "<c16", (n,))])
+        last = fh.tell()
+        trailing = fh.seek(0, 2) - last  # bytes after the last record
     if pairs.size < count:
         raise WindowError(f"eigenvector dump {path} is truncated: "
                           f"{pairs.size} of {count} pairs")
+    if trailing:
+        raise WindowError(f"eigenvector dump {path} has {trailing} bytes "
+                          f"after its {count} pairs")
     return SpectrumSlice(values=pairs["value"].copy(),
                          vectors=np.ascontiguousarray(pairs["vector"].T),
                          residuals=pairs["residual"].copy(),

@@ -7,7 +7,7 @@ from conftest import bump_rectangle_setup, torus_constant_setup
 from magspec import (FieldSpec, bandlimited_trial, boundary_filter,
                      build_lattice, cluster_assign, decay_fit, dense_spectrum,
                      distance_to_set, gaussian_bump_potential, interface_set,
-                     norm_lower_bound_trial,
+                     mass_fraction_beyond, norm_lower_bound_trial,
                      omega_collar, sample_field, scaling_exponent,
                      sigma_region, weighted_mass)
 from magspec.errors import InsufficientDataError, SupportError
@@ -81,6 +81,50 @@ def test_weighted_mass_overflow_safe():
     assert np.isinf(w) or w > 1e300
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_logsumexp_equals_scipy_bit_for_bit():
+    # the output hashes depend on scipy's arithmetic, so the private copy
+    # must match it exactly, ties and extreme magnitudes included
+    from scipy.special import logsumexp
+    from magspec.analysis import _logsumexp
+    rng = np.random.default_rng(13)
+    cases = [scale * rng.standard_normal(n) for n in (2, 3, 17, 1000, 13924)
+             for scale in (1e-3, 1.0, 300.0)]
+    cases += [np.array([x]) for x in (0.0, -2.5, 1e308, -1e308)]
+    cases += [np.full(6, 1.25), np.array([3.0, -1.0, 3.0, 0.5]),
+              np.array([1e308, 1e308]), np.array([1e308, -1e308, 5.0]),
+              np.array([-1e308, -1e308]), np.array([709.0, 709.0, -745.0]),
+              np.r_[np.full(40, 7.0), rng.standard_normal(500)]]
+    with np.errstate(over="ignore"):  # 1e308 - (-1e308); scipy warns too
+        for a in cases:
+            assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a[:4]
+
+
+def test_logsumexp_equals_scipy_on_bump_eigenvectors(tmp_path):
+    # every input the weighted masses form at p = 8 of potential_bump
+    from scipy.special import logsumexp
+    from magspec.analysis import _logsumexp
+    from magspec.config import build_config
+    from magspec.experiments import PerP
+    p = 8
+    st = PerP(build_config({"experiment": "potential_bump", "p": [p],
+                            "out": str(tmp_path)}), p)
+    rep = st.localization
+    rates = np.append(rep.c_grid, rep.c_min)
+    assert rates.size == 26 and len(st.slice) >= 5
+    d_all = st.interface.distance.values
+    for u in st.slice.vectors.T:
+        amp2 = np.abs(u) ** 2
+        carrier = amp2 > 0
+        log_amp2, d = np.log(amp2[carrier]), d_all[carrier]
+        for a in [log_amp2] + [s * d + log_amp2
+                               for s in 2.0 * rates * np.sqrt(p)]:
+            assert _bits(_logsumexp(a)) == _bits(logsumexp(a))
+
+
 def test_weighted_mass_monotone_in_rate():
     lat, d = _point_distance_field()
     rng = np.random.default_rng(4)
@@ -129,6 +173,7 @@ def test_localization_report_masses_equal_scalar_reference():
     sl = SpectrumSlice(values=np.zeros(3), vectors=vecs,
                        residuals=np.zeros(3), certificate="heuristic")
     rep = localization_report(sl, K, 8, 1.0, c_min=0.3)
+    filt = boundary_filter(sl, lat, 8, 1.0)
     for i, e in enumerate(rep.entries):
         scalar = [weighted_mass(vecs[:, i], K.distance, c, 8)
                   for c in rep.c_grid]
@@ -136,6 +181,10 @@ def test_localization_report_masses_equal_scalar_reference():
         assert e.w_at_cmin == weighted_mass(vecs[:, i], K.distance, 0.3, 8)
         kappa, stderr, shells = decay_fit(vecs[:, i], K.distance)
         assert (e.kappa, e.kappa_stderr, e.shells) == (kappa, stderr, shells)
+        assert e.boundary_fraction == filt.fractions[i]
+        assert e.artifact == filt.artifact_mask[i]
+        assert e.far_mass_fraction == mass_fraction_beyond(
+            vecs[:, i], K.distance, 3.0 / np.sqrt(8))
 
 
 def test_scaling_exponent_cases():
@@ -187,6 +236,55 @@ def test_trial_support_enforced():
     leak = np.ones(lat.n_sites, dtype=complex)
     with pytest.raises(SupportError):
         norm_lower_bound_trial(H, K.omega, sig, 1.5, leak)
+
+
+def test_norm_bound_trials_refuse_leaking_trial(tmp_path, monkeypatch):
+    # the pipeline's trial loop keeps the support check: one site of the
+    # interface set carrying 1e-12 of the mass is refused
+    import magspec.experiments as ex
+    from magspec.config import build_config
+    make = ex.bandlimited_trial
+
+    def leaking(lattice, interface, *args, **kwargs):
+        u = make(lattice, interface, *args, **kwargs)
+        u[np.flatnonzero(interface.mask)[0]] = 1e-6
+        return u
+
+    p = 8
+    cfg = build_config({"experiment": "potential_bump", "p": [p],
+                        "trials": 2, "trials_p": [p], "out": str(tmp_path)})
+    monkeypatch.setattr(ex, "bandlimited_trial", leaking)
+    with pytest.raises(SupportError):
+        ex.PerP(cfg, p).norm_bound_trials()
+
+
+def test_norm_bound_trials_equal_per_trial_loop(tmp_path):
+    # the pipeline's loop shares the trial envelopes across trials; a loop
+    # that lets every trial take its own must give the same bits
+    from magspec.config import build_config
+    from magspec.experiments import PerP
+    p = 8
+    cfg = build_config({"experiment": "potential_bump", "p": [p],
+                        "trials": 7, "trials_p": [p], "seed": 3,
+                        "out": str(tmp_path)})
+    st = PerP(cfg, p)
+    got = st.norm_bound_trials()
+    lattice, op, K = st.inst["lattice"], st.inst["op"], st.interface
+    sig = sigma_region(st.inst["b"], st.inst["potential"],
+                       region=omega_collar(lattice, K, p),
+                       cutoff=st.sigma.cutoff)
+    lam = 0.5 * (cfg.window[0] + cfg.window[1])
+    gaps = []
+    for t in range(cfg.trials):
+        u = bandlimited_trial(lattice, K, p, cfg.field_spec.min_intensity(),
+                              seed=cfg.seed * 100003 + 1009 * p + t)
+        res = norm_lower_bound_trial(op, K.omega, sig, lam, u)
+        gaps.append(res.bound_gap)
+    want = dict(p=p, max_gap=float(np.max(gaps)),
+                mean_gap=float(np.mean(gaps)), d_lambda=res.distance)
+    assert [_bits(got[k]) for k in ("max_gap", "mean_gap", "d_lambda")] \
+        == [_bits(want[k]) for k in ("max_gap", "mean_gap", "d_lambda")]
+    assert got == want
 
 
 def test_trial_bandlimited_vectors_valid():

@@ -342,6 +342,20 @@ def test_truncated_dump_is_refused(tmp_path):
         assert str(path) in str(info.value) and reason in str(info.value)
 
 
+def test_dump_with_trailing_bytes_is_refused(tmp_path):
+    # a header that undercounts its pairs, or two dumps in one file
+    sl = dense_spectrum(op_from_dense(np.diag([1.0, 2.0])))
+    path = tmp_path / "vecs.bsev"
+    write_slice(sl, path)
+    whole = path.read_bytes()
+    for tail in (bytes(40), whole):
+        path.write_bytes(whole + tail)
+        with pytest.raises(WindowError) as info:
+            read_slice(path)
+        assert str(path) in str(info.value)
+        assert f"{len(tail)} bytes after its 2 pairs" in str(info.value)
+
+
 # ----------------------------------------------------------------------
 # rotation sectors
 
