@@ -7,20 +7,16 @@ exponential localization of gap eigenstates near interface sets.
 
 __version__ = "0.1.0"
 
-from .lattice import (DistanceField, Lattice, WeightField, build_lattice,
-                      distance_to_set, smooth_distance)
+from .lattice import DistanceField, Lattice, build_lattice, distance_to_set
 from .fields import (EdgeIntegrals, FieldSpec, GaugeLinks, PotentialField,
-                     ScalarField, apply_gauge_transform,
-                     check_flux_quantization, constant_potential,
+                     ScalarField, apply_gauge_transform, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      plaquette_holonomy, sample_field, trivial_links,
                      zero_potential)
-from .operators import (SparseHermitian, assemble_H, conjugate_H,
-                        gershgorin_interval, taylor_terms)
-from .model import (InterfaceSet, LandauLevel, LandauSet, SigmaUnion,
-                    dist_to_sigma, distances_to_sigma, find_gaps,
-                    interface_set, landau_levels, omega_collar, sigma_region,
-                    skew_invariants)
+from .operators import SparseHermitian, assemble_H, gershgorin_interval
+from .model import (InterfaceSet, SigmaUnion, dist_to_sigma,
+                    distances_to_sigma, find_gaps, interface_set,
+                    landau_level, omega_collar, sigma_region)
 from .solvers import (SpectrumSlice, count_below, dense_spectrum, read_slice,
                       window_eigs, write_slice)
 from .analysis import (ClusterReport, FilteredSlice, LocalizationReport,

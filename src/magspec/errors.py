@@ -17,10 +17,6 @@ class PositivityError(MagspecError, ValueError):
     """Sampled field intensity is not strictly positive somewhere."""
 
 
-class QuantizationError(MagspecError, ValueError):
-    """Total flux through the torus is not an integer multiple of 2*pi."""
-
-
 class GaugeDomainError(MagspecError, ValueError):
     """Requested gauge is not valid for this field/domain combination."""
 
@@ -31,10 +27,6 @@ class BundleInconsistencyError(MagspecError, ValueError):
 
 class ConsistencyError(MagspecError, ValueError):
     """Mismatched inputs (tensor power, dimensions, lattice identity)."""
-
-
-class ConjugationOverflowError(MagspecError, ValueError):
-    """Exponential weight factors would overflow; rescale tau or the weight."""
 
 
 class DenseSizeError(MagspecError, ValueError):
@@ -51,10 +43,6 @@ class ConvergenceError(MagspecError, RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class DegenerateInvariantsError(MagspecError, ValueError):
-    """A skew-matrix invariant is numerically zero (field degenerates)."""
 
 
 class EmptySetError(MagspecError, ValueError):

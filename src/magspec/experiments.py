@@ -277,11 +277,14 @@ class PerP:
         sig_omega = sigma_region(inst["b"], inst["potential"], region=collar,
                                  cutoff=self.sigma.cutoff)
         envelopes = _trial_envelopes(lattice, interface, p, b_ref)
+        r = inst["op"].rank
         gaps = []
         for t in range(cfg.trials):
             u = bandlimited_trial(lattice, interface, p, b_ref,
                                   seed=cfg.seed * 100003 + 1009 * p + t,
                                   envelopes=envelopes)
+            # the site trial lifted to the fiber as u (x) (1, ..., 1) / sqrt(r)
+            u = np.repeat(u, r) / np.sqrt(r)
             res = norm_lower_bound_trial(inst["op"], interface.omega,
                                          sig_omega, lam, u)
             gaps.append(res.bound_gap)

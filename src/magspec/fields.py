@@ -11,13 +11,12 @@ boundary mismatch becomes a twist on wrapping edges), and the symmetric/
 azimuthal gauge for radial fields on the centered Dirichlet rectangle.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BundleInconsistencyError, ConsistencyError,
-                     GaugeDomainError, InvalidSpecError, PositivityError,
-                     QuantizationError)
+                     GaugeDomainError, InvalidSpecError, PositivityError)
 from .lattice import Lattice
 
 # 2-point Gauss nodes on [0, 1]
@@ -220,24 +219,6 @@ def sample_field(spec, lattice):
         raise PositivityError(f"sampled field intensity reaches {worst:g} <= 0")
     return ScalarField(site_values=site_vals, plaquette_values=plaq_vals,
                        lattice=lattice)
-
-
-def check_flux_quantization(b, lattice, rel_tol=1e-6):
-    """Total flux / (2 pi) as an integer on the torus; None on the rectangle.
-
-    Flux is the plaquette-midpoint sum of b times the cell area.  Raises if
-    the ratio is not an integer within the relative tolerance.
-    """
-    if not lattice.is_torus:
-        return None
-    total = float(np.sum(b.plaquette_values) * lattice.cell_area)
-    c1 = total / (2.0 * np.pi)
-    nearest = round(c1)
-    if abs(c1 - nearest) > rel_tol * max(1.0, abs(c1)):
-        raise QuantizationError(
-            f"total flux / 2pi = {c1:.9g} is not an integer; the line bundle "
-            f"does not exist on this torus")
-    return int(nearest)
 
 
 @dataclass

@@ -6,8 +6,7 @@ the interior grid points and the boundary carries implicit zero values (no
 ghost sites are stored, so operator dimensions equal the interior site count).
 
 Also provides geodesic distance fields to a target site set (8-neighbor
-chamfer metric, wrap-aware on the torus) and their smoothed versions used as
-exponential-weight profiles.
+chamfer metric, wrap-aware on the torus).
 """
 
 from dataclasses import dataclass
@@ -213,22 +212,6 @@ class DistanceField:
     lattice: Lattice
 
 
-@dataclass
-class WeightField:
-    """Smoothed distance profile used in exponential-weight conjugations.
-
-    Satisfies |values - d| <= smoothing_radius <= 1/sqrt(p) sitewise and a
-    discrete gradient bound; ``degraded`` marks the unsmoothed fallback when
-    the radius is unresolvable on this lattice.
-    """
-
-    values: np.ndarray
-    smoothing_radius: float
-    p: int
-    lattice: Lattice
-    degraded: bool = False
-
-
 def build_lattice(kind, extent_x, extent_y, nx, ny):
     """Construct a lattice, validating extents and grid counts."""
     return Lattice(kind=kind, extent_x=float(extent_x), extent_y=float(extent_y),
@@ -271,48 +254,3 @@ def distance_to_set(lattice, mask):
     graph = sp.coo_matrix((data, (rows, cols)), shape=(n + 1, n + 1)).tocsr()
     dist = dijkstra(graph, directed=False, indices=n)
     return DistanceField(values=dist[:n], lattice=lattice)
-
-
-def _bump_stencil(rho, hx, hy):
-    """Offsets and normalized (1 - (s/rho)^2)^2 weights within radius rho."""
-    mx = int(np.floor(rho / hx))
-    my = int(np.floor(rho / hy))
-    offs, weights = [], []
-    for dy in range(-my, my + 1):
-        for dx in range(-mx, mx + 1):
-            s2 = (dx * hx) ** 2 + (dy * hy) ** 2
-            if s2 <= rho * rho:
-                offs.append((dx, dy))
-                weights.append((1.0 - s2 / (rho * rho)) ** 2)
-    return offs, np.asarray(weights)
-
-
-def smooth_distance(dist, p):
-    """Mollify a distance field into a weight profile at tensor power p.
-
-    Convolves with a compact bump of radius rho = min(1/(2*sqrt(p)), 10*h),
-    renormalized where the stencil leaves the domain, then clamps so that
-    |phi - d| <= rho holds sitewise.  If rho is below the lattice spacing the
-    smoothing is unresolvable and the raw distance is returned, flagged.
-    """
-    if p < 1:
-        raise InvalidSpecError("tensor power p must be >= 1")
-    lat = dist.lattice
-    h = max(lat.spacing_x, lat.spacing_y)
-    rho = min(0.5 / np.sqrt(p), 10.0 * h)
-    if rho < h:
-        return WeightField(values=dist.values.copy(), smoothing_radius=rho,
-                           p=p, lattice=lat, degraded=True)
-
-    d = np.asarray(dist.values, dtype=float)
-    offs, weights = _bump_stencil(rho, lat.spacing_x, lat.spacing_y)
-    acc = np.zeros_like(d)
-    norm = np.zeros_like(d)
-    for (dx, dy), w in zip(offs, weights):
-        src, dst, _ = lat._neighbors(dx, dy)
-        acc[src] += w * d[dst]
-        norm[src] += w
-    phi = acc / norm
-    phi = np.clip(phi, d - rho, d + rho)
-    return WeightField(values=phi, smoothing_radius=rho, p=p,
-                       lattice=lat, degraded=False)

@@ -1,14 +1,15 @@
 """Frozen-coefficient spectral data: local Landau levels and their unions.
 
-At a point with field invariants a_1 <= ... <= a_n and potential branches
-V_mu, the local model spectrum consists of the levels
+On a 2D lattice the model operator at a point x0 has a constant magnetic
+field with the single invariant b(x0) > 0, so with potential branches V_mu
+its spectrum consists of the levels
 
-    Lambda(k, mu) = sum_j (2 k_j + 1) a_j + V_mu,   k in Z_+^n.
+    Lambda(k, mu) = (2 k + 1) b(x0) + V_mu(x0),   k = 0, 1, 2, ...
 
-In 2D (n = 1) the single invariant is the field intensity b(x).  Over a
-region the union of local levels forms per-branch intervals; their merged
-union, its gaps, and the interface set of sites whose levels meet an energy
-window are the ingredients of every spectral diagnostic downstream.
+(``landau_level``).  Over a region the union of local levels forms
+per-branch intervals; their merged union, its gaps, and the interface set of
+sites whose levels meet an energy window are the ingredients of every
+spectral diagnostic downstream.
 """
 
 from dataclasses import dataclass
@@ -17,88 +18,18 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import (DegenerateInvariantsError, EmptyMaskError, EmptySetError,
-                     InvalidSpecError, WindowError)
+from .errors import (EmptyMaskError, EmptySetError, InvalidSpecError,
+                     WindowError)
 from .lattice import DistanceField, distance_to_set
 
 
-def skew_invariants(mat, skew_tol=1e-12):
-    """Positive invariants a_j of a real skew matrix (eigenvalues +-i a_j).
+def landau_level(k, b, v):
+    """The level (2k+1) b + V of the constant-field model operator.
 
-    Computed through the symmetric matrix M^T M, whose eigenvalues are the
-    a_j^2 in pairs; backward-stable and free of complex arithmetic.
+    ``k`` may be an integer or an array of integers held as floats; 2k+1 is
+    then an exact small integer, so every caller gets the same bits.
     """
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-        raise InvalidSpecError("skew matrix must be square of even dimension")
-    scale = max(np.abs(m).max(), np.finfo(float).tiny)
-    if np.abs(m + m.T).max() > skew_tol * scale:
-        raise InvalidSpecError("matrix is not skew-symmetric within tolerance")
-    w = np.linalg.eigvalsh(m.T @ m)
-    w = np.sqrt(np.clip(w, 0.0, None))
-    a = 0.5 * (w[0::2] + w[1::2])
-    if a[0] < 1e-10 * max(a[-1], np.finfo(float).tiny):
-        raise DegenerateInvariantsError(
-            f"smallest invariant {a[0]:.3g} is numerically zero; the 2-form "
-            f"degenerates")
-    return a
-
-
-@dataclass(frozen=True)
-class LandauLevel:
-    value: float
-    k: tuple
-    mu: int
-
-
-@dataclass
-class LandauSet:
-    """All levels below ``cutoff`` at one point, ascending and complete."""
-
-    entries: list
-    cutoff: float
-
-    @property
-    def values(self):
-        return np.array([e.value for e in self.entries])
-
-
-def landau_levels(a, v, cutoff):
-    """Enumerate every level (k, mu) with value <= cutoff.
-
-    Walks Z_+^n with the per-coordinate bound k_j <= (cutoff - sum a - min v)
-    / (2 a_j), which is finite because all a_j > 0.
-    """
-    a = np.asarray(a, dtype=float)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    if a.ndim != 1 or a.size < 1:
-        raise InvalidSpecError("need at least one invariant a_j")
-    if np.any(a <= 0):
-        raise InvalidSpecError("all invariants a_j must be positive")
-    cutoff = float(cutoff)
-    base = float(a.sum())
-    vmin = float(v.min())
-
-    entries = []
-    n = a.size
-
-    def walk(j, kin_sum, k_prefix):
-        if kin_sum + vmin > cutoff:
-            return
-        if j == n:
-            for mu, vm in enumerate(v):
-                val = kin_sum + vm
-                if val <= cutoff:
-                    entries.append(LandauLevel(value=val, k=tuple(k_prefix), mu=mu))
-            return
-        k_j = 0
-        while kin_sum + 2 * k_j * a[j] + vmin <= cutoff:
-            walk(j + 1, kin_sum + 2 * k_j * a[j], k_prefix + [k_j])
-            k_j += 1
-
-    walk(0, base, [])
-    entries.sort(key=lambda e: (e.value, e.k, e.mu))
-    return LandauSet(entries=entries, cutoff=cutoff)
+    return (2 * k + 1) * b + v
 
 
 @dataclass
@@ -175,8 +106,8 @@ def sigma_region(b, potential, region=None, cutoff=None):
         bc = bvals[comp]
         vc = veigs[comp]
         k = 0
-        while (2 * k + 1) * bmin_all + vmin_all <= cutoff:
-            lam = (2 * k + 1) * bc[:, None] + vc
+        while landau_level(k, bmin_all, vmin_all) <= cutoff:
+            lam = landau_level(k, bc[:, None], vc)
             lo = lam.min(axis=0)
             hi = lam.max(axis=0)
             for mu in range(vc.shape[1]):
@@ -210,7 +141,7 @@ def levels_in_window(b, v, window):
     b = np.asarray(b, dtype=float)[:, None]
     # smallest k with (2k+1) b + V >= a_win, clamped at 0
     k_lo = np.maximum(np.ceil((a_win - v - b) / (2.0 * b)), 0.0)
-    return ((2.0 * k_lo + 1.0) * b + v <= b_win).any(axis=1)
+    return (landau_level(k_lo, b, v) <= b_win).any(axis=1)
 
 
 def interface_set(lattice, b, potential, window, cutoff):

@@ -7,27 +7,25 @@ The operator acts on sections with ``rank`` components per site and reads
 
 with a 5-point stencil, the 1/p prefactor folded in, and Peierls link phases
 u(i->j).  On the Dirichlet rectangle the out-of-domain neighbors contribute
-implicit zeros (they still count in the diagonal).  Exponential-weight
-conjugations and their exact first/second Taylor coefficients in the weight
-strength are provided alongside.
+implicit zeros (they still count in the diagonal).
 """
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (ConjugationOverflowError, ConsistencyError)
+from .errors import ConsistencyError
 from .lattice import Lattice
 
 @dataclass
 class SparseHermitian:
     """Sparse operator with block structure for rank-r sections.
 
-    ``hermitian`` is an explicit flag because weight-conjugated instances are
-    deliberately non-Hermitian while sharing the same storage.
+    ``hermitian`` is an explicit flag: the solvers refuse an operator that
+    does not carry it.
     """
 
     matrix: sp.csr_matrix
@@ -40,9 +38,6 @@ class SparseHermitian:
     @property
     def n(self):
         return self.matrix.shape[0]
-
-    def copy(self):
-        return replace(self, matrix=self.matrix.copy())
 
 
 def _provenance(links, potential, p):
@@ -113,68 +108,3 @@ def hermiticity_defect(op):
     """max |H - H*| over entries, for invariant checks."""
     diff = op.matrix - op.matrix.getH()
     return 0.0 if diff.nnz == 0 else float(np.abs(diff.data).max())
-
-
-def conjugate_H(op, weight, tau, p, guard=30.0):
-    """Diagonal similarity exp(tau sqrt(p) Phi) H exp(-tau sqrt(p) Phi).
-
-    Exact per stored entry: entry(i,j) *= exp(tau sqrt(p) (Phi_i - Phi_j)),
-    so the spectrum is preserved while off-diagonal magnitudes tilt.  The
-    result is flagged non-Hermitian unless tau = 0, which returns an
-    identical copy.
-    """
-    p = int(p)
-    if p != op.p:
-        raise ConsistencyError(f"operator at p = {op.p}, weight conjugation at p = {p}")
-    if weight.values.size * op.rank != op.n:
-        raise ConsistencyError("weight field does not match the operator dimension")
-    if not np.isfinite(tau):
-        raise ConsistencyError("tau must be finite")
-    if tau == 0.0:
-        return op.copy()
-
-    coo = op.matrix.tocoo()
-    site = np.arange(op.n) // op.rank
-    s = tau * np.sqrt(p) * weight.values
-    expo = s[site[coo.row]] - s[site[coo.col]]
-    worst = np.abs(expo).max() if expo.size else 0.0
-    if worst > guard:
-        raise ConjugationOverflowError(
-            f"max |tau sqrt(p) dPhi| = {worst:.3g} exceeds {guard}; rescale "
-            f"tau or smooth the weight")
-    data = coo.data * np.exp(expo)
-    mat = sp.csr_matrix((data, (coo.row, coo.col)), shape=op.matrix.shape)
-    mat.sort_indices()
-    return replace(op, matrix=mat, hermitian=False)
-
-
-def taylor_terms(op, weight, p):
-    """Exact first and second derivative terms of the conjugation in tau.
-
-    With s = sqrt(p) (Phi_i - Phi_j) per entry, the conjugated operator is
-    H_ij exp(tau s) = H_ij (1 + tau s + tau^2 s^2 / 2 + ...), so
-
-        A(i, j) = p H_ij (Phi_i - Phi_j)     (anti-Hermitian, zero diagonal)
-        B(i, j) = (p/2) H_ij (Phi_i - Phi_j)^2   (Hermitian, zero diagonal)
-
-    reproduce the conjugation as H + (tau/sqrt(p)) A + tau^2 B + O(tau^3).
-    """
-    p = int(p)
-    if p != op.p:
-        raise ConsistencyError(f"operator at p = {op.p}, taylor terms at p = {p}")
-    if weight.values.size * op.rank != op.n:
-        raise ConsistencyError("weight field does not match the operator dimension")
-
-    coo = op.matrix.tocoo()
-    site = np.arange(op.n) // op.rank
-    dphi = weight.values[site[coo.row]] - weight.values[site[coo.col]]
-    a_mat = sp.csr_matrix((p * coo.data * dphi, (coo.row, coo.col)),
-                          shape=op.matrix.shape)
-    b_mat = sp.csr_matrix((0.5 * p * coo.data * dphi**2, (coo.row, coo.col)),
-                          shape=op.matrix.shape)
-    a_mat.sort_indices()
-    b_mat.sort_indices()
-    a = replace(op, matrix=a_mat, hermitian=False)
-    b = replace(op, matrix=b_mat, hermitian=op.hermitian)
-    return a, b
-

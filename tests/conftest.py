@@ -17,6 +17,17 @@ def op_from_dense(a, p=1, rank=1, hermitian=True, lattice=None):
                            lattice=lattice)
 
 
+def brute_levels(b, v, top):
+    """Every (level, k, mu) with level <= top, by plain enumeration over k."""
+    out = []
+    for mu, vm in enumerate(v):
+        for k in range(int((top - vm) / (2 * b)) + 2):
+            level = (2 * k + 1) * b + vm
+            if level <= top:
+                out.append((level, k, mu))
+    return sorted(out)
+
+
 def lowest_window(H, m):
     """Window holding exactly the m lowest eigenvalues, from below the
     Gershgorin bound to midway between the dense lambda_m and lambda_(m+1);

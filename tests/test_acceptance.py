@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
-                      lowest_window, torus_constant_setup)
+from conftest import (TWO_PI, brute_levels, bump_rectangle_setup,
+                      dip_rectangle_setup, lowest_window,
+                      torus_constant_setup)
 from magspec import (FieldSpec, apply_gauge_transform, assemble_H,
-                     build_lattice, conjugate_H, dense_spectrum, dist_to_sigma,
-                     find_gaps, interface_set, landau_levels, sample_field,
-                     smooth_distance, taylor_terms, window_eigs,
-                     zero_potential)
+                     build_lattice, constant_potential, dense_spectrum,
+                     dist_to_sigma, find_gaps, interface_set, sample_field,
+                     sigma_region, window_eigs, zero_potential)
 from magspec.config import build_config
 from magspec.experiments import build_instance, run_experiment
-from magspec.model import SigmaUnion
+from magspec.fields import ScalarField
+from magspec.model import SigmaUnion, levels_in_window
 from magspec.solvers import CERTIFIED
 
 
@@ -178,49 +179,34 @@ def test_criterion_7_norm_lower_bound(preset_c_summary):
             summary["elapsed"], 300.0)
 
 
-def test_criterion_8_conjugation_identity():
-    start = time.perf_counter()
-    p = 16
-    cfg = build_config({"experiment": "potential_bump", "p": [p]})
-    inst = build_instance(cfg, p)
-    lat, H, b = inst["lattice"], inst["op"], inst["b"]
-    K = interface_set(lat, b, inst["potential"], cfg.window, cutoff=4.0)
-    w = smooth_distance(K.distance, p)
-    A, B = taylor_terms(H, w, p)
-
-    def remainder(tau):
-        Ht = conjugate_H(H, w, tau, p)
-        R = Ht.matrix - H.matrix - (tau / np.sqrt(p)) * A.matrix \
-            - tau ** 2 * B.matrix
-        return float(np.abs(R.data).max()) if R.nnz else 0.0
-
-    ratio = remainder(1e-2) / remainder(5e-3)
-    H0 = conjugate_H(H, w, 0.0, p)
-    bit_exact = (np.array_equal(H0.matrix.data, H.matrix.data)
-                 and np.array_equal(H0.matrix.indices, H.matrix.indices)
-                 and np.array_equal(H0.matrix.indptr, H.matrix.indptr))
-    ok = 6.0 <= ratio <= 10.0 and bit_exact
-    _report(8, "conjugation identity",
-            ok, f"R(tau)/R(tau/2) = {ratio:.4f} in [6, 10]; tau=0 "
-            f"bit-exact: {bit_exact}", time.perf_counter() - start, 60.0)
-
-
 def test_criterion_9_model_spectrum_suite():
     start = time.perf_counter()
-    # 1000 random brute-force equivalence checks for the level walk
+    # 1000 random brute-force checks of the level rule: the window test at
+    # each point, and the branches of a single-site union
     rng = np.random.default_rng(90210)
+    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    site = np.zeros(lat.n_sites, dtype=bool)
+    site[0] = True
     ok = True
     for _ in range(1000):
-        n = rng.integers(1, 4)
-        a = rng.uniform(0.2, 3.0, n)
         r = rng.integers(1, 4)
-        v = rng.uniform(-1.0, 1.5, r)
-        cutoff = rng.uniform(0.5, 14.0)
-        got = landau_levels(a, v, cutoff)
-        ref = _brute(a, v, cutoff)
-        if len(got.entries) != len(ref) or any(
-                abs(e.value - rv) > 1e-12 or e.k != rk or e.mu != rm
-                for e, (rv, rk, rm) in zip(got.entries, ref)):
+        b = rng.uniform(0.2, 3.0)
+        v = np.sort(rng.uniform(-1.0, 1.5, r))
+        lo = rng.uniform(-0.5, 10.0)
+        window = (lo, lo + rng.uniform(0.01, 3.0))
+        in_window = any(level >= window[0] for level, _, _ in
+                        brute_levels(b, v, window[1]))
+        if levels_in_window([b], v[None, :], window)[0] != in_window:
+            ok = False
+            break
+        cutoff = rng.uniform(b + v[0], 14.0)
+        sig = sigma_region(
+            ScalarField(site_values=np.full(lat.n_sites, b),
+                        plaquette_values=np.full(lat.n_plaquettes, b),
+                        lattice=lat),
+            constant_potential(lat, np.diag(v)), region=site, cutoff=cutoff)
+        ref = brute_levels(b, v, cutoff)
+        if sig.branches != sorted((k, mu, lev, lev) for lev, k, mu in ref):
             ok = False
             break
 
@@ -250,25 +236,8 @@ def test_criterion_9_model_spectrum_suite():
 
     passed = ok and disk_ok and cases_ok
     _report(9, "model-spectrum unit suite", passed,
-            f"1000 brute-force walks {'ok' if ok else 'BAD'}; disk radius "
-            f"dev {abs(r_in - radius):.3f} <= cell diag {cell * 2**0.5:.3f}; "
+            f"1000 brute-force level-rule checks {'ok' if ok else 'BAD'}; "
+            f"disk radius dev {abs(r_in - radius):.3f} <= cell diag "
+            f"{cell * 2**0.5:.3f}; "
             f"gap/distance cases {'ok' if cases_ok else 'BAD'}",
             time.perf_counter() - start, 10.0)
-
-
-def _brute(a, v, cutoff):
-    a = np.asarray(a)
-    if cutoff < a.sum() + min(v):
-        return []
-    kmax = [int(np.floor((cutoff - a.sum() - min(v)) / (2 * aj))) + 1
-            for aj in a]
-    grids = np.meshgrid(*[np.arange(km + 1) for km in kmax], indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    out = []
-    for k in ks:
-        kin = float(np.dot(2 * k + 1, a))
-        for mu, vm in enumerate(v):
-            if kin + vm <= cutoff:
-                out.append((kin + vm, tuple(int(x) for x in k), mu))
-    out.sort()
-    return out

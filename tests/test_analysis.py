@@ -287,6 +287,21 @@ def test_norm_bound_trials_equal_per_trial_loop(tmp_path):
     assert got == want
 
 
+def test_norm_bound_trials_run_at_fiber_rank_2(tmp_path):
+    # the site trial is lifted to the rank-2 fiber, so the run completes and
+    # writes its summary with a finite trial gap
+    import json
+    from magspec.config import build_config
+    from magspec.experiments import run_experiment
+    cfg = build_config({"experiment": "potential_bump", "v_rank": 2,
+                        "p": [4], "trials": 3, "trials_p": [4],
+                        "out": str(tmp_path)})
+    run_experiment(cfg)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    (entry,) = summary["results"]["norm_bound"]
+    assert entry["p"] == 4 and np.isfinite(entry["max_gap"])
+
+
 def test_trial_bandlimited_vectors_valid():
     lat, H, K, sig = _trial_setup(p=8, nx=48)
     for seed in range(3):

@@ -234,6 +234,46 @@ def test_cli_imports_no_private_experiments_name():
     assert private == []
 
 
+# Public names that only tests reach, kept on purpose: the plain reference
+# forms that the analysis fast paths are compared against, and the
+# zero-field fixture.
+TEST_REFERENCES = {
+    "weighted_mass",         # localization_report's weighted masses
+    "decay_fit",             # localization_report's decay fit
+    "mass_fraction_beyond",  # localization_report's far-mass fraction
+    "hermiticity_defect",    # the adjoint blocks of assemble_H
+    "trivial_links",         # zero-field links for operator tests
+}
+
+
+def test_every_public_name_has_a_src_caller():
+    # a top-level definition is reached when code outside its own body, and
+    # outside every unreached definition but the test references, names it;
+    # so unreached code keeps nothing alive
+    src = Path(__file__).parents[1] / "src" / "magspec"
+    defs, refs = [], {}  # refs: name -> top-level definitions naming it
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            key = None  # module-level code
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                key = (path.name, node.name)
+                defs.append(key)
+            for sub in ast.walk(node):
+                if isinstance(sub, (ast.Name, ast.Attribute)):
+                    name = sub.id if isinstance(sub, ast.Name) else sub.attr
+                    refs.setdefault(name, set()).add(key)
+    dead = set()
+    while True:
+        ignored = {key for key in dead if key[1] not in TEST_REFERENCES}
+        unreached = {key for key in defs
+                     if not refs.get(key[1], set()) - ignored - {key}}
+        if unreached == dead:
+            break
+        dead = unreached
+    public = sorted(name for _, name in dead if not name.startswith("_"))
+    assert public == sorted(TEST_REFERENCES)
+
+
 def test_cli_convergence_table(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2, 4\n"
                      f"nx = 20\nout = {tmp_path}/out\n")

@@ -1,17 +1,16 @@
-"""Field presets, flux quantization, edge integrals, gauge links."""
+"""Field presets, edge integrals, gauge links."""
 
 import numpy as np
 import pytest
 
 from conftest import TWO_PI, torus_constant_setup
 from magspec import (FieldSpec, PotentialField, apply_gauge_transform,
-                     build_lattice, check_flux_quantization, constant_potential,
-                     dense_spectrum, edge_integrals, gauge_links,
-                     gaussian_bump_potential, plaquette_holonomy, sample_field,
-                     zero_potential, assemble_H)
+                     build_lattice, constant_potential, dense_spectrum,
+                     edge_integrals, gauge_links, gaussian_bump_potential,
+                     plaquette_holonomy, sample_field, zero_potential,
+                     assemble_H)
 from magspec.errors import (BundleInconsistencyError, GaugeDomainError,
-                            InvalidSpecError, PositivityError,
-                            QuantizationError)
+                            InvalidSpecError, PositivityError)
 from magspec.fields import EdgeIntegrals
 
 
@@ -80,22 +79,18 @@ def test_radial_dip_positivity_rejected():
 
 
 def test_flux_quantization_integer():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 16, 16)
-    b = sample_field(FieldSpec.constant(1 / TWO_PI), lat)
-    assert check_flux_quantization(b, lat) == 1
-
-
-def test_flux_quantization_rejects_non_integer():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 16, 16)
-    b = sample_field(FieldSpec.constant(0.123), lat)
-    with pytest.raises(QuantizationError):
-        check_flux_quantization(b, lat)
-
-
-def test_flux_quantization_vacuous_on_rectangle():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 8, 8)
-    b = sample_field(FieldSpec.constant(1.0), lat)
-    assert check_flux_quantization(b, lat) is None
+    # every torus that a config can ask for carries c1 flux quanta: b is
+    # c1 / 2 pi on the 2 pi x 2 pi torus, and field, b and extent are
+    # refused, so the plaquette flux is 2 pi c1
+    from magspec.config import build_config
+    from magspec.experiments import build_instance
+    for c1 in (1, 2, 3):
+        cfg = build_config({"experiment": "torus_constant", "c1": c1,
+                            "p": [4]})
+        inst = build_instance(cfg, 4)
+        b, lat = inst["b"], inst["lattice"]
+        flux = float(np.sum(b.plaquette_values) * lat.cell_area)
+        assert flux / TWO_PI == pytest.approx(c1, rel=1e-12)
 
 
 def test_landau_edge_values_constant_field():

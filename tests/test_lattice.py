@@ -1,11 +1,11 @@
-"""Lattice construction, chamfer distance fields, smoothed weights."""
+"""Lattice construction, chamfer distance fields."""
 
 import heapq
 
 import numpy as np
 import pytest
 
-from magspec import build_lattice, distance_to_set, smooth_distance
+from magspec import build_lattice, distance_to_set
 from magspec.errors import EmptyMaskError, InvalidSpecError
 
 TWO_PI = 2 * np.pi
@@ -153,55 +153,6 @@ def test_distance_lipschitz_along_edges():
     lengths = np.where(lat.edge_axis == 0, lat.spacing_x, lat.spacing_y)
     jump = np.abs(d[lat.edge_src] - d[lat.edge_dst])
     assert np.all(jump <= 1.08 * lengths + 1e-12)
-
-
-def test_smooth_distance_radius_rule_and_bound():
-    # p = 16, h = 1/64: rho = 1/8 and |phi - d| <= 1/8 sitewise
-    lat = build_lattice("torus", 1.0, 1.0, 64, 64)
-    mask = np.zeros(lat.n_sites, dtype=bool)
-    mask[lat.site_index(32, 32)] = True
-    d = distance_to_set(lat, mask)
-    w = smooth_distance(d, 16)
-    assert w.smoothing_radius == pytest.approx(1 / 8)
-    assert not w.degraded
-    assert np.abs(w.values - d.values).max() <= 1 / 8 + 1e-12
-    assert w.values.min() >= d.values.min() - 1e-12
-    assert w.values.max() <= d.values.max() + 1e-12
-
-
-def test_smooth_distance_flat_region_unchanged():
-    lat = build_lattice("torus", 1.0, 1.0, 32, 32)
-    mask = np.zeros(lat.n_sites, dtype=bool)
-    mask[lat.site_index(0, 0)] = True
-    d = distance_to_set(lat, mask)
-    w = smooth_distance(d, 64)  # rho = 1/16, well resolved at h = 1/32
-    assert not w.degraded
-    # far from the source the cone is locally linear; at the antipode the
-    # field is flat enough that smoothing moves it by far less than rho
-    far = d.values > 0.4
-    assert np.abs(w.values[far] - d.values[far]).max() < w.smoothing_radius
-
-
-def test_smooth_distance_gradient_bound_on_cone():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 64, 64)
-    mask = np.zeros(lat.n_sites, dtype=bool)
-    center = np.argmin(np.hypot(*lat.positions.T))
-    mask[center] = True
-    d = distance_to_set(lat, mask)
-    w = smooth_distance(d, 25)
-    lengths = np.where(lat.edge_axis == 0, lat.spacing_x, lat.spacing_y)
-    jump = np.abs(w.values[lat.edge_src] - w.values[lat.edge_dst])
-    assert np.all(jump <= 1.2 * lengths + 1e-12)
-
-
-def test_smooth_distance_degraded_mode():
-    lat = build_lattice("torus", 1.0, 1.0, 8, 8)
-    mask = np.zeros(lat.n_sites, dtype=bool)
-    mask[0] = True
-    d = distance_to_set(lat, mask)
-    w = smooth_distance(d, 10**6)  # rho = 5e-4 < h = 1/8
-    assert w.degraded
-    assert np.array_equal(w.values, d.values)
 
 
 @pytest.mark.parametrize("nx", [6, 7])

@@ -1,113 +1,56 @@
-"""Skew invariants, level enumeration, spectral unions, interface sets."""
+"""The level rule, spectral unions, interface sets."""
 
 import numpy as np
 import pytest
 
-from magspec import (FieldSpec, build_lattice, dist_to_sigma, find_gaps,
-                     gaussian_bump_potential, interface_set, landau_levels,
-                     omega_collar, sample_field, sigma_region, skew_invariants,
-                     zero_potential)
-from magspec.errors import (DegenerateInvariantsError, EmptyMaskError,
-                            EmptySetError, InvalidSpecError, WindowError)
+from conftest import brute_levels
+from magspec import (FieldSpec, build_lattice, constant_potential,
+                     dist_to_sigma, find_gaps, gaussian_bump_potential,
+                     interface_set, landau_level, omega_collar, sample_field,
+                     sigma_region, zero_potential)
+from magspec.errors import EmptyMaskError, EmptySetError, WindowError
 from magspec.fields import ScalarField
-from magspec.model import SigmaUnion
+from magspec.model import SigmaUnion, levels_in_window
 
 
-def _j_block(a):
-    return np.array([[0.0, a], [-a, 0.0]])
-
-
-def _block_diag(*blocks):
-    n = sum(b.shape[0] for b in blocks)
-    out = np.zeros((n, n))
-    at = 0
-    for b in blocks:
-        out[at:at + b.shape[0], at:at + b.shape[0]] = b
-        at += b.shape[0]
-    return out
-
-
-def test_skew_invariants_basic():
-    assert np.allclose(skew_invariants(_j_block(0.8)), [0.8])
-    m = _block_diag(_j_block(1.0), _j_block(2.0))
-    assert np.allclose(skew_invariants(m), [1.0, 2.0])
-
-
-def test_skew_invariants_random_vs_eigs():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        g = rng.standard_normal((6, 6))
-        m = g - g.T
-        a = skew_invariants(m)
-        imag = np.abs(np.linalg.eigvals(m).imag)
-        ref = np.sort(imag)[::2][::-1]  # positive branch, ascending
-        assert np.allclose(np.sort(a), np.sort(ref), atol=1e-10)
-        # and squared invariants match the doubled spectrum of M^T M
-        twice = np.sort(np.linalg.eigvalsh(m.T @ m))
-        assert np.allclose(np.repeat(np.sort(a) ** 2, 2), twice, atol=1e-9)
-
-
-def test_skew_invariants_rejects_non_skew_and_degenerate():
-    with pytest.raises(InvalidSpecError):
-        skew_invariants(np.eye(4))
-    with pytest.raises(DegenerateInvariantsError):
-        skew_invariants(_block_diag(_j_block(1.0), _j_block(0.0)))
-
-
-def test_skew_invariants_block_permutation_invariant():
-    m = _block_diag(_j_block(0.5), _j_block(1.5), _j_block(2.5))
-    perm = np.array([4, 5, 0, 1, 2, 3])
-    shuffled = m[np.ix_(perm, perm)]
-    assert np.allclose(skew_invariants(m), skew_invariants(shuffled))
-
-
-def test_landau_levels_small_cases():
-    ls = landau_levels([1.0], [0.0], 7.0)
-    assert np.allclose(ls.values, [1, 3, 5, 7])
-    assert [e.k for e in ls.entries] == [(0,), (1,), (2,), (3,)]
-
-    # note (0,1) and (2,0) are degenerate at 7.5; completeness keeps both
-    ls = landau_levels([1.0, 2.0], [0.5], 8.0)
-    assert np.allclose(ls.values, [3.5, 5.5, 7.5, 7.5])
-    assert [e.k for e in ls.entries] == [(0, 0), (1, 0), (0, 1), (2, 0)]
-
-    assert landau_levels([1.0, 2.0], [0.0], 2.5).entries == []
-    with pytest.raises(InvalidSpecError):
-        landau_levels([1.0, -1.0], [0.0], 5.0)
-
-
-def _brute_levels(a, v, cutoff):
-    a = np.asarray(a)
-    vals = []
-    kmax = [int(np.floor((cutoff - a.sum() - min(v)) / (2 * aj))) + 1
-            for aj in a]
-    if cutoff < a.sum() + min(v):
-        return []
-    grids = np.meshgrid(*[np.arange(0, km + 1) for km in kmax], indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    for k in ks:
-        kin = np.dot(2 * k + 1, a)
-        for mu, vm in enumerate(v):
-            if kin + vm <= cutoff:
-                vals.append((kin + vm, tuple(int(x) for x in k), mu))
-    vals.sort()
-    return vals
-
-
-def test_landau_levels_brute_force_equivalence():
+def test_levels_in_window_brute_force():
     rng = np.random.default_rng(42)
+    hits = 0
     for _ in range(100):
-        n = rng.integers(1, 4)
-        a = rng.uniform(0.3, 2.5, n)
+        n, r = 40, rng.integers(1, 4)
+        b = rng.uniform(0.05, 2.5, n)
+        v = np.sort(rng.uniform(-1.0, 1.0, (n, r)), axis=1)
+        lo = rng.uniform(-0.5, 8.0)
+        window = (lo, lo + rng.uniform(0.01, 2.0))
+        got = levels_in_window(b, v, window)
+        ref = np.array([any(level >= window[0] for level, _, _ in
+                            brute_levels(b[i], v[i], window[1]))
+                        for i in range(n)])
+        assert np.array_equal(got, ref)
+        hits += int(ref.sum())
+    # the draws reach both answers often
+    assert 0.2 < hits / 4000 < 0.8
+
+
+def test_sigma_region_single_site_brute_force():
+    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    rng = np.random.default_rng(7)
+    region = np.zeros(lat.n_sites, dtype=bool)
+    region[5] = True
+    for _ in range(100):
         r = rng.integers(1, 4)
-        v = rng.uniform(-1.0, 1.0, r)
-        cutoff = rng.uniform(1.0, 12.0)
-        got = [(e.value, e.k, e.mu) for e in landau_levels(a, v, cutoff).entries]
-        ref = _brute_levels(a, v, cutoff)
-        assert len(got) == len(ref)
-        for (gv, gk, gm), (rv, rk, rm) in zip(got, ref):
-            assert gv == pytest.approx(rv)
-            assert gk == rk and gm == rm
+        V = constant_potential(lat, np.diag(np.sort(rng.uniform(-1.0, 1.5, r))))
+        b = _field_on(lat, rng.uniform(0.2, 3.0, lat.n_sites))
+        cutoff = rng.uniform(1.0, 14.0)
+        sig = sigma_region(b, V, region=region, cutoff=cutoff)
+        ref = brute_levels(b.site_values[5], V.eigenvalues[5], cutoff)
+        assert sig.branches == sorted((k, mu, lev, lev) for lev, k, mu in ref)
+        values = sorted({lev for lev, _, _ in ref})
+        assert [(lo, hi) for lo, hi, _ in sig.intervals] == \
+            [(lev, lev) for lev in values]
+        for lo, _, labels in sig.intervals:
+            assert sorted(labels) == sorted((k, mu) for lev, k, mu in ref
+                                            if lev == lo)
 
 
 def _field_on(lat, values):
@@ -143,7 +86,6 @@ def test_sigma_region_intervals_and_merge():
 def test_sigma_region_rank2_branches():
     lat = build_lattice("torus", 1.0, 1.0, 4, 4)
     b = _field_on(lat, np.ones(lat.n_sites))
-    from magspec import constant_potential
     V = constant_potential(lat, np.diag([1.0, -1.0]))
     sig = sigma_region(b, V, cutoff=4.0)
     assert [(lo, hi) for lo, hi, _ in sig.intervals] == \
@@ -230,7 +172,7 @@ def test_interface_witness_consistency():
         region = np.zeros(lat.n_sites, dtype=bool)
         region[i] = True
         sig_i = sigma_region(b, V, region=region, cutoff=9.0)
-        levels = landau_levels([b.site_values[i]], [0.0], 9.0).values
+        levels = landau_level(np.arange(5), b.site_values[i], 0.0)
         witness = levels[(levels >= 1.6) & (levels <= 2.4)]
         assert witness.size > 0
         assert dist_to_sigma(float(witness[0]), sig_i) == 0.0
