@@ -311,7 +311,7 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
     shells = _shells(dist)
     entries = []
     for i in range(len(sl)):
-        amp2 = _site_amplitude_sq(sl.vectors[:, i].copy(), lat.n_sites)
+        amp2 = _site_amplitude_sq(sl.vectors[:, i], lat.n_sites)
         total = amp2.sum()
         wall_fraction = amp2[near].sum() / total
         masses = _weighted_masses(amp2, dist.values, rates, p)

@@ -33,10 +33,6 @@ class DenseSizeError(MagspecError, ValueError):
     """Matrix exceeds the dense-solver size guard."""
 
 
-class NotHermitianError(MagspecError, ValueError):
-    """Operation requires a Hermitian operator but the flag is not set."""
-
-
 class ConvergenceError(MagspecError, RuntimeError):
     """Eigensolver failed to converge; carries the best partial slice."""
 

@@ -107,6 +107,19 @@ class Lattice:
         gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
         return self.site_index(self.site_nx - 1 - gy, gx).ravel()
 
+    @cached_property
+    def reflection(self):
+        """Site permutation of the diagonal reflection (x, y) -> (y, x), or
+        None where ``rotation`` is None.
+
+        ``reflection[s]`` is the site that s reflects to: (ix, iy) goes to
+        (iy, ix).  It is an involution.
+        """
+        if self.rotation is None:
+            return None
+        gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
+        return self.site_index(gy, gx).ravel()
+
     def _neighbors(self, dx, dy):
         """Each site's neighbour at grid offset (dx, dy), in row-major order.
 

@@ -22,16 +22,11 @@ from .lattice import Lattice
 
 @dataclass
 class SparseHermitian:
-    """Sparse operator with block structure for rank-r sections.
-
-    ``hermitian`` is an explicit flag: the solvers refuse an operator that
-    does not carry it.
-    """
+    """Sparse Hermitian operator with block structure for rank-r sections."""
 
     matrix: sp.csr_matrix
     p: int
     rank: int
-    hermitian: bool
     lattice: Lattice | None = None
     provenance: str = ""
 
@@ -91,8 +86,7 @@ def assemble_H(lattice, links, potential, p):
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
-    return SparseHermitian(matrix=mat, p=p, rank=r,
-                           hermitian=True, lattice=lattice,
+    return SparseHermitian(matrix=mat, p=p, rank=r, lattice=lattice,
                            provenance=_provenance(links, potential, p))
 
 

@@ -26,13 +26,30 @@ other operator is one block, the whole space.  Each block gets the window
 solve above, on B_m^H H B_m (about N/4 in size) for a sector, with its own
 counts, certificate and growth loop; sector m's start vector is seeded from
 (seed, m).  One finishing step turns a block's in-window pairs into a
-slice: it sorts them, orthonormalizes degenerate clusters in block space,
-maps them with B_m and computes every residual on the full H; the residual
-check and the midpoint count check then read those full-H residuals.
-Blocks merge by copying their vectors into ascending columns.  One cluster
-QR is enough: the B_m are isometries with mutually orthogonal ranges, so
-vectors orthonormal within a block stay orthonormal after mapping, and
-orthogonal to every other block's.
+slice: it sorts them, orthonormalizes degenerate clusters in block space
+and computes every residual on the full H from the pairs mapped by B_m;
+the residual check and the midpoint count check then read those full-H
+residuals.  The slice keeps the block-space vectors.  Blocks merge by
+mapping each block's vectors straight into its ascending columns of one
+column-major N x k array.  One cluster QR is enough: the B_m are
+isometries with mutually orthogonal ranges, so vectors orthonormal within
+a block stay orthonormal after mapping, and orthogonal to every other
+block's.
+
+A sector matrix is real symmetric when H also commutes with the
+antiunitary T = conj S, S the index permutation of the diagonal reflection
+(x, y) -> (y, x): the reflection reverses the field and the conjugation
+restores it, which holds on the radial presets.  Since S R S = R^-1 and R
+is real, T maps each rotation sector to itself, and B_m^H S conj(B_m) is a
+phase times a column permutation: T b_c = phi_c b_c', c' the column whose
+orbit S maps c's orbit onto, with phi_c' = phi_c because T^2 = 1.  A
+T-fixed column (c' = c) gives the basis vector sqrt(phi_c) b_c; a pair c <
+c' gives (b_c + phi_c b_c') / sqrt 2 and i (b_c - phi_c b_c') / sqrt 2.
+These are T-fixed, so <w, H w'> = conj <Tw, T H w'> = conj <w, H w'> is
+real: in the isometry W_m = B_m Q_m the sector matrix is real symmetric,
+and it is solved with a real factor and real Lanczos (ARPACK's symmetric
+driver; a complex matrix goes to its Arnoldi driver) from a real start
+vector seeded from (seed, m).
 
 The sectors are guarded by the commutation defect D = P H P^T - H (P the
 index permutation of R), bounded by its largest absolute row sum, which is
@@ -42,16 +59,26 @@ unitarily similar to the pinching H_R = sum_m Pi_m H Pi_m of H onto the
 eigenspaces of R, which equals the rotation average 1/4 sum_j R^j H R^-j.
 Each R^j H R^-j - H is a sum of j conjugated copies of D, and of one for
 j = 3 (R^3 = R^-1), so ||H_R - H|| <= (0 + 1 + 2 + 1) ||D|| / 4 = ||D||.
+The real sectors are taken only when the reflection defect D_T =
+conj(S H S) - H = T H T^-1 - H, bounded the same way, is within the same
+guard.  Then each sector matrix is the real part of W_m^H H W_m, the
+block of the T average H_T = (H + T H T^-1) / 2 = H + D_T / 2; the four
+blocks are unitarily similar to its pinching (H_T)_R, and since a pinching
+is a contraction, ||(H_T)_R - H|| <= ||D_T|| / 2 + ||D|| <= ||D|| + ||D_T||.
 By Weyl's inequality each eigenvalue of the union of the sector spectra
-lies within ||D|| of the same-index eigenvalue of H, so each inertia count
-of H_R at a shift lies between the counts of H at that shift moved down and
-up by ||D||.  Counts and certificates are therefore exact up to a shift
-below 1e-6 tol, far below the residual tolerance: the same ambiguity every
-pair within its residual of a window end already has.  A pair's full-H
-residual differs from its sector residual by at most ||(H - H_R) Pi_m|| <=
-||D||, so the midpoint check keeps its meaning, and a wrong sector basis
-cannot pass.  The slice records ``symmetry`` ("C4" or "none") and
-``symmetry_defect`` (the bound, or None without a rotation).
+lies within that bound of the same-index eigenvalue of H, so each inertia
+count of the sectors at a shift lies between the counts of H at that shift
+moved down and up by the bound.  Counts and certificates are therefore
+exact up to a shift below 2e-6 tol, far below the residual tolerance: the
+same ambiguity every pair within its residual of a window end already
+has.  A pair's full-H residual differs from its sector residual by at most
+the same bound, so the midpoint check keeps its meaning, and a wrong
+sector basis cannot pass.  Every sector matrix is a compression of H or of
+H_T, both with the spectrum range of H, so no sector eigenvalue lies below
+the Gershgorin bound of H: a window that starts below it needs no count
+there.  The slice records ``symmetry`` ("C4+T", "C4" or "none") and
+``symmetry_defect`` (the bound used, ||D|| + ||D_T|| or ||D||, or None
+without a rotation).
 """
 
 import struct
@@ -62,8 +89,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (ConvergenceError, DenseSizeError, NotHermitianError,
-                     WindowError)
+from .errors import ConvergenceError, DenseSizeError, WindowError
 from .operators import gershgorin_interval
 
 DENSE_GUARD = 4096
@@ -71,10 +97,12 @@ CERTIFIED = "certified"
 HEURISTIC = "heuristic"
 COUNT_MISMATCH = "count mismatch"
 C4 = "C4"
+C4_T = "C4+T"
 NO_SYMMETRY = "none"
 
-# the sector path needs the rotation defect bound at most this fraction of
-# tol; the measured bound is about 1e-8 tol on the radial presets
+# the sector path needs the rotation defect bound, and its real form the
+# reflection defect bound, each at most this fraction of tol; the measured
+# bounds are about 1e-8 tol and exactly 0 on the radial presets
 C4_DEFECT_FRACTION = 1e-6
 
 BSEV_MAGIC = b"BSEV"
@@ -88,14 +116,14 @@ class SpectrumSlice:
     """Eigenpairs sorted ascending with a completeness certificate."""
 
     values: np.ndarray
-    vectors: np.ndarray          # (n, k), columns unit norm
+    vectors: np.ndarray          # (n, k) column-major, columns unit norm
     residuals: np.ndarray
     certificate: str
     tol: float = 0.0
     downgrade: str | None = None  # why the certificate is only heuristic
     krylov_k: int | None = None   # pairs the final Krylov solve asked for
     growth_rounds: int = 0        # times a shortfall made the solve grow k
-    symmetry: str = NO_SYMMETRY   # C4 when solved by rotation sector
+    symmetry: str = NO_SYMMETRY   # C4 or C4+T when solved by rotation sector
     symmetry_defect: float | None = None  # None without a quarter turn
 
     def __len__(self):
@@ -113,17 +141,33 @@ def default_tol(op):
     return 1e-8 * max(1.0, abs(lo), abs(hi))
 
 
-def _start_vector(n, seed, sector=None):
+def _start_vector(n, seed, sector=None, dtype=complex):
     entropy = _SEED_BASE + int(seed)
     rng = np.random.default_rng(entropy if sector is None
                                 else [entropy, sector])
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    if np.issubdtype(dtype, np.complexfloating):
+        v = v + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
-def _residuals(op, values, vectors):
-    resid = op.matrix @ vectors - vectors * values[None, :]
-    return np.linalg.norm(resid, axis=0)
+def _residuals(op, values, vectors, basis=None):
+    """Full-H residual norms of the pairs with vectors ``basis @ vectors``
+    (None: ``vectors``), two columns at a time (the last three together).
+
+    No N x k temporary is made, only N x 2 ones.  Each chunk holds at least
+    two columns of a matrix of two or more, because numpy sums a lone column
+    pairwise; so every norm equals the whole matrix's bit for bit.
+    """
+    k = values.size
+    norms = np.empty(k)
+    edges = np.append(np.arange(0, max(k - 1, 1), 2), k)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mapped = vectors[:, lo:hi] if basis is None \
+            else basis @ vectors[:, lo:hi]
+        resid = op.matrix @ mapped - mapped * values[None, lo:hi]
+        norms[lo:hi] = np.linalg.norm(resid, axis=0)
+    return norms
 
 
 def _orthonormalize_clusters(values, vectors):
@@ -151,10 +195,10 @@ def _orthonormalize_clusters(values, vectors):
 
 
 def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
-    """Ascending slice of op from the raw pairs of one block: the pairs
-    inside ``window`` (all without one), clusters orthonormalized in block
-    space, vectors mapped by ``basis`` (None: the whole space), residuals
-    computed on the full H."""
+    """Ascending slice of one block from its raw pairs: the pairs inside
+    ``window`` (all without one), clusters orthonormalized in block space,
+    residuals computed on the full H from the vectors mapped by ``basis``
+    (None: the whole space).  The slice keeps the block-space vectors."""
     values = np.asarray(values)
     order = np.argsort(values)
     if window is not None:
@@ -162,10 +206,8 @@ def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
         order = order[(ascending >= window[0]) & (ascending <= window[1])]
     values = values[order]
     vectors = _orthonormalize_clusters(values, np.asarray(vectors)[:, order])
-    if basis is not None:
-        vectors = basis @ vectors
     return SpectrumSlice(values=values, vectors=vectors,
-                         residuals=_residuals(op, values, vectors),
+                         residuals=_residuals(op, values, vectors, basis),
                          certificate=certificate, tol=tol)
 
 
@@ -185,7 +227,7 @@ def _factor_shifted(op, sigma, attempts=3):
     n = op.n
     shift = float(sigma)
     for attempt in range(attempts):
-        mat = (op.matrix - shift * sp.identity(n, dtype=complex,
+        mat = (op.matrix - shift * sp.identity(n, dtype=op.matrix.dtype,
                                                format="csr")).tocsc()
         try:
             lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
@@ -222,8 +264,6 @@ def dense_spectrum(op):
     if op.n > DENSE_GUARD:
         raise DenseSizeError(f"dimension {op.n} exceeds the dense guard "
                              f"{DENSE_GUARD}")
-    if not op.hermitian:
-        raise NotHermitianError("dense oracle requires the hermitian flag")
     w, u = sla.eigh(op.matrix.toarray())
     return _finish(op, None, w, u, CERTIFIED)
 
@@ -233,7 +273,7 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
 
     Each block of the module docstring is solved alone.  Inertia counts at
     the two endpoints determine how many eigenvalues the block's window must
-    hold (at an alpha below the Gershgorin bound, zero without a
+    hold (at an alpha below the Gershgorin bound of H, zero without a
     factorization).  The Krylov solve asks for exactly that many pairs, with
     no buffer: every eigenvalue inside the window is nearer the midpoint
     shift than any outside it, so the count names the wanted pairs, and a
@@ -252,46 +292,50 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     alpha, beta = float(window[0]), float(window[1])
     if not alpha < beta:
         raise WindowError(f"window [{alpha}, {beta}] is empty")
-    if not op.hermitian:
-        raise NotHermitianError("window_eigs requires the hermitian flag")
     if tol is None:
         tol = default_tol(op)
 
-    bases, defect = _rotation_sectors(op, tol)
-    symmetry = NO_SYMMETRY if bases is None else C4
+    bases, symmetry, defect = _rotation_sectors(op, tol)
     blocks = [(None, None)] if bases is None else enumerate(bases)
+    # no block eigenvalue lies below the Gershgorin bound of H
+    open_below = alpha < gershgorin_interval(op)[0]
     parts = []
     try:
         for sector, basis in blocks:
-            parts.append(_block_solve(op, basis, sector, alpha, beta, tol,
-                                      seed, maxiter))
+            parts.append((basis, _block_solve(
+                op, basis, symmetry == C4_T, sector, alpha, beta, open_below,
+                tol, seed, maxiter)))
     except ConvergenceError as exc:
         if exc.partial is not None:
-            parts.append(exc.partial)
+            parts.append((basis, exc.partial))
         exc.partial = _merge(op, parts, tol, symmetry, defect) \
             if parts else None
         raise
     return _merge(op, parts, tol, symmetry, defect)
 
 
-def _block_solve(op, basis, sector, alpha, beta, tol, seed, maxiter):
+def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
+                 maxiter):
     """The window solve of op on the range of ``basis`` (None: the whole
-    space), from a start vector seeded from (seed, sector)."""
+    space), from a start vector seeded from (seed, sector); ``real`` keeps
+    the real part of a block whose basis is T-fixed."""
     block = op
     if basis is not None:
         half = basis.conj().T @ (op.matrix @ basis)
         # averaged with its adjoint, so exactly Hermitian
-        block = replace(op, matrix=(0.5 * (half + half.conj().T)).tocsr(),
+        matrix = 0.5 * (half + half.conj().T)
+        block = replace(op, matrix=(matrix.real if real else matrix).tocsr(),
                         lattice=None)
-    c_lo, why_lo = 0, None  # no eigenvalue lies below the Gershgorin bound
-    if alpha >= gershgorin_interval(block)[0]:
+    c_lo, why_lo = 0, None
+    if not open_below:
         c_lo, why_lo = count_below(block, alpha)
     c_hi, why_hi = count_below(block, beta)
     downgrade = why_lo or why_hi
     expected = c_hi - c_lo if downgrade is None else None
 
     if expected == 0:
-        return SpectrumSlice(values=np.empty(0), vectors=np.empty((op.n, 0)),
+        return SpectrumSlice(values=np.empty(0),
+                             vectors=np.empty((block.n, 0)),
                              residuals=np.empty(0), certificate=CERTIFIED,
                              tol=tol, krylov_k=0)
 
@@ -300,8 +344,9 @@ def _block_solve(op, basis, sector, alpha, beta, tol, seed, maxiter):
     if lu is None:
         raise ConvergenceError(
             f"factorization failed at shift {shift:.6g} after jitters")
-    opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=complex)
-    v0 = _start_vector(block.n, seed, sector)
+    dtype = block.matrix.dtype
+    opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
+    v0 = _start_vector(block.n, seed, sector, dtype)
 
     rounds = 0
     while True:
@@ -322,7 +367,7 @@ def _block_solve(op, basis, sector, alpha, beta, tol, seed, maxiter):
             rounds += 1
             continue
         break
-    del lu, opinv  # free the factor before the N x k copies below
+    del lu, opinv  # free the factor before the residuals below
 
     out = _finish(op, basis, w, u, HEURISTIC, tol, (alpha, beta))
     out.krylov_k, out.growth_rounds = k, rounds
@@ -343,30 +388,32 @@ def _block_solve(op, basis, sector, alpha, beta, tol, seed, maxiter):
 
 
 def _merge(op, parts, tol, symmetry, defect):
-    """One slice of op from its blocks' slices; a single block as it is.
+    """One slice of op from its blocks' (basis, slice) pairs.
 
-    Each block's vectors are copied straight into their ascending columns
-    of one N x k array.
+    The whole space is one block and stays as it is.  Sector blocks map
+    their vectors by their bases straight into their ascending columns of
+    one column-major N x k array.
     """
-    out = parts[0]
-    if len(parts) > 1:
-        values = np.concatenate([sl.values for sl in parts])
+    basis, out = parts[0]
+    if basis is not None:
+        slices = [sl for _, sl in parts]
+        values = np.concatenate([sl.values for sl in slices])
         order = np.argsort(values)
         position = np.empty_like(order)
         position[order] = np.arange(order.size)
         out = SpectrumSlice(
             values=values[order],
-            vectors=np.empty((op.n, values.size), dtype=complex),
-            residuals=np.concatenate([sl.residuals for sl in parts])[order],
+            vectors=np.empty((op.n, values.size), dtype=complex, order="F"),
+            residuals=np.concatenate([sl.residuals for sl in slices])[order],
             certificate=CERTIFIED if all(sl.certificate == CERTIFIED
-                                         for sl in parts) else HEURISTIC,
+                                         for sl in slices) else HEURISTIC,
             tol=tol, downgrade=next(
-                (sl.downgrade for sl in parts if sl.downgrade), None),
-            krylov_k=sum(sl.krylov_k for sl in parts),
-            growth_rounds=sum(sl.growth_rounds for sl in parts))
+                (sl.downgrade for sl in slices if sl.downgrade), None),
+            krylov_k=sum(sl.krylov_k for sl in slices),
+            growth_rounds=sum(sl.growth_rounds for sl in slices))
         at = 0
-        for sl in parts:
-            out.vectors[:, position[at:at + len(sl)]] = sl.vectors
+        for basis, sl in parts:
+            out.vectors[:, position[at:at + len(sl)]] = basis @ sl.vectors
             at += len(sl)
     out.symmetry, out.symmetry_defect = symmetry, defect
     return out
@@ -376,24 +423,41 @@ def _merge(op, parts, tol, symmetry, defect):
 # rotation sectors
 
 def _rotation_sectors(op, tol):
-    """(sector isometries or None, defect bound or None) of op.
+    """(sector isometries or None, symmetry, defect bound or None) of op.
 
     The bound is None when op's lattice has no quarter turn; the bases are
-    None unless the bound is within the guard.
+    None unless the rotation defect is within the guard.  They are T-real
+    (symmetry C4+T, bound ||D|| + ||D_T||) when the reflection defect is
+    within it too, else the complex B_m (C4, bound ||D||).
     """
     lat = op.lattice
     rot = None if lat is None else lat.rotation
     if rot is None or op.n != lat.n_sites * op.rank:
-        return None, None
-    # component c of site s turns into component c of site rot[s]
-    perm = (rot[:, None] * op.rank + np.arange(op.rank)).ravel()
+        return None, NO_SYMMETRY, None
+    perm = _fiber_lift(rot, op.rank)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    diff = op.matrix[inv][:, inv] - op.matrix  # P H P^T - H
-    defect = float(abs(diff).sum(axis=1).max()) if diff.nnz else 0.0
+    defect = _row_sum_bound(op.matrix[inv][:, inv] - op.matrix)  # P H P^T - H
     if defect > C4_DEFECT_FRACTION * tol:
-        return None, defect
-    return _sector_bases(perm), defect
+        return None, NO_SYMMETRY, defect
+    bases = _sector_bases(perm)
+    flip = _fiber_lift(lat.reflection, op.rank)  # an involution: S^-1 = S
+    defect_t = _row_sum_bound(op.matrix[flip][:, flip].conj() - op.matrix)
+    if defect_t > C4_DEFECT_FRACTION * tol:
+        return bases, C4, defect
+    return [_real_basis(b, flip) for b in bases], C4_T, defect + defect_t
+
+
+def _fiber_lift(sites, rank):
+    """Index permutation moving component c of site s to component c of
+    site ``sites[s]``."""
+    return (sites[:, None] * rank + np.arange(rank)).ravel()
+
+
+def _row_sum_bound(diff):
+    """Largest absolute row sum of a sparse difference, >= its 2-norm when
+    it is Hermitian."""
+    return float(abs(diff).sum(axis=1).max()) if diff.nnz else 0.0
 
 
 # i^(-k) for k = 0..3
@@ -426,6 +490,31 @@ def _sector_bases(perm):
         width = rep.size + (fixed.size if m == 0 else 0)
         bases.append(sp.csr_matrix((v, (r, c)), shape=(n, width)))
     return bases
+
+
+def _real_basis(basis, flip):
+    """Isometry W = B Q onto the same range as ``basis`` with T-fixed
+    columns, T = conj S and ``flip`` the index involution of S.
+
+    B^H S conj(B) holds one phase phi_c per column c, in the row c' of the
+    column T maps c to; Q takes sqrt(phi_c) e_c for c' = c, and for c < c'
+    the columns (e_c + phi_c e_c') / sqrt 2 and i (e_c - phi_c e_c') /
+    sqrt 2, side by side in the order of c.
+    """
+    twin = (basis.conj().T @ basis.conj()[flip]).tocsc()
+    n = twin.shape[1]
+    partner, phase = twin.indices, twin.data  # one entry per column
+    lead = np.flatnonzero(partner >= np.arange(n))
+    paired = partner[lead] != lead
+    width = 1 + paired
+    start = np.cumsum(width) - width
+    one, two = lead[~paired], lead[paired]
+    s, f, r = start[paired], phase[two], np.sqrt(0.5)
+    rows = np.concatenate([one, two, partner[two], two, partner[two]])
+    cols = np.concatenate([start[~paired], s, s, s + 1, s + 1])
+    vals = np.concatenate([np.sqrt(phase[one]), np.full(two.size, r), r * f,
+                           np.full(two.size, 1j * r), -1j * r * f])
+    return (basis @ sp.csr_matrix((vals, (rows, cols)), shape=(n, n))).tocsr()
 
 
 def write_slice(sl, path):
@@ -466,6 +555,6 @@ def read_slice(path):
         raise WindowError(f"eigenvector dump {path} has {trailing} bytes "
                           f"after its {count} pairs")
     return SpectrumSlice(values=pairs["value"].copy(),
-                         vectors=np.ascontiguousarray(pairs["vector"].T),
+                         vectors=np.asfortranarray(pairs["vector"].T),
                          residuals=pairs["residual"].copy(),
                          certificate=HEURISTIC)

@@ -11,10 +11,9 @@ from magspec import (FieldSpec, assemble_H, build_lattice, dense_spectrum,
 TWO_PI = 2 * np.pi
 
 
-def op_from_dense(a, p=1, rank=1, hermitian=True, lattice=None):
+def op_from_dense(a, p=1, rank=1, lattice=None):
     return SparseHermitian(matrix=sp.csr_matrix(np.asarray(a, dtype=complex)),
-                           p=p, rank=rank, hermitian=hermitian,
-                           lattice=lattice)
+                           p=p, rank=rank, lattice=lattice)
 
 
 def brute_levels(b, v, top):

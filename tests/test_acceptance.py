@@ -134,7 +134,7 @@ def test_criterion_4_clustering_rate(preset_b_summary):
               f"{exponent if exponent is not None else 'n/a (all at floor)'}"
               f" (bound -0.25); symmetry {symmetry}")
     passed = assertion["passed"] \
-        and symmetry == ["C4"] * len(summary["p_list"])
+        and symmetry == ["C4+T"] * len(summary["p_list"])
     _report(4, "clustering rate", passed, detail, summary["elapsed"], 900.0)
 
 
@@ -146,7 +146,7 @@ def test_criterion_5_gap_edge_states(preset_c_summary):
     assert checks, f"no edge-state assertions found in {names}"
     per_p = summary["results"]["per_p"]
     ok = all(a["passed"] for a in checks) \
-        and [e["symmetry"] for e in per_p] == ["C4"] * len(summary["p_list"])
+        and [e["symmetry"] for e in per_p] == ["C4+T"] * len(summary["p_list"])
     detail = "; ".join(
         f"p={e['p']}: {e['n_genuine']} genuine ({e['certificate']}, "
         f"{e['symmetry']}), far mass {e['worst_far_mass']:.1e}, W(c_min) "

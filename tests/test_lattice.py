@@ -168,10 +168,22 @@ def test_rotation_is_the_quarter_turn(nx):
     assert np.allclose(pos[fixed], 0.0)
 
 
+@pytest.mark.parametrize("nx", [6, 7])
+def test_reflection_swaps_the_coordinates(nx):
+    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    flip, pos = lat.reflection, lat.positions
+    assert np.array_equal(flip[flip], np.arange(lat.n_sites))
+    assert np.allclose(pos[flip], pos[:, ::-1], atol=1e-14)
+    # it turns the quarter turn around: S R S = R^-1
+    assert np.array_equal(flip[lat.rotation[flip]][lat.rotation],
+                          np.arange(lat.n_sites))
+
+
 @pytest.mark.parametrize("kind, extent_y, ny", [
     ("torus", 3.0, 6),                 # no centre to turn about
     ("rectangle_dirichlet", 4.0, 6),   # not square
     ("rectangle_dirichlet", 3.0, 8),   # square, but unequal grids
 ])
 def test_rotation_needs_a_centred_square(kind, extent_y, ny):
-    assert build_lattice(kind, 3.0, extent_y, 6, ny).rotation is None
+    lat = build_lattice(kind, 3.0, extent_y, 6, ny)
+    assert lat.rotation is None and lat.reflection is None

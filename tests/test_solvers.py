@@ -17,9 +17,8 @@ from magspec import (FieldSpec, PotentialField, assemble_H, build_lattice,
                      edge_integrals, gauge_links, read_slice, trivial_links,
                      window_eigs, write_slice, zero_potential)
 from magspec import solvers
-from magspec.errors import (ConvergenceError, DenseSizeError,
-                            NotHermitianError, WindowError)
-from magspec.solvers import C4, CERTIFIED, HEURISTIC, NO_SYMMETRY
+from magspec.errors import ConvergenceError, DenseSizeError, WindowError
+from magspec.solvers import C4, C4_T, CERTIFIED, HEURISTIC, NO_SYMMETRY
 
 
 def test_dense_tiny_cases():
@@ -35,12 +34,9 @@ def test_dense_guards():
     # the guard fires on dimension alone; no need to materialize 4097^2
     from magspec.operators import SparseHermitian
     op = SparseHermitian(matrix=sp.identity(4097, dtype=complex, format="csr"),
-                         p=1, rank=1, hermitian=True)
+                         p=1, rank=1)
     with pytest.raises(DenseSizeError):
         dense_spectrum(op)
-    flagless = op_from_dense(np.eye(3), hermitian=False)
-    with pytest.raises(NotHermitianError):
-        dense_spectrum(flagless)
 
 
 def test_lowest_free_field_ground_state():
@@ -132,8 +128,6 @@ def test_window_validation():
     op = op_from_dense(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(WindowError):
         window_eigs(op, (2.0, 1.0))
-    with pytest.raises(NotHermitianError):
-        window_eigs(op_from_dense(np.eye(3), hermitian=False), (0.0, 1.0))
 
 
 def test_count_below_matches_dense():
@@ -167,6 +161,25 @@ def test_inertia_consistency_on_assembled_operator():
     assert sl.certificate == CERTIFIED
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_chunked_residuals_match_the_one_shot_norm(order):
+    # the reference: the whole N x k residual matrix at once
+    lat, spec, b, links, V, H = dip_rectangle_setup(nx=12, p=4)
+    basis = solvers._sector_bases(solvers._fiber_lift(lat.rotation, 1))[1]
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 5, 8):
+        values = rng.standard_normal(k)
+        for vecs, mapping in [(H.n, None), (basis.shape[1], basis)]:
+            u = rng.standard_normal((vecs, k)) \
+                + 1j * rng.standard_normal((vecs, k))
+            u = np.asarray(u, order=order)
+            full = u if mapping is None else mapping @ u
+            expect = np.linalg.norm(H.matrix @ full - full * values[None, :],
+                                    axis=0)
+            got = solvers._residuals(H, values, u, mapping)
+            assert np.array_equal(got, expect)
+
+
 def test_convergence_error_carries_partial():
     lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
     with pytest.raises(ConvergenceError) as info:
@@ -181,13 +194,14 @@ def test_convergence_error_carries_partial():
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Keyword arguments of every SuperLU factorization, ARPACK's included."""
+    """Keyword arguments of every SuperLU factorization, ARPACK's included,
+    each with the factored matrix's ``dtype`` added."""
     arpack = importlib.import_module("scipy.sparse.linalg._eigen.arpack.arpack")
     original = spla.splu
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(dict(kwargs, dtype=args[0].dtype))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
@@ -307,6 +321,7 @@ def test_eigenvector_dump_round_trip(tmp_path):
     path = tmp_path / "vecs.bsev"
     write_slice(sl, path)
     back = read_slice(path)
+    assert back.vectors.flags.f_contiguous
     assert np.allclose(back.values, sl.values)
     assert np.allclose(back.vectors, sl.vectors)
     assert np.allclose(back.residuals, sl.residuals)
@@ -388,16 +403,43 @@ def test_sector_bases_split_the_rotation(nx, rank):
         assert np.abs(rotate @ b - 1j ** m * b).max() <= 1e-15
 
 
+@pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
+@pytest.mark.parametrize("rank", [1, 2])
+def test_real_basis_is_fixed_by_the_reflection(nx, rank):
+    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    perm = solvers._fiber_lift(lat.rotation, rank)
+    flip = solvers._fiber_lift(lat.reflection, rank)
+    n = perm.size
+    bases = solvers._sector_bases(perm)
+    real = [solvers._real_basis(b, flip).toarray() for b in bases]
+    assert [w.shape for w in real] == [b.shape for b in bases]
+    u = np.hstack(real)
+    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
+    rotate = np.zeros((n, n))
+    rotate[perm, np.arange(n)] = 1.0
+    for m, w in enumerate(real):
+        assert np.abs(rotate @ w - 1j ** m * w).max() <= 1e-15
+        assert np.abs(w[flip].conj() - w).max() <= 1e-15  # S conj(w) = w
+    # both kinds of column occur: T-fixed orbits and swapped pairs
+    support = np.count_nonzero(np.hstack(real), axis=0)
+    assert {4, 8} <= set(support)
+
+
 @pytest.mark.parametrize("setup", [dip_rectangle_setup, bump_rectangle_setup],
                          ids=["radial_dip", "potential_bump"])
 @pytest.mark.parametrize("nx", [33, 34])  # site_nx even, odd (origin site)
-def test_sector_solve_matches_full_solve(setup, nx):
+def test_sector_solve_matches_full_solve(setup, nx, splu_calls):
     H = setup(nx=nx, p=8)[-1]
     window, dense = _interior_window(H)
     sector = window_eigs(H, window)
+    # every sector is factored in real arithmetic
+    assert len(splu_calls) >= 4
+    assert {kwargs["dtype"] for kwargs in splu_calls} == {np.dtype(np.float64)}
     # without its lattice the operator has no rotation to detect
     full = window_eigs(replace(H, lattice=None), window)
-    assert (sector.symmetry, full.symmetry) == (C4, NO_SYMMETRY)
+    assert (sector.symmetry, full.symmetry) == (C4_T, NO_SYMMETRY)
+    assert sector.vectors.flags.f_contiguous
+    assert sector.select([0, 2, 3]).vectors.flags.f_contiguous
     assert 0 <= sector.symmetry_defect \
         <= solvers.C4_DEFECT_FRACTION * sector.tol
     assert full.symmetry_defect is None
@@ -422,7 +464,7 @@ def test_degenerate_clusters_spanning_sectors():
     H = assemble_H(lat, trivial_links(lat, 4), zero_potential(lat), 4)
     window, dense = lowest_window(H, 11)  # the gap 4.87 .. 5.38
     sl = window_eigs(H, window)
-    assert sl.symmetry == C4
+    assert sl.symmetry == C4_T
     assert len(sl) == np.sum(dense <= window[1]) == 11
     assert np.abs(sl.values - dense[:11]).max() <= sl.tol
     bases = solvers._rotation_sectors(H, sl.tol)[0]
@@ -449,7 +491,13 @@ def test_rank_two_potential_takes_sector_path():
     H2 = assemble_H(lat, links, V2, 4)
     window, dense = _interior_window(H2, lo=6, count=12)
     sl = window_eigs(H2, window)
+    # the complex off-diagonal of V breaks T = conj S: complex sectors
+    flip = solvers._fiber_lift(lat.reflection, 2)
+    defect_t = solvers._row_sum_bound(H2.matrix[flip][:, flip].conj()
+                                      - H2.matrix)
+    assert defect_t > solvers.C4_DEFECT_FRACTION * sl.tol
     assert sl.symmetry == C4
+    assert sl.vectors.flags.f_contiguous
     assert len(sl) == 12 and sl.certificate == CERTIFIED
     assert np.abs(sl.values - dense).max() <= sl.tol
     assert sl.residuals.max() <= sl.tol
@@ -516,6 +564,6 @@ def test_sector_solve_is_reproducible():
     H = dip_rectangle_setup(nx=34, p=8)[-1]
     window, _ = _interior_window(H)
     first, second = (window_eigs(H, window, seed=3) for _ in range(2))
-    assert first.symmetry == C4
+    assert first.symmetry == C4_T
     for name in ("values", "vectors", "residuals"):
         assert np.array_equal(getattr(first, name), getattr(second, name))
