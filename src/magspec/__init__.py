@@ -16,11 +16,10 @@ from .fields import (EdgeIntegrals, FieldSpec, GaugeLinks, PotentialField,
 from .operators import SparseHermitian, assemble_H, gershgorin_interval
 from .model import (InterfaceSet, SigmaUnion, dist_to_sigma,
                     distances_to_sigma, find_gaps, interface_set,
-                    landau_level, omega_collar, sigma_region)
+                    landau_level, sigma_region)
 from .solvers import (SpectrumSlice, count_below, dense_spectrum, read_slice,
                       window_eigs, write_slice)
 from .analysis import (ClusterReport, FilteredSlice, LocalizationReport,
-                       TrialBound, bandlimited_trial, boundary_filter,
-                       cluster_assign, decay_fit, localization_report,
-                       mass_fraction_beyond, norm_lower_bound_trial,
+                       boundary_filter, cluster_assign, decay_fit,
+                       localization_report, mass_fraction_beyond,
                        scaling_exponent, weighted_mass)

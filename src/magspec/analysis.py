@@ -3,17 +3,16 @@
 Covers the spectral side (distance of eigenvalues to the level union,
 per-interval counts, power-law fits across the tensor power p) and the
 spatial side (exponentially weighted masses, decay-rate fits against the
-distance to the interface set, truncation-artifact filtering for Dirichlet
-domains, and norm lower-bound trials with compactly supported test vectors).
+distance to the interface set, and truncation-artifact filtering for
+Dirichlet domains).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import InsufficientDataError, SupportError
-from .model import dist_to_sigma, distances_to_sigma
+from .model import distances_to_sigma
 from .solvers import SpectrumSlice
 
 
@@ -185,36 +184,6 @@ def decay_fit(vector, dist, floor=DECAY_FLOOR):
     return _shell_fit(amp2, _shells(dist), floor)
 
 
-@dataclass
-class TrialBound:
-    """One norm lower-bound trial: residual ratio vs distance to the union."""
-
-    ratio: float
-    distance: float
-    bound_gap: float   # (distance - ratio) * p^(1/4); bounded above if the
-                       # lower bound holds with a uniform constant
-
-
-def norm_lower_bound_trial(op, omega, sigma_omega, lam, vector):
-    """Evaluate ||(H - lam) u|| / ||u|| for u supported in the complement set.
-
-    The companion prediction is ratio >= distance - C p^(-1/4), so the
-    returned bound_gap should stay below a single constant uniformly in p.
-    """
-    u = np.asarray(vector, dtype=complex)
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("trial vector has zero norm")
-    u = u / norm
-    off = np.repeat(~np.asarray(omega, dtype=bool), op.rank)
-    if np.any(np.abs(u[off]) > 1e-14):
-        raise SupportError("trial vector leaks outside the support mask")
-    ratio = float(np.linalg.norm(op.matrix @ u - lam * u))
-    d = dist_to_sigma(lam, sigma_omega)
-    return TrialBound(ratio=ratio, distance=d,
-                      bound_gap=(d - ratio) * op.p ** 0.25)
-
-
 def scaling_exponent(points):
     """Least-squares slope of log(value) against log(p)."""
     pts = [(float(p), float(v)) for p, v in points]
@@ -330,51 +299,3 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
             artifact=bool(wall_fraction > WALL_ARTIFACT)))
     return LocalizationReport(entries=entries, c_grid=np.asarray(c_grid),
                               c_min=float(c_min), c_cap=float(c_cap), p=int(p))
-
-
-def _smoothstep(t):
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def _trial_envelopes(lattice, interface, p, b_ref):
-    """The mollifiers of ``bandlimited_trial``, in the order it applies them.
-
-    Each ramps from 0 to 1 over two magnetic lengths 1 / sqrt(p b_ref): away
-    from the interface set and, on a Dirichlet plane, away from the wall.
-    """
-    ell = 1.0 / np.sqrt(p * b_ref)
-    envelopes = [_smoothstep(interface.distance.values / (2.0 * ell))]
-    if not lattice.is_torus:
-        envelopes.append(_smoothstep(lattice.boundary_distance() / (2.0 * ell)))
-    return envelopes
-
-
-def bandlimited_trial(lattice, interface, p, b_ref, seed=0, *,
-                      envelopes=None):
-    """Random low-pass trial vector supported in the interface complement.
-
-    Complex white noise low-pass filtered at the magnetic length, then
-    mollified to zero over two magnetic lengths on both the interface side
-    and the Dirichlet wall, so discrete support leakage cannot fake a
-    violation of the norm lower bound.  Unit norm, rank 1.  A loop of
-    trials at one p may pass the ``_trial_envelopes`` they share.
-    """
-    rng = np.random.default_rng(seed)
-    ell = 1.0 / np.sqrt(p * b_ref)
-    shape = (lattice.site_ny, lattice.site_nx)
-    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mode = "wrap" if lattice.is_torus else "constant"
-    sig = (ell / lattice.spacing_y, ell / lattice.spacing_x)
-    smooth = (gaussian_filter(noise.real, sig, mode=mode)
-              + 1j * gaussian_filter(noise.imag, sig, mode=mode))
-    if envelopes is None:
-        envelopes = _trial_envelopes(lattice, interface, p, b_ref)
-    u = smooth.ravel()
-    for envelope in envelopes:
-        u = u * envelope
-    u[~interface.omega] = 0.0
-    norm = np.linalg.norm(u)
-    if norm == 0:
-        raise ValueError("trial vector vanished; complement set too thin")
-    return u / norm

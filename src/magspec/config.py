@@ -77,8 +77,7 @@ class ExperimentConfig:
     max_sites: int = 2_000_000
     seed: int = 0
     out_dir: str = "magspec_out"
-    trials: int = 100
-    trials_p: list = field(default_factory=list)
+    trials_p: list = field(default_factory=list)  # p of the norm bound
     c_min: float | None = None
     c_cap: float = 10.0
     c1: int = 1                   # torus Chern number
@@ -132,8 +131,8 @@ _KEYS = {
     "experiment": str, "p": _ints, "seed": int, "out": str,
     "resolution": str, "nx": int, "extent": float, "cutoff": float,
     "window": _window, "window_margin": float, "tol": float,
-    "max_sites": int, "trials": int, "trials_p": _ints, "c_min": float,
-    "c_cap": float, "c1": int,
+    "max_sites": int, "trials_p": _ints, "c_min": float, "c_cap": float,
+    "c1": int,
     "field": str, "b": float, "b_inf": float, "depth": float,
     "height": float, "width": float, "b_minus": float, "b_plus": float,
     "potential": str, "v_height": float, "v_width": float,

@@ -4,42 +4,49 @@ Each tensor power p runs the same stages, held by a lazy ``PerP`` context
 that is dropped before the next p: ``build_instance``; the level union
 (``sigma_region``) and, where the preset uses one, the interface set of the
 configured window; the window solve; the preset's diagnostics (cluster
-report, wall filter, localization report, norm-bound trials for p in
-``trials_p``).  A preset (``PRESETS``) adds only a ``*_limits`` function,
-the single copy of its solve window and level-union cutoff, and assertion
-functions over the per-p results and across p.  ``run_experiment`` runs
-every stage and writes tables, eigenvector dumps, ``sigma.json`` and a
-``summary.json`` of pass/fail assertions, flushing tables per p so a failed
-run keeps its finished artifacts; the CLI's ``spectrum``, ``model-sigma``
-and ``localization`` select stages and outputs of the same context.
+report, wall filter, localization report, the certified norm lower bound
+for p in ``trials_p``).  A preset (``PRESETS``) adds only a ``*_limits``
+function, the single copy of its solve window and level-union cutoff, and
+assertion functions over the per-p results and across p.
+``run_experiment`` runs every stage and writes tables, eigenvector dumps,
+``sigma.json`` and a ``summary.json`` of pass/fail assertions, flushing
+tables per p so a failed run keeps its finished artifacts; the CLI's
+``spectrum``, ``model-sigma`` and ``localization`` select stages and
+outputs of the same context.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .analysis import (_trial_envelopes, bandlimited_trial, boundary_filter,
-                       cluster_assign, localization_report,
-                       norm_lower_bound_trial, scaling_exponent)
+from .analysis import (boundary_filter, cluster_assign, localization_report,
+                       scaling_exponent)
 from .config import plan_geometry
-from .errors import ConfigError, MagspecError
+from .errors import ConfigError, ConvergenceError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
 from .lattice import TORUS, build_lattice
-from .model import (distances_to_sigma, find_gaps, interface_set,
-                    omega_collar, sigma_region)
+from .model import (dist_to_sigma, distances_to_sigma, find_gaps,
+                    interface_set, sigma_region)
 from .operators import assemble_H, gershgorin_interval
-from .solvers import CERTIFIED, window_eigs, write_slice
+from .solvers import (C4_T, CERTIFIED, NO_SYMMETRY, _factor_shifted,
+                      _rotation_sectors, _start_vector, default_tol,
+                      window_eigs, write_slice)
 
 # distance floor: measured cluster distances below this are numerical zero
 DISTANCE_FLOOR = 1e-12
+# the constant C of the norm lower bound ||(H - lam) u|| >= (d - C p^(-1/4))
+# ||u||, u supported away from the interface set (CHANGES.md argues it)
+NORM_BOUND_C = 0.0
 
 
 @dataclass
@@ -90,6 +97,73 @@ def build_instance(cfg, p):
 def sigma_ceiling(window_top, b_max):
     """Union cutoff: the window plus one full level spacing of headroom."""
     return window_top + 2.0 * b_max
+
+
+def _bound_support(interface, p, b_min):
+    """The sites of the norm bound's trial space: the interface complement
+    less the band within two magnetic lengths 2 / sqrt(p b_min) of the
+    Dirichlet wall (the torus has no wall)."""
+    wall = interface.lattice.boundary_distance() <= 2.0 / np.sqrt(p * b_min)
+    return interface.omega & ~wall
+
+
+def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
+    """The smallest singular value sigma_S of H - lam on the vectors
+    supported in the site mask ``support``, certified against ``threshold``.
+
+    With B = (H - lam)[:, S (x) C^r], sigma_S = min ||(H - lam) u|| / ||u||
+    over u supported in S is sqrt(lambda_min(G)), G = B^H B.  One factor of
+    G - threshold^2 gives the inertia (Sylvester): ``count`` singular values
+    lie below ``threshold``, trusted unless ``downgrade`` says why not.  At a
+    trusted count 0 the same factor drives a one-pair shift-invert solve,
+    whose eigenvalue is sigma_S^2; otherwise the solve runs on a second
+    factor at 0, where G's nearest eigenvalue is its smallest.
+
+    When ``window_eigs`` would solve H by rotation sectors (``tol`` sets the
+    same guard) and S is invariant under the quarter turn, each sector
+    column lies wholly inside S or wholly outside it, and the columns inside
+    span the vectors supported in S.  G is then block diagonal in them: each
+    sector's block, real in a T-fixed basis, is counted and solved alone,
+    the counts add up and sigma_S is the smallest sector minimum.  Else G is
+    one block.  Only the start vectors depend on ``seed``.  Returns
+    (sigma_S, count, downgrade, symmetry).
+    """
+    inside = np.repeat(support, op.rank)
+    shifted = op.matrix - lam * sp.identity(op.n, dtype=op.matrix.dtype,
+                                            format="csr")
+    bases, symmetry, _ = _rotation_sectors(
+        op, default_tol(op) if tol is None else tol)
+    if bases is not None:
+        bases = [basis[:, np.asarray(abs(basis[~inside]).sum(axis=0)).ravel()
+                       == 0] for basis in bases]
+    if bases is None or sum(b.shape[1] for b in bases) != inside.sum():
+        bases, symmetry = [sp.identity(op.n, format="csc")[:, inside]], \
+            NO_SYMMETRY
+    sigma_s, count, downgrade = math.inf, 0, None
+    for sector, basis in enumerate(bases):
+        b = shifted @ basis
+        half = b.conj().T @ b
+        # averaged with its adjoint, so exactly Hermitian
+        gram = 0.5 * (half + half.conj().T)
+        gram = replace(op, matrix=(gram.real if symmetry == C4_T
+                                   else gram).tocsr(), lattice=None)
+        del b, half
+        lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
+        if c or why:
+            lu, shift = _factor_shifted(gram, 0.0)[:2]
+            if lu is None:
+                raise ConvergenceError("norm-bound factorization failed "
+                                       "after jitters")
+        dtype = gram.matrix.dtype
+        opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
+        v0 = _start_vector(gram.n, seed, None if len(bases) == 1 else sector,
+                           dtype)
+        (w,) = spla.eigsh(gram.matrix, k=1, sigma=shift, which="LM", v0=v0,
+                          tol=0, OPinv=opinv, return_eigenvectors=False)
+        sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
+        count += c
+        downgrade = downgrade or why
+    return sigma_s, count, downgrade, symmetry
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +300,7 @@ class PerP:
         inst, window = self.inst, self.cfg.window
         lattice = inst["lattice"]
         interface = interface_set(lattice, inst["b"], inst["potential"],
-                                  window, self.sigma.cutoff)
+                                  window, self.cutoff)
         ring = lattice.grid(interface.mask)
         if not lattice.is_torus and (ring[[0, -1]].any()
                                      or ring[:, [0, -1]].any()):
@@ -266,30 +340,24 @@ class PerP:
             self.slice, self.interface, self.p, spec.max_intensity(),
             b_min=spec.min_intensity(), c_min=cfg.c_min, c_cap=cfg.c_cap)
 
-    def norm_bound_trials(self):
-        """Random compactly supported trials of the norm lower bound; the
-        trial envelopes, the same at every trial of this p, are taken once."""
-        cfg, p, inst, interface = self.cfg, self.p, self.inst, self.interface
-        lattice = inst["lattice"]
-        b_ref = cfg.field_spec.min_intensity()
+    def norm_bound(self):
+        """The norm lower bound at the window midpoint lam, certified over
+        the ``_bound_support`` sites S: with d = dist(lam, Sigma_S), the
+        count of singular values of (H - lam)|_S below max(d - C p^(-1/4),
+        0) (``norm_bound_certificate``)."""
+        cfg, p, inst = self.cfg, self.p, self.inst
+        support = _bound_support(self.interface, p,
+                                 cfg.field_spec.min_intensity())
         lam = 0.5 * (cfg.window[0] + cfg.window[1])
-        collar = omega_collar(lattice, interface, p)
-        sig_omega = sigma_region(inst["b"], inst["potential"], region=collar,
-                                 cutoff=self.sigma.cutoff)
-        envelopes = _trial_envelopes(lattice, interface, p, b_ref)
-        r = inst["op"].rank
-        gaps = []
-        for t in range(cfg.trials):
-            u = bandlimited_trial(lattice, interface, p, b_ref,
-                                  seed=cfg.seed * 100003 + 1009 * p + t,
-                                  envelopes=envelopes)
-            # the site trial lifted to the fiber as u (x) (1, ..., 1) / sqrt(r)
-            u = np.repeat(u, r) / np.sqrt(r)
-            res = norm_lower_bound_trial(inst["op"], interface.omega,
-                                         sig_omega, lam, u)
-            gaps.append(res.bound_gap)
-        return dict(p=p, max_gap=float(np.max(gaps)),
-                    mean_gap=float(np.mean(gaps)), d_lambda=res.distance)
+        d = dist_to_sigma(lam, sigma_region(inst["b"], inst["potential"],
+                                            region=support,
+                                            cutoff=self.cutoff))
+        threshold = max(d - NORM_BOUND_C * p ** -0.25, 0.0)
+        sigma_s, count, downgrade, symmetry = norm_bound_certificate(
+            inst["op"], support, lam, threshold, tol=cfg.tol, seed=cfg.seed)
+        return dict(p=p, sites=int(support.sum()), d_lambda=d,
+                    sigma_s=sigma_s, bound_gap=(d - sigma_s) * p ** 0.25,
+                    count=count, downgrade=downgrade, symmetry=symmetry)
 
     def sigma_entry(self):
         sigma = self.sigma
@@ -395,7 +463,7 @@ def _dip_checks(st, assertions):
                 mean_distance=rep.mean_distance)
 
 
-def _dip_sweep(cfg, per_p, trials, assertions):
+def _dip_sweep(cfg, per_p, bounds, assertions):
     """Interval clustering rate of the worst distance across p."""
     max_dists = [(e["p"], e["max_distance"]) for e in per_p]
     # distances numerically zero at every p: clustering holds outright and
@@ -443,8 +511,9 @@ def _bump_checks(st, assertions):
                 c_min=loc.c_min, c_cap=loc.c_cap)
 
 
-def _bump_sweep(cfg, per_p, trials, assertions):
-    """Decay rates doubling from p to 4p; norm bound uniform in p."""
+def _bump_sweep(cfg, per_p, bounds, assertions):
+    """Decay rates doubling from p to 4p; the norm bound certified at every
+    p of ``trials_p`` with the one constant C."""
     kappa_by_p = {e["p"]: e["kappa_median"] for e in per_p}
     stderr_by_p = {e["p"]: e["kappa_stderr_max"] for e in per_p}
     results = {"window": list(cfg.window),
@@ -464,14 +533,13 @@ def _bump_sweep(cfg, per_p, trials, assertions):
                 stderr_by_p[4 * p] / kappa_by_p[4 * p],
                 stderr_by_p[p] / kappa_by_p[p])
     if cfg.trials_p:
-        norm = results["norm_bound"] = [trials[p] for p in cfg.trials_p]
-        if len(norm) >= 2:
-            first, last = norm[0], norm[-1]
-            bound = 1.5 * first["max_gap"] + 0.1
-            assertions.check(
-                f"norm_bound_uniform_p{first['p']}_to_{last['p']}",
-                last["max_gap"] <= bound,
-                measured=last["max_gap"], threshold=bound)
+        norm = results["norm_bound"] = [bounds[p] for p in cfg.trials_p]
+        worst = max(e["bound_gap"] for e in norm)
+        certified = all(e["count"] == 0 and e["downgrade"] is None
+                        for e in norm)
+        assertions.check(f"norm_bound_p{norm[0]['p']}_to_p{norm[-1]['p']}",
+                         certified and worst <= NORM_BOUND_C,
+                         measured=worst, threshold=NORM_BOUND_C)
     return results
 
 
@@ -479,9 +547,9 @@ def _bump_sweep(cfg, per_p, trials, assertions):
 class Preset:
     limits: Callable          # cfg -> (solve window, level-union cutoff)
     checks: Callable          # (PerP, assertions) -> per-p summary entry
-    sweep: Callable | None = None  # (cfg, per_p, trials, assertions) -> dict
+    sweep: Callable | None = None  # (cfg, per_p, bounds, assertions) -> dict
     interface: bool = False    # builds the interface set of cfg.window
-    edge_states: bool = False  # localization tables and norm-bound trials
+    edge_states: bool = False  # localization tables and the norm bound
 
 
 PRESETS = {
@@ -494,9 +562,9 @@ PRESETS = {
 
 def _run_sweep(cfg, assertions):
     preset = PRESETS[cfg.experiment]
-    trial_ps = set(cfg.trials_p) if preset.edge_states else set()
-    per_p, sigma_entries, trials = [], [], {}
-    for p in sorted(set(cfg.p_list) | trial_ps):
+    bound_ps = set(cfg.trials_p) if preset.edge_states else set()
+    per_p, sigma_entries, bounds = [], [], {}
+    for p in sorted(set(cfg.p_list) | bound_ps):
         # stages run lazily, so rebinding frees the previous p's context
         # before this p does any work
         st = PerP(cfg, p)
@@ -507,12 +575,12 @@ def _run_sweep(cfg, assertions):
             else:
                 st.write_spectrum()
             sigma_entries.append(st.sigma_entry())
-        if p in trial_ps:
-            trials[p] = st.norm_bound_trials()
+        if p in bound_ps:
+            bounds[p] = st.norm_bound()
     del st
     results = {"per_p": per_p}
     if preset.sweep is not None:
-        results.update(preset.sweep(cfg, per_p, trials, assertions))
+        results.update(preset.sweep(cfg, per_p, bounds, assertions))
     write_sigma(cfg, sigma_entries)
     return results
 

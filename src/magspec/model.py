@@ -163,18 +163,6 @@ def interface_set(lattice, b, potential, window, cutoff):
                         lattice=lattice)
 
 
-def omega_collar(lattice, interface, p):
-    """Region {x : d(x, complement of the interface set) <= p^(-1/4)}.
-
-    This is the chart-center collar on which the norm lower bound is actually
-    proved; levels over it define the restricted spectral union.
-    """
-    if not interface.omega.any():
-        raise EmptyMaskError("interface complement is empty")
-    d_omega = distance_to_set(lattice, interface.omega)
-    return d_omega.values <= float(p) ** -0.25
-
-
 def dist_to_sigma(lam, sigma):
     """Distance from an energy to the merged interval union (0 if inside)."""
     return float(distances_to_sigma(np.array([lam]), sigma)[0])

@@ -1,16 +1,16 @@
-"""Clustering reports, weighted masses, decay fits, trial-vector bounds."""
+"""Clustering reports, weighted masses, decay fits, the norm-bound
+certificate."""
 
 import numpy as np
 import pytest
 
 from conftest import bump_rectangle_setup, torus_constant_setup
-from magspec import (FieldSpec, bandlimited_trial, boundary_filter,
-                     build_lattice, cluster_assign, decay_fit, dense_spectrum,
+from magspec import (FieldSpec, boundary_filter, build_lattice,
+                     cluster_assign, decay_fit, dense_spectrum, dist_to_sigma,
                      distance_to_set, gaussian_bump_potential, interface_set,
-                     mass_fraction_beyond, norm_lower_bound_trial,
-                     omega_collar, sample_field, scaling_exponent,
+                     mass_fraction_beyond, sample_field, scaling_exponent,
                      sigma_region, weighted_mass)
-from magspec.errors import InsufficientDataError, SupportError
+from magspec.errors import InsufficientDataError
 from magspec.model import SigmaUnion
 from magspec.solvers import SpectrumSlice
 
@@ -226,111 +226,134 @@ def _trial_setup(p, nx=64, half_width=2.6):
     links = gauge_links(edge_integrals(spec, lat, "symmetric"), p)
     H = assemble_H(lat, links, V, p)
     K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
-    collar = omega_collar(lat, K, p)
-    sig_omega = sigma_region(b, V, region=collar, cutoff=4.0)
-    return lat, H, K, sig_omega
+    return lat, b, V, H, K
 
 
 def test_trial_support_enforced():
-    lat, H, K, sig = _trial_setup(p=8, nx=32)
-    leak = np.ones(lat.n_sites, dtype=complex)
-    with pytest.raises(SupportError):
-        norm_lower_bound_trial(H, K.omega, sig, 1.5, leak)
-
-
-def test_norm_bound_trials_refuse_leaking_trial(tmp_path, monkeypatch):
-    # the pipeline's trial loop keeps the support check: one site of the
-    # interface set carrying 1e-12 of the mass is refused
-    import magspec.experiments as ex
-    from magspec.config import build_config
-    make = ex.bandlimited_trial
-
-    def leaking(lattice, interface, *args, **kwargs):
-        u = make(lattice, interface, *args, **kwargs)
-        u[np.flatnonzero(interface.mask)[0]] = 1e-6
-        return u
-
+    # the norm bound's trial space is the interface complement less the
+    # band within two magnetic lengths of the Dirichlet wall; the torus
+    # has no wall, so there it is the whole complement
+    from magspec.experiments import _bound_support
     p = 8
-    cfg = build_config({"experiment": "potential_bump", "p": [p],
-                        "trials": 2, "trials_p": [p], "out": str(tmp_path)})
-    monkeypatch.setattr(ex, "bandlimited_trial", leaking)
-    with pytest.raises(SupportError):
-        ex.PerP(cfg, p).norm_bound_trials()
+    lat, _, _, _, K = _trial_setup(p=p, nx=32)
+    near = lat.boundary_distance() <= 2.0 / np.sqrt(p)
+    support = _bound_support(K, p, 1.0)
+    assert near.any() and (K.omega & near).any() and support.any()
+    assert np.array_equal(support, K.omega & ~near)
+    lat = build_lattice("torus", 2 * np.pi, 2 * np.pi, 32, 32)
+    K = interface_set(lat, sample_field(FieldSpec.constant(1.0), lat),
+                      gaussian_bump_potential(lat, 1.0, 1.0), (1.3, 1.7),
+                      cutoff=4.0)
+    assert K.mask.any() and np.array_equal(_bound_support(K, p, 1.0),
+                                           K.omega)
 
 
-def test_norm_bound_trials_equal_per_trial_loop(tmp_path):
-    # the pipeline's loop shares the trial envelopes across trials; a loop
-    # that lets every trial take its own must give the same bits
+def _bump_state(tmp_path, p, **keys):
     from magspec.config import build_config
     from magspec.experiments import PerP
+    return PerP(build_config({"experiment": "potential_bump", "p": [p],
+                              "trials_p": [p], "out": str(tmp_path),
+                              **keys}), p)
+
+
+def test_norm_bound_certificate_matches_dense_svd(tmp_path):
+    # on a small instance the inertia count of G - t^2 is the number of
+    # dense singular values of (H - lam)[:, S] below t, for t below, between
+    # and above the smallest ones, and sigma_S is the smallest; S is
+    # rotation invariant (four real sector blocks), and without one site it
+    # is not (one complex block)
+    from magspec.experiments import _bound_support, norm_bound_certificate
+    p, lam = 4, 1.5
+    st = _bump_state(tmp_path, p, nx=32)
+    op = st.inst["op"]
+    invariant = _bound_support(st.interface, p, 1.0)
+    broken = invariant.copy()
+    broken[np.flatnonzero(invariant)[0]] = False
+    smallest = {}
+    for support, symmetry in ((invariant, "C4+T"), (broken, "none")):
+        dense = (op.matrix.toarray() - lam * np.eye(op.n))[:, support]
+        svals = np.linalg.svd(dense, compute_uv=False)[::-1]
+        smallest[symmetry] = svals[0]
+        distinct = np.unique(np.round(svals[:12], 6))
+        assert distinct.size >= 4
+        for t in np.r_[0.5 * distinct[0],
+                       0.5 * (distinct[:-1] + distinct[1:]),
+                       distinct[-1] + 0.01]:
+            sigma_s, count, downgrade, label = norm_bound_certificate(
+                op, support, lam, t)
+            assert downgrade is None and label == symmetry
+            assert count == np.sum(svals < t), t
+            assert abs(sigma_s - svals[0]) <= 1e-10
+    record = st.norm_bound()
+    assert record["symmetry"] == "C4+T" and record["count"] == 0
+    assert abs(record["sigma_s"] - smallest["C4+T"]) <= 1e-10
+
+
+def test_norm_bound_gate_fails_with_the_wall_band(tmp_path, monkeypatch):
+    # keeping the wall band in S lets the Dirichlet wall's edge states
+    # into the trial space: sigma_S falls below d, the count turns positive
+    # and the gate fails; so does a zero count that is not trusted
+    import magspec.experiments as ex
     p = 8
-    cfg = build_config({"experiment": "potential_bump", "p": [p],
-                        "trials": 7, "trials_p": [p], "seed": 3,
-                        "out": str(tmp_path)})
-    st = PerP(cfg, p)
-    got = st.norm_bound_trials()
-    lattice, op, K = st.inst["lattice"], st.inst["op"], st.interface
-    sig = sigma_region(st.inst["b"], st.inst["potential"],
-                       region=omega_collar(lattice, K, p),
-                       cutoff=st.sigma.cutoff)
-    lam = 0.5 * (cfg.window[0] + cfg.window[1])
-    gaps = []
-    for t in range(cfg.trials):
-        u = bandlimited_trial(lattice, K, p, cfg.field_spec.min_intensity(),
-                              seed=cfg.seed * 100003 + 1009 * p + t)
-        res = norm_lower_bound_trial(op, K.omega, sig, lam, u)
-        gaps.append(res.bound_gap)
-    want = dict(p=p, max_gap=float(np.max(gaps)),
-                mean_gap=float(np.mean(gaps)), d_lambda=res.distance)
-    assert [_bits(got[k]) for k in ("max_gap", "mean_gap", "d_lambda")] \
-        == [_bits(want[k]) for k in ("max_gap", "mean_gap", "d_lambda")]
-    assert got == want
+    st = _bump_state(tmp_path, p)
+    kept = st.norm_bound()
+    assert kept["count"] == 0 and kept["downgrade"] is None
+    monkeypatch.setattr(ex, "_bound_support",
+                        lambda interface, p, b_min: interface.omega)
+    walled = st.norm_bound()
+    assert walled["sites"] > kept["sites"]
+    assert walled["count"] > 0 and walled["sigma_s"] < walled["d_lambda"]
+    untrusted = dict(kept, downgrade="off-diagonal pivot")
+    for record, passed in ((kept, True), (walled, False), (untrusted, False)):
+        assertions = ex._Assertions()
+        ex._bump_sweep(st.cfg, [], {p: record}, assertions)
+        (item,) = assertions.items
+        assert item["name"] == f"norm_bound_p{p}_to_p{p}"
+        assert item["passed"] == passed
 
 
 def test_norm_bound_trials_run_at_fiber_rank_2(tmp_path):
-    # the site trial is lifted to the rank-2 fiber, so the run completes and
-    # writes its summary with a finite trial gap
+    # the trial space is lifted to the rank-2 fiber: the run writes its
+    # summary, and with V = bump (x) Id, H is two copies of the rank-1
+    # operator, so sigma_S is the rank-1 value
     import json
     from magspec.config import build_config
     from magspec.experiments import run_experiment
     cfg = build_config({"experiment": "potential_bump", "v_rank": 2,
-                        "p": [4], "trials": 3, "trials_p": [4],
-                        "out": str(tmp_path)})
+                        "p": [4], "trials_p": [4], "out": str(tmp_path)})
     run_experiment(cfg)
     summary = json.loads((tmp_path / "summary.json").read_text())
     (entry,) = summary["results"]["norm_bound"]
-    assert entry["p"] == 4 and np.isfinite(entry["max_gap"])
-
-
-def test_trial_bandlimited_vectors_valid():
-    lat, H, K, sig = _trial_setup(p=8, nx=48)
-    for seed in range(3):
-        u = bandlimited_trial(lat, K, 8, 1.0, seed=seed)
-        assert np.linalg.norm(u) == pytest.approx(1.0)
-        assert np.all(np.abs(u[~K.omega]) == 0.0)
-        out = norm_lower_bound_trial(H, K.omega, sig, 1.5, u)
-        assert out.ratio >= 0.0
-        # lower-bound direction: the gap stays below a modest constant
-        assert out.bound_gap <= out.distance * 8 ** 0.25
+    assert entry["p"] == 4 and np.isfinite(entry["sigma_s"])
+    assert entry["count"] == 0 and entry["downgrade"] is None
+    scalar = _bump_state(tmp_path / "rank1", 4).norm_bound()
+    assert entry["sites"] == scalar["sites"]
+    assert entry["sigma_s"] == pytest.approx(scalar["sigma_s"], rel=1e-9)
 
 
 def test_trial_coherent_state_ratio_shrinks_with_p():
     # lowest-level coherent state at the bump center, mollified into the
-    # complement, tested at its local level Lambda_0(0) = b + V(0) = 2.
-    # The center is only ~1.7 magnetic lengths deep at p = 8, so the ratio
-    # starts large and collapses as the state shrinks with p.
-    from magspec.analysis import _smoothstep
+    # norm bound's trial space, tested at its local level Lambda_0(0) =
+    # b + V(0) = 2.  The center is only ~1.7 magnetic lengths deep at
+    # p = 8, so the ratio starts large and collapses as the state shrinks
+    # with p; the certified minimum over the trial space stays below it.
+    from magspec.experiments import _bound_support, norm_bound_certificate
     ratios = {}
     for p, nx in ((8, 48), (16, 64), (32, 96), (64, 128)):
-        lat, H, K, sig = _trial_setup(p=p, nx=nx)
+        lat, b, V, H, K = _trial_setup(p=p, nx=nx)
+        support = _bound_support(K, p, 1.0)
         r2 = lat.positions[:, 0] ** 2 + lat.positions[:, 1] ** 2
         u = np.exp(-p * 1.0 * r2 / 4.0).astype(complex)
-        u *= _smoothstep(K.distance.values / (2.0 / np.sqrt(p)))
-        u[~K.omega] = 0.0
+        ramp = np.clip(K.distance.values / (2.0 / np.sqrt(p)), 0.0, 1.0)
+        u *= ramp * ramp * (3.0 - 2.0 * ramp)
+        u[~support] = 0.0
         u /= np.linalg.norm(u)
-        out = norm_lower_bound_trial(H, K.omega, sig, 2.0, u)
-        ratios[p] = out.ratio
-        assert out.distance == 0.0  # Lambda_0(0) lies in the collar union
+        ratios[p] = np.linalg.norm(H.matrix @ u - 2.0 * u)
+        # Lambda_0(0) lies in the union over the trial space
+        assert dist_to_sigma(2.0, sigma_region(b, V, region=support,
+                                               cutoff=4.0)) == 0.0
+        sigma_s, count, _, _ = norm_bound_certificate(H, support, 2.0, 0.0)
+        assert count == 0 and sigma_s <= ratios[p]
     seq = [ratios[p] for p in (8, 16, 32, 64)]
     assert all(a > b for a, b in zip(seq, seq[1:]))
     assert ratios[64] < 0.25

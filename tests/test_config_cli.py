@@ -6,7 +6,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,7 +201,7 @@ def test_cli_spectrum_solves_run_window(tmp_path, capsys):
 _SMALL = {
     "torus_constant": "p = 2\nnx = 16\n",
     "radial_dip": "p = 2, 4\nnx = 24\n",
-    "potential_bump": "p = 4\nnx = 32\ntrials_p = 4\ntrials = 5\n",
+    "potential_bump": "p = 4\nnx = 32\ntrials_p = 4\n",
 }
 
 
@@ -272,6 +275,21 @@ def test_every_public_name_has_a_src_caller():
         dead = unreached
     public = sorted(name for _, name in dead if not name.startswith("_"))
     assert public == sorted(TEST_REFERENCES)
+
+
+def test_import_loads_neither_ndimage_nor_special():
+    # every run's start-up pays for what the package imports; nothing in it
+    # needs scipy.ndimage, which also loads scipy.special
+    import magspec
+    code = ("import sys, magspec, magspec.experiments, magspec.cli; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(magspec.__file__).parents[1])]
+        + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_convergence_table(tmp_path, capsys):
@@ -372,8 +390,7 @@ _NO_POTENTIAL = {"kind": "none", "height": 1.0, "width": 1.0, "matrix": None,
                  "rank": 1, "path": None}
 _SETTINGS = {"window_margin": 0.05, "nx": None, "tol": None,
              "max_sites": 2_000_000, "seed": 0, "out_dir": "magspec_out",
-             "trials": 100, "trials_p": [], "c_min": None, "c_cap": 10.0,
-             "c1": 1}
+             "trials_p": [], "c_min": None, "c_cap": 10.0, "c1": 1}
 _PINNED = {
     "torus_constant": dict(
         _SETTINGS, experiment="torus_constant",
@@ -417,6 +434,9 @@ def test_shipped_config_pinned(name):
     ("experiment = torus_constant\nbogus line\n",
      "line 2: expected key = value, got 'bogus line'"),
     ("experiment = torus_constant\nfoo = 1\n", "line 2: unknown key 'foo'"),
+    # the random norm-bound trials and their count are gone
+    ("experiment = potential_bump\ntrials = 100\n",
+     "line 2: unknown key 'trials'"),
     ("experiment = torus_constant\np = 4\np = 8\n",
      "line 3: duplicate key 'p'"),
     ("experiment = torus_constant\nseed = 1.5\n",
@@ -545,4 +565,4 @@ def test_readme_names_exactly_the_config_keys():
     paragraph = next(block for block in readme.split("\n\n")
                      if block.startswith("Recognized keys:"))
     assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(_KEYS)
-    assert len(_KEYS) == 31
+    assert len(_KEYS) == 30

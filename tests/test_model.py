@@ -6,8 +6,8 @@ import pytest
 from conftest import brute_levels
 from magspec import (FieldSpec, build_lattice, constant_potential,
                      dist_to_sigma, find_gaps, gaussian_bump_potential,
-                     interface_set, landau_level, omega_collar, sample_field,
-                     sigma_region, zero_potential)
+                     interface_set, landau_level, sample_field, sigma_region,
+                     zero_potential)
 from magspec.errors import EmptyMaskError, EmptySetError, WindowError
 from magspec.fields import ScalarField
 from magspec.model import SigmaUnion, levels_in_window
@@ -198,15 +198,3 @@ def test_find_gaps_cases():
     points = SigmaUnion(intervals=[(1.0, 1.0, ()), (3.0, 3.0, ()),
                                    (5.0, 5.0, ())], branches=[], cutoff=5.0)
     assert find_gaps(points) == [(1.0, 3.0), (3.0, 5.0)]
-
-
-def test_omega_collar_contains_omega():
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 32, 32)
-    spec = FieldSpec.constant(1.0)
-    b = sample_field(spec, lat)
-    V = gaussian_bump_potential(lat, 1.0, 1.0)
-    K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
-    collar = omega_collar(lat, K, p=16)
-    assert np.all(collar[K.omega])
-    # the collar reaches into the interface set but distances stay small
-    assert collar.sum() > K.omega.sum()
