@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, SupportError
+from .errors import ConsistencyError, InsufficientDataError
 from .model import distances_to_sigma
 from .solvers import SpectrumSlice
 
@@ -26,7 +26,8 @@ def _site_amplitude_sq(vector, n_sites):
     """|u|^2 per site, summing fiber components for rank > 1 vectors."""
     u = np.asarray(vector)
     if u.size % n_sites != 0:
-        raise SupportError("vector length is not a multiple of the site count")
+        raise ConsistencyError(
+            "vector length is not a multiple of the site count")
     r = u.size // n_sites
     return np.abs(u.reshape(n_sites, r)) ** 2 @ np.ones(r)
 
@@ -153,7 +154,7 @@ def _shells(dist):
     return finite, shell, counts, centers
 
 
-def _shell_fit(amp2, shells, floor):
+def _shell_fit(amp2, shells):
     """The vector's half of ``decay_fit``, on the bins of ``_shells``."""
     finite, shell, counts, centers = shells
     if not counts.size:
@@ -162,7 +163,7 @@ def _shell_fit(amp2, shells, floor):
     ok = counts > 0
     rms = np.zeros(counts.size)
     rms[ok] = np.sqrt(sums[ok] / counts[ok])
-    usable = ok & (rms > floor)
+    usable = ok & (rms > DECAY_FLOOR)
     if usable.sum() < 4:
         raise InsufficientDataError(
             f"only {int(usable.sum())} usable shells above the floor; need 4")
@@ -171,17 +172,17 @@ def _shell_fit(amp2, shells, floor):
     return float(slope), float(np.sqrt(cov[0, 0])), int(usable.sum())
 
 
-def decay_fit(vector, dist, floor=DECAY_FLOOR):
+def decay_fit(vector, dist):
     """Least-squares slope of log(shell RMS of |u|) against shell distance.
 
-    Shells have width 2h; only shells whose RMS amplitude exceeds the floor
-    enter the fit, and at least four are required.  Returns (kappa, its
-    standard error, usable shells): kappa in units of inverse length
-    (negative for decaying profiles), the error from the fit's residual
-    scatter.
+    Shells have width 2h; only shells whose RMS amplitude exceeds
+    ``DECAY_FLOOR`` enter the fit, and at least four are required.  Returns
+    (kappa, its standard error, usable shells): kappa in units of inverse
+    length (negative for decaying profiles), the error from the fit's
+    residual scatter.
     """
     amp2 = _site_amplitude_sq(vector, dist.lattice.n_sites)
-    return _shell_fit(amp2, _shells(dist), floor)
+    return _shell_fit(amp2, _shells(dist))
 
 
 def scaling_exponent(points):
@@ -254,12 +255,13 @@ class LocalizationReport:
     p: int
 
 
-def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
-                        c_min=None, c_cap=10.0):
+def localization_report(sl, interface, p, b_max, b_min=None, c_min=None,
+                        c_cap=10.0):
     """Per-eigenpair weighted-mass and decay diagnostics against the set.
 
-    c_star is the largest grid rate whose weighted mass stays below the cap;
-    the mass grid starts at 0 where it is exactly 1, so c_star always exists.
+    c_star is the largest rate of the grid of 25 from 0 to 6 c_min whose
+    weighted mass stays below the cap; the grid starts at 0 where the mass is
+    exactly 1, so c_star always exists.
     Each pair's column is read once, into one |u|^2 that the wall fraction
     (as ``boundary_filter``), the weighted masses, the decay fit and the
     far-mass fraction share; the masks and shell bins are taken once.
@@ -269,8 +271,7 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
         b_min = b_max
     if c_min is None:
         c_min = 0.2 * np.sqrt(b_min)
-    if c_grid is None:
-        c_grid = np.linspace(0.0, 6.0 * c_min, 25)
+    c_grid = np.linspace(0.0, 6.0 * c_min, 25)
     rates = np.append(c_grid, c_min)
     if np.any(rates < 0):
         raise ValueError("decay rate c must be nonnegative")
@@ -288,7 +289,7 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
         admissible = np.flatnonzero(w <= c_cap)
         c_star = float(c_grid[admissible[-1]]) if admissible.size else 0.0
         try:
-            kappa, stderr, n_shells = _shell_fit(amp2, shells, DECAY_FLOOR)
+            kappa, stderr, n_shells = _shell_fit(amp2, shells)
         except InsufficientDataError:
             kappa, stderr, n_shells = float("nan"), float("nan"), None
         entries.append(LocalizationEntry(
@@ -297,5 +298,5 @@ def localization_report(sl, interface, p, b_max, b_min=None, c_grid=None,
             shells=n_shells, boundary_fraction=float(wall_fraction),
             far_mass_fraction=float(amp2[far].sum() / total),
             artifact=bool(wall_fraction > WALL_ARTIFACT)))
-    return LocalizationReport(entries=entries, c_grid=np.asarray(c_grid),
+    return LocalizationReport(entries=entries, c_grid=c_grid,
                               c_min=float(c_min), c_cap=float(c_cap), p=int(p))

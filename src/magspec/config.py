@@ -264,7 +264,7 @@ def validate_config(cfg):
             f"max_sites = {cfg.max_sites}; raise max_sites or reduce p")
 
 
-def interface_radius(cfg, r_max=None, samples=4001):
+def interface_radius(cfg):
     """Outermost radius where some local level meets the window (radial data).
 
     Applies the interface set's level test (``model.levels_in_window``) to
@@ -282,16 +282,15 @@ def interface_radius(cfg, r_max=None, samples=4001):
         raise ConfigError("auto-sizing needs a radial potential; give an "
                           "explicit extent for potential = file")
     width = spec.radial_profile()[2]
-    if r_max is None:
-        r_max = 8.0 * max(width, pot.width, 1.0)
-    r = np.linspace(0.0, r_max, samples)
+    r_max = 8.0 * max(width, pot.width, 1.0)
+    r = np.linspace(0.0, r_max, 4001)
     b = spec.intensity(r, np.zeros_like(r))
-    v = np.zeros((samples, 1))
+    v = np.zeros((r.size, 1))
     if pot.kind == "bump":
         v[:, 0] = pot.height * gaussian(r, 0.0, pot.width)
     elif pot.kind == "const":
         m = np.reshape(pot.matrix, (pot.rank, pot.rank))
-        v = np.broadcast_to(np.linalg.eigvalsh(m), (samples, pot.rank))
+        v = np.broadcast_to(np.linalg.eigvalsh(m), (r.size, pot.rank))
     hit = levels_in_window(b, v, cfg.window)
     if hit[-1]:
         raise ConfigError(f"window {cfg.window} meets a local level at the "

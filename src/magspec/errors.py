@@ -49,10 +49,6 @@ class WindowError(MagspecError, ValueError):
     """Empty or out-of-range energy window."""
 
 
-class SupportError(MagspecError, ValueError):
-    """Trial vector leaks outside its declared support mask."""
-
-
 class InsufficientDataError(MagspecError, ValueError):
     """Not enough usable samples (e.g. decay shells) for a fit."""
 

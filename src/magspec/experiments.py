@@ -4,33 +4,32 @@ Each tensor power p runs the same stages, held by a lazy ``PerP`` context
 that is dropped before the next p: ``build_instance``; the level union
 (``sigma_region``) and, where the preset uses one, the interface set of the
 configured window; the window solve; the preset's diagnostics (cluster
-report, wall filter, localization report, the certified norm lower bound
-for p in ``trials_p``).  A preset (``PRESETS``) adds only a ``*_limits``
-function, the single copy of its solve window and level-union cutoff, and
-assertion functions over the per-p results and across p.
-``run_experiment`` runs every stage and writes tables, eigenvector dumps,
-``sigma.json`` and a ``summary.json`` of pass/fail assertions, flushing
-tables per p so a failed run keeps its finished artifacts; the CLI's
-``spectrum``, ``model-sigma`` and ``localization`` select stages and
-outputs of the same context.
+report, wall filter, localization report, and for p in ``trials_p`` the norm
+lower bound, whose S, lam, d and threshold are chosen here and certified by
+``solvers``, the layer of every factorization and Krylov solve).  A preset
+(``PRESETS``) adds only a ``*_limits`` function, the single copy of its
+solve window and level-union cutoff, and assertion functions over the per-p
+results and across p.  ``run_experiment`` runs every stage and writes
+tables, eigenvector dumps, ``sigma.json`` and a ``summary.json`` of
+pass/fail assertions, flushing tables per p so a failed run keeps its
+finished artifacts; the CLI's ``spectrum``, ``model-sigma`` and
+``localization`` select stages and outputs of the same context.
 """
 
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .analysis import (boundary_filter, cluster_assign, localization_report,
                        scaling_exponent)
 from .config import plan_geometry
-from .errors import ConfigError, ConvergenceError, MagspecError
+from .errors import ConfigError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
@@ -38,9 +37,8 @@ from .lattice import TORUS, build_lattice
 from .model import (dist_to_sigma, distances_to_sigma, find_gaps,
                     interface_set, sigma_region)
 from .operators import assemble_H, gershgorin_interval
-from .solvers import (C4_T, CERTIFIED, NO_SYMMETRY, _factor_shifted,
-                      _rotation_sectors, _start_vector, default_tol,
-                      window_eigs, write_slice)
+from .solvers import (CERTIFIED, norm_bound_certificate, window_eigs,
+                      write_slice)
 
 # distance floor: measured cluster distances below this are numerical zero
 DISTANCE_FLOOR = 1e-12
@@ -105,65 +103,6 @@ def _bound_support(interface, p, b_min):
     Dirichlet wall (the torus has no wall)."""
     wall = interface.lattice.boundary_distance() <= 2.0 / np.sqrt(p * b_min)
     return interface.omega & ~wall
-
-
-def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
-    """The smallest singular value sigma_S of H - lam on the vectors
-    supported in the site mask ``support``, certified against ``threshold``.
-
-    With B = (H - lam)[:, S (x) C^r], sigma_S = min ||(H - lam) u|| / ||u||
-    over u supported in S is sqrt(lambda_min(G)), G = B^H B.  One factor of
-    G - threshold^2 gives the inertia (Sylvester): ``count`` singular values
-    lie below ``threshold``, trusted unless ``downgrade`` says why not.  At a
-    trusted count 0 the same factor drives a one-pair shift-invert solve,
-    whose eigenvalue is sigma_S^2; otherwise the solve runs on a second
-    factor at 0, where G's nearest eigenvalue is its smallest.
-
-    When ``window_eigs`` would solve H by rotation sectors (``tol`` sets the
-    same guard) and S is invariant under the quarter turn, each sector
-    column lies wholly inside S or wholly outside it, and the columns inside
-    span the vectors supported in S.  G is then block diagonal in them: each
-    sector's block, real in a T-fixed basis, is counted and solved alone,
-    the counts add up and sigma_S is the smallest sector minimum.  Else G is
-    one block.  Only the start vectors depend on ``seed``.  Returns
-    (sigma_S, count, downgrade, symmetry).
-    """
-    inside = np.repeat(support, op.rank)
-    shifted = op.matrix - lam * sp.identity(op.n, dtype=op.matrix.dtype,
-                                            format="csr")
-    bases, symmetry, _ = _rotation_sectors(
-        op, default_tol(op) if tol is None else tol)
-    if bases is not None:
-        bases = [basis[:, np.asarray(abs(basis[~inside]).sum(axis=0)).ravel()
-                       == 0] for basis in bases]
-    if bases is None or sum(b.shape[1] for b in bases) != inside.sum():
-        bases, symmetry = [sp.identity(op.n, format="csc")[:, inside]], \
-            NO_SYMMETRY
-    sigma_s, count, downgrade = math.inf, 0, None
-    for sector, basis in enumerate(bases):
-        b = shifted @ basis
-        half = b.conj().T @ b
-        # averaged with its adjoint, so exactly Hermitian
-        gram = 0.5 * (half + half.conj().T)
-        gram = replace(op, matrix=(gram.real if symmetry == C4_T
-                                   else gram).tocsr(), lattice=None)
-        del b, half
-        lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
-        if c or why:
-            lu, shift = _factor_shifted(gram, 0.0)[:2]
-            if lu is None:
-                raise ConvergenceError("norm-bound factorization failed "
-                                       "after jitters")
-        dtype = gram.matrix.dtype
-        opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
-        v0 = _start_vector(gram.n, seed, None if len(bases) == 1 else sector,
-                           dtype)
-        (w,) = spla.eigsh(gram.matrix, k=1, sigma=shift, which="LM", v0=v0,
-                          tol=0, OPinv=opinv, return_eigenvectors=False)
-        sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
-        count += c
-        downgrade = downgrade or why
-    return sigma_s, count, downgrade, symmetry
 
 
 # ----------------------------------------------------------------------

@@ -314,14 +314,14 @@ class GaugeLinks:
         return np.exp(1j * self.phases)
 
 
-def gauge_links(ints, p, rel_tol=1e-6):
+def gauge_links(ints, p):
     """Peierls links u(e) = exp(-i p * edge integral)."""
     p = int(p)
     if p < 1:
         raise InvalidSpecError("tensor power p must be >= 1")
     if ints.lattice.is_torus:
         ratio = p * ints.total_flux / (2.0 * np.pi)
-        if abs(ratio - round(ratio)) > rel_tol * max(1.0, abs(ratio)):
+        if abs(ratio - round(ratio)) > 1e-6 * max(1.0, abs(ratio)):
             raise BundleInconsistencyError(
                 f"p * total flux / 2pi = {ratio:.9g} is not an integer; links "
                 f"cannot close into a bundle at p = {p}")

@@ -207,11 +207,11 @@ class Lattice:
         """Reshape per-site values to the (site_ny, site_nx) grid."""
         return np.asarray(site_values).reshape(self.site_ny, self.site_nx)
 
-    def boundary_distance(self, positions=None):
+    def boundary_distance(self):
         """Euclidean distance to the Dirichlet wall; +inf on the torus."""
         if self.is_torus:
             return np.full(self.n_sites, np.inf)
-        pos = self.positions if positions is None else positions
+        pos = self.positions
         dx = self.extent_x / 2 - np.abs(pos[:, 0])
         dy = self.extent_y / 2 - np.abs(pos[:, 1])
         return np.minimum(dx, dy)

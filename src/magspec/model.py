@@ -79,7 +79,7 @@ def _merge(branch_intervals, cutoff):
     return merged
 
 
-def sigma_region(b, potential, region=None, cutoff=None):
+def sigma_region(b, potential, region=None, *, cutoff):
     """Union of local levels over a site region (2D, single invariant b).
 
     Per connected component and per branch (k, mu) the continuous image of a
@@ -87,8 +87,6 @@ def sigma_region(b, potential, region=None, cutoff=None):
     sampled values; overlapping branches merge.
     """
     lattice = b.lattice
-    if cutoff is None:
-        raise InvalidSpecError("cutoff energy is required")
     if region is None:
         region = np.ones(lattice.n_sites, dtype=bool)
     region = np.asarray(region, dtype=bool)

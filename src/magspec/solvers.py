@@ -1,4 +1,4 @@
-"""Eigensolvers: a dense oracle and certified interior windows.
+"""Eigensolvers: a dense oracle, certified windows, the norm-bound certificate.
 
 All returned residuals are recomputed from the matrix, never trusted from
 the solver.  Interior windows are solved by shift-invert Krylov iteration at
@@ -141,7 +141,7 @@ def default_tol(op):
     return 1e-8 * max(1.0, abs(lo), abs(hi))
 
 
-def _start_vector(n, seed, sector=None, dtype=complex):
+def _start_vector(n, seed, sector, dtype):
     entropy = _SEED_BASE + int(seed)
     rng = np.random.default_rng(entropy if sector is None
                                 else [entropy, sector])
@@ -211,12 +211,12 @@ def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
                          certificate=certificate, tol=tol)
 
 
-def _factor_shifted(op, sigma, attempts=3):
+def _factor_shifted(op, sigma):
     """One factor of H - sigma, for its inertia and for shift-invert solves.
 
     SuperLU symmetric mode, MMD_AT_PLUS_A ordering, diagonal pivots: the
     signs of the real U diagonal give the inertia (Sylvester).  A singular
-    factorization jitters the shift, up to ``attempts`` tries.  Returns (lu
+    factorization jitters the shift, up to three tries.  Returns (lu
     or None, shift used, negative pivots, None or why the count is untrusted).
 
     The diagonal is read from a full copy of ``lu.U``: scipy's ``SuperLU``
@@ -226,7 +226,7 @@ def _factor_shifted(op, sigma, attempts=3):
     """
     n = op.n
     shift = float(sigma)
-    for attempt in range(attempts):
+    for attempt in range(3):
         mat = (op.matrix - shift * sp.identity(n, dtype=op.matrix.dtype,
                                                format="csr")).tocsc()
         try:
@@ -248,7 +248,7 @@ def _factor_shifted(op, sigma, attempts=3):
     return None, shift, 0, "jitter retries exhausted"
 
 
-def count_below(op, sigma, attempts=3):
+def count_below(op, sigma):
     """Number of eigenvalues strictly below sigma, via inertia.
 
     Reads the signs off the same factor of H - sigma that shift-invert
@@ -256,7 +256,7 @@ def count_below(op, sigma, attempts=3):
     when the count is trustworthy, else why it is not ("off-diagonal pivot",
     "complex diagonal" or "jitter retries exhausted").
     """
-    return _factor_shifted(op, sigma, attempts)[2:]
+    return _factor_shifted(op, sigma)[2:]
 
 
 def dense_spectrum(op):
@@ -319,13 +319,8 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
     """The window solve of op on the range of ``basis`` (None: the whole
     space), from a start vector seeded from (seed, sector); ``real`` keeps
     the real part of a block whose basis is T-fixed."""
-    block = op
-    if basis is not None:
-        half = basis.conj().T @ (op.matrix @ basis)
-        # averaged with its adjoint, so exactly Hermitian
-        matrix = 0.5 * (half + half.conj().T)
-        block = replace(op, matrix=(matrix.real if real else matrix).tocsr(),
-                        lattice=None)
+    block = op if basis is None \
+        else _hermitian_block(op, basis, real, op.matrix @ basis)
     c_lo, why_lo = 0, None
     if not open_below:
         c_lo, why_lo = count_below(block, alpha)
@@ -341,36 +336,24 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
 
     k = min(16 if expected is None else expected, block.n - 2)
     lu, shift, c_mid, why_mid = _factor_shifted(block, 0.5 * (alpha + beta))
-    if lu is None:
-        raise ConvergenceError(
-            f"factorization failed at shift {shift:.6g} after jitters")
-    dtype = block.matrix.dtype
-    opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
-    v0 = _start_vector(block.n, seed, sector, dtype)
+
+    def finish(values, vectors, window=None):
+        out = _finish(op, basis, values, vectors, HEURISTIC, tol, window)
+        out.krylov_k, out.growth_rounds = k, rounds
+        return out
 
     rounds = 0
     while True:
-        try:
-            w, u = spla.eigsh(block.matrix, k=k, sigma=shift, which="LM",
-                              v0=v0, maxiter=maxiter, tol=0, OPinv=opinv)
-        except spla.ArpackNoConvergence as exc:
-            partial = None
-            if exc.eigenvalues is not None and exc.eigenvalues.size:
-                partial = _finish(op, basis, exc.eigenvalues,
-                                  exc.eigenvectors, HEURISTIC, tol)
-                partial.krylov_k, partial.growth_rounds = k, rounds
-            raise ConvergenceError("window iteration did not converge",
-                                   partial=partial) from exc
+        w, u = _shift_invert(block, lu, shift, k, seed, sector, maxiter,
+                             finish)
         got = int(np.sum((w >= alpha) & (w <= beta)))
-        if expected is not None and got < expected and k < block.n - 2:
-            k = min(2 * k + 8, block.n - 2)
-            rounds += 1
-            continue
-        break
-    del lu, opinv  # free the factor before the residuals below
+        if expected is None or got >= expected or k >= block.n - 2:
+            break
+        k = min(2 * k + 8, block.n - 2)
+        rounds += 1
+    del lu  # free the factor before the residuals below
 
-    out = _finish(op, basis, w, u, HEURISTIC, tol, (alpha, beta))
-    out.krylov_k, out.growth_rounds = k, rounds
+    out = finish(w, u, (alpha, beta))
     bad = out.residuals > tol
     if bad.any():
         raise ConvergenceError(
@@ -385,6 +368,84 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
     out.downgrade = downgrade
     out.certificate = HEURISTIC if downgrade else CERTIFIED
     return out
+
+
+def _hermitian_block(op, left, real, right=None):
+    """left^H right (None: left) averaged with its adjoint, so exactly
+    Hermitian, as a lattice-free op; ``real`` keeps the real part."""
+    half = left.conj().T @ (left if right is None else right)
+    matrix = 0.5 * (half + half.conj().T)
+    return replace(op, matrix=(matrix.real if real else matrix).tocsr(),
+                   lattice=None)
+
+
+def _shift_invert(block, lu, shift, k, seed, sector, maxiter=None,
+                  partial=None):
+    """The k eigenvalues of ``block`` nearest ``shift`` (tol=0) on the factor
+    ``lu`` of block - shift (None is refused), from the start vector seeded
+    from (seed, sector).  With ``partial`` also the eigenvectors, and the
+    ConvergenceError of ARPACK's failure carries ``partial(values, vectors)``
+    of the converged pairs."""
+    if lu is None:
+        raise ConvergenceError(
+            f"factorization failed at shift {shift:.6g} after jitters")
+    dtype = block.matrix.dtype
+    opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
+    v0 = _start_vector(block.n, seed, sector, dtype)
+    try:
+        return spla.eigsh(block.matrix, k=k, sigma=shift, which="LM", v0=v0,
+                          maxiter=maxiter, tol=0, OPinv=opinv,
+                          return_eigenvectors=partial is not None)
+    except spla.ArpackNoConvergence as exc:
+        got = partial(exc.eigenvalues, exc.eigenvectors) \
+            if partial is not None and exc.eigenvalues.size else None
+        raise ConvergenceError(f"shift-invert iteration did not converge at "
+                               f"shift {shift:.6g}", partial=got) from exc
+
+
+def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
+    """The smallest singular value sigma_S of H - lam on the vectors
+    supported in the site mask ``support``, certified against ``threshold``.
+
+    With B = (H - lam)[:, S (x) C^r], sigma_S = min ||(H - lam) u|| / ||u||
+    over u supported in S is sqrt(lambda_min(G)), G = B^H B.  One factor of
+    G - threshold^2 gives the inertia (Sylvester): ``count`` singular values
+    lie below ``threshold``, trusted unless ``downgrade`` says why not.  At a
+    trusted count 0 the same factor drives a one-pair shift-invert solve,
+    whose eigenvalue is sigma_S^2; otherwise the solve runs on a second
+    factor at 0, where G's nearest eigenvalue is its smallest.
+
+    On the rotation sectors that ``window_eigs`` takes at ``tol``, when S is
+    invariant under the quarter turn, each sector column lies wholly inside
+    S or wholly outside it, and the columns inside span the vectors
+    supported in S.  G is then block diagonal in them: each block, real in a
+    T-fixed basis, is counted and solved alone, the counts add up and
+    sigma_S is the smallest block minimum; else G is one block.  Returns
+    (sigma_S, count, downgrade, symmetry); only start vectors use ``seed``.
+    """
+    inside = np.repeat(support, op.rank)
+    shifted = op.matrix - lam * sp.identity(op.n, dtype=op.matrix.dtype,
+                                            format="csr")
+    bases, symmetry, _ = _rotation_sectors(
+        op, default_tol(op) if tol is None else tol)
+    if bases is not None:
+        bases = [basis[:, np.asarray(abs(basis[~inside]).sum(axis=0)).ravel()
+                       == 0] for basis in bases]
+    if bases is None or sum(b.shape[1] for b in bases) != inside.sum():
+        bases, symmetry = [sp.identity(op.n, format="csc")[:, inside]], \
+            NO_SYMMETRY
+    sigma_s, count, downgrade = np.inf, 0, None
+    for sector, basis in enumerate(bases):
+        gram = _hermitian_block(op, shifted @ basis, symmetry == C4_T)
+        lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
+        if c or why:
+            lu, shift = _factor_shifted(gram, 0.0)[:2]
+        (w,) = _shift_invert(gram, lu, shift, 1, seed,
+                             None if len(bases) == 1 else sector)
+        sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
+        count += c
+        downgrade = downgrade or why
+    return sigma_s, count, downgrade, symmetry
 
 
 def _merge(op, parts, tol, symmetry, defect):

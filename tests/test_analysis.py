@@ -10,7 +10,7 @@ from magspec import (FieldSpec, boundary_filter, build_lattice,
                      distance_to_set, gaussian_bump_potential, interface_set,
                      mass_fraction_beyond, sample_field, scaling_exponent,
                      sigma_region, weighted_mass)
-from magspec.errors import InsufficientDataError
+from magspec.errors import ConsistencyError, InsufficientDataError
 from magspec.model import SigmaUnion
 from magspec.solvers import SpectrumSlice
 
@@ -70,6 +70,15 @@ def test_weighted_mass_basics():
 
     with pytest.raises(ValueError):
         weighted_mass(u, d, -0.1, 16)
+
+
+def test_vector_length_off_the_site_count_is_refused():
+    lat, d = _point_distance_field(nx=16, extent=4.0)
+    u = np.ones(lat.n_sites + 1)
+    with pytest.raises(ConsistencyError):
+        weighted_mass(u, d, 0.5, 4)
+    with pytest.raises(ConsistencyError):
+        decay_fit(u, d)
 
 
 def test_weighted_mass_overflow_safe():
@@ -262,7 +271,8 @@ def test_norm_bound_certificate_matches_dense_svd(tmp_path):
     # and above the smallest ones, and sigma_S is the smallest; S is
     # rotation invariant (four real sector blocks), and without one site it
     # is not (one complex block)
-    from magspec.experiments import _bound_support, norm_bound_certificate
+    from magspec.experiments import _bound_support
+    from magspec.solvers import norm_bound_certificate
     p, lam = 4, 1.5
     st = _bump_state(tmp_path, p, nx=32)
     op = st.inst["op"]
@@ -312,6 +322,29 @@ def test_norm_bound_gate_fails_with_the_wall_band(tmp_path, monkeypatch):
         assert item["passed"] == passed
 
 
+def test_norm_bound_non_convergence_is_recorded(tmp_path, monkeypatch):
+    # ARPACK failing in the certificate's eigenvalue-only solve is a
+    # recorded ConvergenceError, not a traceback: the run writes its summary
+    import json
+    import scipy.sparse.linalg as spla
+    from magspec.config import build_config
+    from magspec.experiments import run_experiment
+    original = spla.eigsh
+
+    def failing(*args, **kwargs):
+        if kwargs.get("return_eigenvectors", True) is False:
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                           np.empty((args[0].shape[0], 0)))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", failing)
+    cfg = build_config({"experiment": "potential_bump", "p": [4],
+                        "trials_p": [4], "nx": 32, "out": str(tmp_path)})
+    assert run_experiment(cfg).exit_code == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["error"].startswith("ConvergenceError")
+
+
 def test_norm_bound_trials_run_at_fiber_rank_2(tmp_path):
     # the trial space is lifted to the rank-2 fiber: the run writes its
     # summary, and with V = bump (x) Id, H is two copies of the rank-1
@@ -337,7 +370,8 @@ def test_trial_coherent_state_ratio_shrinks_with_p():
     # b + V(0) = 2.  The center is only ~1.7 magnetic lengths deep at
     # p = 8, so the ratio starts large and collapses as the state shrinks
     # with p; the certified minimum over the trial space stays below it.
-    from magspec.experiments import _bound_support, norm_bound_certificate
+    from magspec.experiments import _bound_support
+    from magspec.solvers import norm_bound_certificate
     ratios = {}
     for p, nx in ((8, 48), (16, 64), (32, 96), (64, 128)):
         lat, b, V, H, K = _trial_setup(p=p, nx=nx)

@@ -227,13 +227,18 @@ def test_views_write_what_run_writes(tmp_path, capsys, preset):
     assert table(view / "spectrum.csv") == table(tmp_path / "run" / ran)
 
 
-def test_cli_imports_no_private_experiments_name():
-    tree = ast.parse((Path(__file__).parents[1] / "src" / "magspec"
-                      / "cli.py").read_text(encoding="utf-8"))
-    private = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)
-               and node.module in ("experiments", "magspec.experiments")
-               for alias in node.names if alias.name.startswith("_")]
+def test_no_module_imports_a_private_name():
+    # a module's private names are its own: no module of the package
+    # imports one from another, by relative or by absolute import
+    private = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "magspec")
+                       .glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private += [f"{path.stem}: {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith(
+                        "magspec"))
+                    for alias in node.names if alias.name.startswith("_")]
     assert private == []
 
 

@@ -238,8 +238,8 @@ def test_midpoint_count_mismatch_downgrades(monkeypatch):
     midpoint = 0.5 * (window[0] + window[1])
     original = solvers._factor_shifted
 
-    def wrong_midpoint_count(op, sigma, attempts=3):
-        lu, shift, count, downgrade = original(op, sigma, attempts)
+    def wrong_midpoint_count(op, sigma):
+        lu, shift, count, downgrade = original(op, sigma)
         return lu, shift, count + (sigma == midpoint), downgrade
 
     monkeypatch.setattr(solvers, "_factor_shifted", wrong_midpoint_count)
@@ -299,8 +299,8 @@ def test_window_untrusted_count_starts_from_16(eigsh_spy, monkeypatch):
     H, window = _torus_cluster_window()
     original = solvers._factor_shifted
 
-    def untrusted_at_beta(op, sigma, attempts=3):
-        lu, shift, count, downgrade = original(op, sigma, attempts)
+    def untrusted_at_beta(op, sigma):
+        lu, shift, count, downgrade = original(op, sigma)
         if sigma == window[1]:
             downgrade = "off-diagonal pivot"
         return lu, shift, count, downgrade
