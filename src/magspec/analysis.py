@@ -255,20 +255,17 @@ class LocalizationReport:
     p: int
 
 
-def localization_report(sl, interface, p, b_max, b_min=None, c_min=None,
-                        c_cap=10.0):
+def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
     """Per-eigenpair weighted-mass and decay diagnostics against the set.
 
-    c_star is the largest rate of the grid of 25 from 0 to 6 c_min whose
-    weighted mass stays below the cap; the grid starts at 0 where the mass is
-    exactly 1, so c_star always exists.
+    c_star is the largest rate of the grid of 25 from 0 to 6 c_min (None:
+    0.2 sqrt(b_min)) whose weighted mass stays below the cap ``c_cap``; the
+    grid starts at 0 where the mass is exactly 1, so c_star always exists.
     Each pair's column is read once, into one |u|^2 that the wall fraction
     (as ``boundary_filter``), the weighted masses, the decay fit and the
     far-mass fraction share; the masks and shell bins are taken once.
     """
     lat = interface.lattice
-    if b_min is None:
-        b_min = b_max
     if c_min is None:
         c_min = 0.2 * np.sqrt(b_min)
     c_grid = np.linspace(0.0, 6.0 * c_min, 25)

@@ -9,7 +9,8 @@ Subcommands (all but gauge-check select stages and outputs of run):
     convergence  run, plus a table of clustering distances / decay rates
 
 Common flags: --config PATH (required), --out DIR, --p LIST, --window A,B,
---seed N, --threads N, --dry-run.
+--seed N, --threads N, --dry-run.  --out, --p, --window and --seed override
+the config keys of their names, in the file's syntax.
 """
 
 import argparse
@@ -50,7 +51,7 @@ def build_parser():
         cmd.add_argument("--out", help="output directory override")
         cmd.add_argument("--p", help="comma-separated tensor powers override")
         cmd.add_argument("--window", help="energy window override: A,B")
-        cmd.add_argument("--seed", type=int, help="seed override")
+        cmd.add_argument("--seed", help="seed override")
         cmd.add_argument("--threads", type=int, help="worker thread cap")
         cmd.add_argument("--dry-run", action="store_true",
                          help="print the plan; no solves")
@@ -58,29 +59,15 @@ def build_parser():
 
 
 def _load_config(args):
-    from dataclasses import replace
-
-    from .config import parse_config, validate_config
+    from .config import parse_config
     from .errors import ConfigError
 
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    cfg = parse_config(path.read_text(encoding="utf-8"))
-    updates = {}
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.p:
-        updates["p_list"] = [int(s) for s in args.p.split(",") if s]
-    if args.window:
-        a, b = (float(s) for s in args.window.split(","))
-        updates["window"] = (a, b)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        cfg = replace(cfg, **updates)
-        validate_config(cfg)
-    return cfg
+    overrides = {key: value for key in ("out", "p", "window", "seed")
+                 if (value := getattr(args, key)) is not None}
+    return parse_config(path.read_text(encoding="utf-8"), overrides)
 
 
 def _print_assertions(summary):
@@ -110,19 +97,10 @@ def _cmd_run(cfg, args):
     return result.exit_code
 
 
-def _views(cfg, *stale):
-    """Per-p contexts of the run pipeline; the view's stale tables go first."""
-    from .experiments import PerP
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in stale:
-        (out / name).unlink(missing_ok=True)
-    return (PerP(cfg, p) for p in cfg.p_list)
-
-
 def _cmd_spectrum(cfg, args):
-    for st in _views(cfg, "spectrum.csv"):
+    from .experiments import pipeline
+
+    for st in pipeline(cfg, "spectrum"):
         st.write_spectrum()
         print(f"p={st.p}: {len(st.slice)} pairs ({st.slice.certificate}), "
               f"N={st.inst['op'].n}")
@@ -131,10 +109,10 @@ def _cmd_spectrum(cfg, args):
 
 
 def _cmd_model_sigma(cfg, args):
-    from .experiments import write_sigma
+    from .experiments import pipeline, write_sigma
 
     entries = []
-    for st in _views(cfg):
+    for st in pipeline(cfg, "model-sigma"):
         entries.append(st.sigma_entry())
         print(f"p={st.p}: {len(entries[-1]['intervals'])} intervals, "
               f"{len(entries[-1]['gaps'])} gaps")
@@ -144,7 +122,7 @@ def _cmd_model_sigma(cfg, args):
 
 
 def _cmd_localization(cfg, args):
-    from .experiments import PRESETS
+    from .experiments import PRESETS, pipeline
     from .solvers import read_slice
 
     if not PRESETS[cfg.experiment].edge_states:
@@ -152,7 +130,7 @@ def _cmd_localization(cfg, args):
               file=sys.stderr)
         return 2
     wrote = 0
-    for st in _views(cfg, "localization.csv"):
+    for st in pipeline(cfg, "localization"):
         if not st.dump.exists():
             print(f"p={st.p}: no dump {st.dump}, skipping", file=sys.stderr)
             continue

@@ -6,10 +6,11 @@ organizational; keys form one flat namespace), ``key = value`` lines, and
 
 - ``_KEYS`` lists every key with its value parser; unknown keys are
   rejected by name, and syntax and value errors carry line numbers.
-- A config is the preset's values, then the file's keys, layered over the
-  defaults of ``ExperimentConfig``, of the ``FieldSpec`` constructors and
-  of ``PotentialSpec``.  A preset names its field and potential kind,
-  so the field and ``v_*`` keys override its parameters.
+- A config is the preset's values, then the file's keys, then the CLI's
+  overrides of keys, layered over the defaults of ``ExperimentConfig``, of
+  the ``FieldSpec`` constructors and of ``PotentialSpec``.  A preset names
+  its field and potential kind, so the field and ``v_*`` keys override its
+  parameters.
 - Sizing finds the interface radius with ``model.levels_in_window``, the
   level test that builds the lattice interface set.
 
@@ -165,8 +166,10 @@ _POTENTIAL_KEYS = {
 }
 
 
-def parse_config(text):
-    """Parse and validate a config file body into an ExperimentConfig."""
+def parse_config(text, overrides=None):
+    """Parse and validate a config file body into an ExperimentConfig;
+    ``overrides`` (key -> value in the file's syntax, from the CLI flag
+    ``--key``) replace the file's values, and their errors name the flag."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -182,14 +185,20 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            raw[key] = _KEYS[key](value)
-        except ConfigError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: cannot parse {key} = "
-                              f"{value!r}") from exc
+        raw[key] = _parse(key, value, f"line {lineno}")
+    for key, value in (overrides or {}).items():
+        raw[key] = _parse(key, value, f"--{key}")
     return build_config(raw)
+
+
+def _parse(key, value, where):
+    """``value`` by the parser of ``key``; an error names ``where``."""
+    try:
+        return _KEYS[key](value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"{where}: cannot parse {key} = {value!r}") from exc
 
 
 def build_config(raw):

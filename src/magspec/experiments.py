@@ -13,7 +13,8 @@ results and across p.  ``run_experiment`` runs every stage and writes
 tables, eigenvector dumps, ``sigma.json`` and a ``summary.json`` of
 pass/fail assertions, flushing tables per p so a failed run keeps its
 finished artifacts; the CLI's ``spectrum``, ``model-sigma`` and
-``localization`` select stages and outputs of the same context.
+``localization`` select stages and outputs of the same context.  Each
+writer first removes the files it replaces (``_REPLACES``).
 """
 
 import csv
@@ -36,7 +37,7 @@ from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
 from .lattice import TORUS, build_lattice
 from .model import (dist_to_sigma, distances_to_sigma, find_gaps,
                     interface_set, sigma_region)
-from .operators import assemble_H, gershgorin_interval
+from .operators import assemble_H
 from .solvers import (CERTIFIED, norm_bound_certificate, window_eigs,
                       write_slice)
 
@@ -165,6 +166,16 @@ def _branch_of(lam, sigma):
 _SPECTRUM_HEADER = ["experiment", "p", "h", "seed", "index", "lambda",
                     "residual", "dist_to_sigma", "branch_k", "branch_mu"]
 
+_DUMP = "eigs_p{}.bsev"
+# the files that run, or the CLI view of that name, writes; they go first,
+# so none of an earlier run outlives a re-run, a failed one included
+# (summary.json and convergence.csv are always written)
+_REPLACES = {"run": ("spectrum.csv", "gap_states.csv", "localization.csv",
+                     "sigma.json", _DUMP.format("*")),
+             "spectrum": ("spectrum.csv", _DUMP.format("*")),
+             "model-sigma": ("sigma.json",),
+             "localization": ("localization.csv",)}
+
 
 def write_sigma(cfg, entries):
     """sigma.json: one level-union entry per p."""
@@ -212,7 +223,7 @@ class PerP:
         self.preset = PRESETS[cfg.experiment]
         self.solve_window, self.cutoff = self.preset.limits(cfg)
         self.out = Path(cfg.out_dir)
-        self.dump = self.out / f"eigs_p{p}.bsev"
+        self.dump = self.out / _DUMP.format(p)
 
     @cached_property
     def inst(self):
@@ -249,13 +260,8 @@ class PerP:
 
     @cached_property
     def slice(self):
-        """Certified window solve; an open lower end starts just below the
-        Gershgorin bound."""
-        lo, hi = self.solve_window
-        op = self.inst["op"]
-        if lo is None:
-            lo = gershgorin_interval(op)[0] - 1e-6
-        return window_eigs(op, (lo, hi), tol=self.cfg.tol, seed=self.cfg.seed)
+        return window_eigs(self.inst["op"], self.solve_window,
+                           tol=self.cfg.tol, seed=self.cfg.seed)
 
     @cached_property
     def filtered(self):
@@ -499,14 +505,26 @@ PRESETS = {
 }
 
 
+def pipeline(cfg, writer, ps=None):
+    """Per-p contexts of the run pipeline at ``ps`` (None: the p list), once
+    cfg's output directory, made if missing, holds none of the files that
+    ``writer`` replaces."""
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for pattern in _REPLACES.get(writer, ()):
+        for path in out.glob(pattern):
+            path.unlink()
+    return (PerP(cfg, p) for p in (cfg.p_list if ps is None else ps))
+
+
 def _run_sweep(cfg, assertions):
     preset = PRESETS[cfg.experiment]
     bound_ps = set(cfg.trials_p) if preset.edge_states else set()
     per_p, sigma_entries, bounds = [], [], {}
-    for p in sorted(set(cfg.p_list) | bound_ps):
-        # stages run lazily, so rebinding frees the previous p's context
-        # before this p does any work
-        st = PerP(cfg, p)
+    # stages run lazily, so rebinding frees the previous p's context before
+    # the next p does any work
+    for st in pipeline(cfg, "run", sorted(set(cfg.p_list) | bound_ps)):
+        p = st.p
         if p in cfg.p_list:
             per_p.append(preset.checks(st, assertions))
             if preset.edge_states:
@@ -536,16 +554,12 @@ def run_experiment(cfg, dry_run=False):
     written even when a solver fails mid-sweep.
     """
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if dry_run:
+        out.mkdir(parents=True, exist_ok=True)
         summary = {"experiment": cfg.experiment, "dry_run": True,
                    "plans": plan_report(cfg)}
         _dump_json(out / "summary.json", summary)
         return ExperimentResult(summary=summary, out_dir=out, exit_code=0)
-
-    # stale tables from previous runs must not survive a re-run
-    for name in ("spectrum.csv", "gap_states.csv", "localization.csv"):
-        (out / name).unlink(missing_ok=True)
 
     assertions = _Assertions()
     summary = {"experiment": cfg.experiment, "seed": cfg.seed,

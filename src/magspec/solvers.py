@@ -107,6 +107,7 @@ C4_DEFECT_FRACTION = 1e-6
 
 BSEV_MAGIC = b"BSEV"
 BSEV_VERSION = 1
+_BSEV = struct.Struct("<4sIQQ")  # header: magic, version, dimension, count
 
 _SEED_BASE = 0xB05E
 
@@ -268,12 +269,13 @@ def dense_spectrum(op):
     return _finish(op, None, w, u, CERTIFIED)
 
 
-def window_eigs(op, window, tol=None, seed=0, maxiter=None):
+def window_eigs(op, window, tol=None, seed=0):
     """All eigenpairs inside [alpha, beta] by shift-invert at the midpoint.
 
-    Each block of the module docstring is solved alone.  Inertia counts at
-    the two endpoints determine how many eigenvalues the block's window must
-    hold (at an alpha below the Gershgorin bound of H, zero without a
+    An open lower end, alpha = None, is 1e-6 below the Gershgorin bound of
+    H.  Each block of the module docstring is solved alone.  Inertia counts
+    at the two endpoints determine how many eigenvalues the block's window
+    must hold (at an alpha below the Gershgorin bound, zero without a
     factorization).  The Krylov solve asks for exactly that many pairs, with
     no buffer: every eigenvalue inside the window is nearer the midpoint
     shift than any outside it, so the count names the wanted pairs, and a
@@ -289,7 +291,9 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     a ``ConvergenceError`` holds the blocks solved so far and the failing
     block's partial pairs.
     """
-    alpha, beta = float(window[0]), float(window[1])
+    lowest = gershgorin_interval(op)[0]
+    alpha = lowest - 1e-6 if window[0] is None else float(window[0])
+    beta = float(window[1])
     if not alpha < beta:
         raise WindowError(f"window [{alpha}, {beta}] is empty")
     if tol is None:
@@ -298,13 +302,13 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     bases, symmetry, defect = _rotation_sectors(op, tol)
     blocks = [(None, None)] if bases is None else enumerate(bases)
     # no block eigenvalue lies below the Gershgorin bound of H
-    open_below = alpha < gershgorin_interval(op)[0]
+    open_below = alpha < lowest
     parts = []
     try:
         for sector, basis in blocks:
             parts.append((basis, _block_solve(
                 op, basis, symmetry == C4_T, sector, alpha, beta, open_below,
-                tol, seed, maxiter)))
+                tol, seed)))
     except ConvergenceError as exc:
         if exc.partial is not None:
             parts.append((basis, exc.partial))
@@ -314,8 +318,7 @@ def window_eigs(op, window, tol=None, seed=0, maxiter=None):
     return _merge(op, parts, tol, symmetry, defect)
 
 
-def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
-                 maxiter):
+def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
     """The window solve of op on the range of ``basis`` (None: the whole
     space), from a start vector seeded from (seed, sector); ``real`` keeps
     the real part of a block whose basis is T-fixed."""
@@ -344,8 +347,7 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed,
 
     rounds = 0
     while True:
-        w, u = _shift_invert(block, lu, shift, k, seed, sector, maxiter,
-                             finish)
+        w, u = _shift_invert(block, lu, shift, k, seed, sector, finish)
         got = int(np.sum((w >= alpha) & (w <= beta)))
         if expected is None or got >= expected or k >= block.n - 2:
             break
@@ -379,8 +381,7 @@ def _hermitian_block(op, left, real, right=None):
                    lattice=None)
 
 
-def _shift_invert(block, lu, shift, k, seed, sector, maxiter=None,
-                  partial=None):
+def _shift_invert(block, lu, shift, k, seed, sector, partial=None):
     """The k eigenvalues of ``block`` nearest ``shift`` (tol=0) on the factor
     ``lu`` of block - shift (None is refused), from the start vector seeded
     from (seed, sector).  With ``partial`` also the eigenvectors, and the
@@ -394,7 +395,7 @@ def _shift_invert(block, lu, shift, k, seed, sector, maxiter=None,
     v0 = _start_vector(block.n, seed, sector, dtype)
     try:
         return spla.eigsh(block.matrix, k=k, sigma=shift, which="LM", v0=v0,
-                          maxiter=maxiter, tol=0, OPinv=opinv,
+                          tol=0, OPinv=opinv,
                           return_eigenvectors=partial is not None)
     except spla.ArpackNoConvergence as exc:
         got = partial(exc.eigenvalues, exc.eigenvectors) \
@@ -582,8 +583,8 @@ def write_slice(sl, path):
     """Binary eigenvector dump: a header, then per pair its value and
     residual (``<dd``) and its vector as little-endian complex128."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQQ", BSEV_MAGIC, BSEV_VERSION,
-                             sl.vectors.shape[0], len(sl)))
+        fh.write(_BSEV.pack(BSEV_MAGIC, BSEV_VERSION, sl.vectors.shape[0],
+                            len(sl)))
         for i in range(len(sl)):
             fh.write(struct.pack("<dd", sl.values[i], sl.residuals[i]))
             fh.write(np.ascontiguousarray(sl.vectors[:, i], dtype="<c16"))
@@ -596,11 +597,11 @@ def read_slice(path):
     last pair, is refused.
     """
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) < 24:
+        header = fh.read(_BSEV.size)
+        if len(header) < _BSEV.size:
             raise WindowError(f"eigenvector dump {path} is truncated in its "
-                              f"header ({len(header)} of 24 bytes)")
-        magic, version, n, count = struct.unpack("<4sIQQ", header)
+                              f"header ({len(header)} of {_BSEV.size} bytes)")
+        magic, version, n, count = _BSEV.unpack(header)
         if magic != BSEV_MAGIC:
             raise WindowError(f"bad magic {magic!r} in eigenvector dump")
         if version != BSEV_VERSION:

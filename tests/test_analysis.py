@@ -181,7 +181,8 @@ def test_localization_report_masses_equal_scalar_reference():
     vecs /= np.linalg.norm(vecs, axis=0)
     sl = SpectrumSlice(values=np.zeros(3), vectors=vecs,
                        residuals=np.zeros(3), certificate="heuristic")
-    rep = localization_report(sl, K, 8, 1.0, c_min=0.3)
+    rep = localization_report(sl, K, 8, 1.0, b_min=1.0, c_min=0.3,
+                              c_cap=10.0)
     filt = boundary_filter(sl, lat, 8, 1.0)
     for i, e in enumerate(rep.entries):
         scalar = [weighted_mass(vecs[:, i], K.distance, c, 8)
@@ -415,7 +416,8 @@ def test_localization_report_edge_states():
     from magspec import window_eigs, localization_report
     K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
     sl = window_eigs(H, (1.35, 1.65))
-    rep = localization_report(sl, K, 16, 1.0)
+    rep = localization_report(sl, K, 16, 1.0, b_min=1.0, c_min=None,
+                              c_cap=10.0)
     assert len(rep.entries) == len(sl)
     genuine = [e for e in rep.entries if not e.artifact]
     assert genuine, "expected at least one non-artifact gap state"

@@ -326,6 +326,54 @@ def test_cli_overrides(tmp_path, capsys):
     assert summary["plans"][0]["p"] == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "8,x"), ("--window", "1.3"), ("--seed", "x")])
+def test_cli_malformed_override_names_the_flag(tmp_path, capsys, flag,
+                                               value):
+    # an override is parsed as the same key in the file would be, and its
+    # error names the flag where the file's names the line
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\n"
+                     f"out = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg, flag, value, "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("writer", ["run", "spectrum"])
+def test_rewrite_leaves_no_stale_dump(tmp_path, capsys, writer):
+    # a dump of a p the latest run did not solve, for another window, must
+    # not be read back as current
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 4, 8\n"
+                     f"trials_p = 4\nout = {tmp_path}/out\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg]) == 0
+    assert (out / "eigs_p8.bsev").exists()
+    window = ["--window", "1.3,1.65"]
+    assert main([writer, "--config", cfg, "--p", "4", *window]) == 0
+    assert [path.name for path in out.glob("*.bsev")] == ["eigs_p4.bsev"]
+    capsys.readouterr()
+    assert main(["localization", "--config", cfg, *window]) == 0
+    assert f"p=8: no dump {out / 'eigs_p8.bsev'}" in capsys.readouterr().err
+    with open(out / "localization.csv", newline="") as fh:
+        assert {row["p"] for row in csv.DictReader(fh)} == {"4"}
+    assert (out / "eigs_p4.bsev").exists()  # the view keeps the dumps
+
+
+def test_failed_run_leaves_no_stale_sigma(tmp_path, capsys):
+    # a run that fails before it writes sigma.json leaves none, not the
+    # level unions of the run before it
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 4\nnx = 32\n"
+                     f"trials_p = 4\nout = {out}\n")
+    assert main(["run", "--config", cfg]) == 0
+    assert (out / "sigma.json").exists()
+    walled = _write_cfg(tmp_path, "experiment = potential_bump\np = 4\n"
+                        f"extent = 2.0\nout = {out}\n", name="walled.cfg")
+    assert main(["run", "--config", walled]) == 1
+    assert "meets the Dirichlet wall" in capsys.readouterr().out
+    assert not (out / "sigma.json").exists()
+
+
 def test_failed_assertions_nonzero_exit_with_partial_results(tmp_path, capsys):
     # deliberately under-resolved torus: the cluster count cannot come out
     # right, the run must fail while still writing its artifacts

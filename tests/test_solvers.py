@@ -14,8 +14,9 @@ from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
                       lowest_window, op_from_dense, torus_constant_setup)
 from magspec import (FieldSpec, PotentialField, assemble_H, build_lattice,
                      constant_potential, count_below, dense_spectrum,
-                     edge_integrals, gauge_links, read_slice, trivial_links,
-                     window_eigs, write_slice, zero_potential)
+                     edge_integrals, gauge_links, gershgorin_interval,
+                     read_slice, trivial_links, window_eigs, write_slice,
+                     zero_potential)
 from magspec import solvers
 from magspec.errors import ConvergenceError, DenseSizeError, WindowError
 from magspec.solvers import C4, C4_T, CERTIFIED, HEURISTIC, NO_SYMMETRY
@@ -180,10 +181,19 @@ def test_chunked_residuals_match_the_one_shot_norm(order):
             assert np.array_equal(got, expect)
 
 
-def test_convergence_error_carries_partial():
+@pytest.fixture
+def one_arpack_iteration(monkeypatch):
+    """ARPACK's real eigsh stopped after one iteration, so it fails with
+    the partial pairs converged by then."""
+    original = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda *args, **kwargs: original(
+        *args, **kwargs, maxiter=1))
+
+
+def test_convergence_error_carries_partial(one_arpack_iteration):
     lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
     with pytest.raises(ConvergenceError) as info:
-        window_eigs(H, lowest_window(H, 40)[0], maxiter=1)
+        window_eigs(H, lowest_window(H, 40)[0])
     partial = info.value.partial
     assert partial is not None and 1 <= len(partial) <= 39
     assert partial.certificate == HEURISTIC
@@ -229,6 +239,25 @@ def test_window_one_factorization_per_shift(splu_calls, lower,
     assert len(sl) == 4
     assert sl.certificate == CERTIFIED and sl.downgrade is None
     _assert_symmetric_mode_factors(splu_calls, factorizations)
+
+
+@pytest.mark.parametrize("setup, m, factorizations", [
+    (torus_constant_setup, 4, 2),                       # the whole space
+    (lambda: dip_rectangle_setup(nx=34, p=8), 10, 8),   # four real sectors
+], ids=["torus", "dip_sectors"])
+def test_open_lower_end_starts_below_gershgorin(splu_calls, setup, m,
+                                                factorizations):
+    # alpha = None is the window from 1e-6 below the Gershgorin bound, with
+    # no count there: each block factors at beta and the midpoint only
+    H = setup()[-1]
+    beta = lowest_window(H, m)[0][1]
+    splu_calls.clear()
+    open_end = window_eigs(H, (None, beta))
+    _assert_symmetric_mode_factors(splu_calls, factorizations)
+    closed = window_eigs(H, (gershgorin_interval(H)[0] - 1e-6, beta))
+    assert len(open_end) == m and open_end.certificate == CERTIFIED
+    for name in ("values", "vectors", "residuals"):
+        assert np.array_equal(getattr(open_end, name), getattr(closed, name))
 
 
 def test_midpoint_count_mismatch_downgrades(monkeypatch):
@@ -547,10 +576,10 @@ def test_asymmetric_operator_keeps_the_full_solve(case, splu_calls,
         assert np.array_equal(getattr(sl, name), getattr(full, name))
 
 
-def test_sector_convergence_error_carries_full_partial():
+def test_sector_convergence_error_carries_full_partial(one_arpack_iteration):
     H = dip_rectangle_setup(nx=34, p=8)[-1]
     with pytest.raises(ConvergenceError) as info:
-        window_eigs(H, lowest_window(H, 40)[0], maxiter=1)
+        window_eigs(H, lowest_window(H, 40)[0])
     partial = info.value.partial
     assert partial is not None and 1 <= len(partial) <= 39
     assert partial.vectors.shape == (H.n, len(partial))
