@@ -223,7 +223,7 @@ def boundary_filter(sl, lattice, p, b_max):
     near = _wall_band(lattice, p, b_max)
     fractions = np.empty(k)
     for i in range(k):
-        amp2 = _site_amplitude_sq(sl.vectors[:, i], lattice.n_sites)
+        amp2 = _site_amplitude_sq(sl.column(i), lattice.n_sites)
         fractions[i] = amp2[near].sum() / amp2.sum()
     mask = fractions > WALL_ARTIFACT
     return FilteredSlice(kept=sl.select(np.flatnonzero(~mask)),
@@ -278,7 +278,7 @@ def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
     shells = _shells(dist)
     entries = []
     for i in range(len(sl)):
-        amp2 = _site_amplitude_sq(sl.vectors[:, i], lat.n_sites)
+        amp2 = _site_amplitude_sq(sl.column(i), lat.n_sites)
         total = amp2.sum()
         wall_fraction = amp2[near].sum() / total
         masses = _weighted_masses(amp2, dist.values, rates, p)

@@ -6,7 +6,6 @@ Subcommands (all but gauge-check select stages and outputs of run):
     model-sigma  run's level unions, gaps and interface sets (sigma.json)
     localization run's localization.csv from stored eigenvector dumps
     gauge-check  gauge-invariance suite on a reduced instance
-    convergence  run, plus a table of clustering distances / decay rates
 
 Common flags: --config PATH (required), --out DIR, --p LIST, --window A,B,
 --seed N, --threads N, --dry-run.  --out, --p, --window and --seed override
@@ -44,8 +43,7 @@ def build_parser():
             ("spectrum", "assemble and solve; write spectrum.csv"),
             ("model-sigma", "level unions, gaps, interface sets only"),
             ("localization", "analyze stored eigenvector dumps"),
-            ("gauge-check", "gauge invariance suite"),
-            ("convergence", "p-sweep scaling table")]:
+            ("gauge-check", "gauge invariance suite")]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="config file path")
         cmd.add_argument("--out", help="output directory override")
@@ -135,8 +133,8 @@ def _cmd_localization(cfg, args):
             print(f"p={st.p}: no dump {st.dump}, skipping", file=sys.stderr)
             continue
         st.slice = read_slice(st.dump)
-        if st.slice.vectors.shape[0] != st.inst["op"].n:
-            print(f"p={st.p}: dump dimension {len(st.slice.vectors)} does "
+        if st.slice.dim != st.inst["op"].n:
+            print(f"p={st.p}: dump dimension {st.slice.dim} does "
                   f"not match the lattice ({st.inst['op'].n})",
                   file=sys.stderr)
             return 2
@@ -184,29 +182,12 @@ def _cmd_gauge_check(cfg, args):
     return 0 if ok else 1
 
 
-def _cmd_convergence(cfg, args):
-    from .experiments import run_experiment, write_convergence
-
-    result = run_experiment(cfg)
-    summary = result.summary
-    write_convergence(cfg, summary)
-    for entry in summary.get("results", {}).get("per_p", []):
-        print(f"p={entry['p']}: "
-              + "  ".join(f"{k}={v}" for k, v in entry.items() if k != "p"))
-    exponent = summary.get("results", {}).get("clustering_exponent")
-    if exponent is not None:
-        print(f"clustering exponent: {exponent:.4f}")
-    _print_assertions(summary)
-    return result.exit_code
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "spectrum": _cmd_spectrum,
     "model-sigma": _cmd_model_sigma,
     "localization": _cmd_localization,
     "gauge-check": _cmd_gauge_check,
-    "convergence": _cmd_convergence,
 }
 
 

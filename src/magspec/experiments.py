@@ -169,7 +169,7 @@ _SPECTRUM_HEADER = ["experiment", "p", "h", "seed", "index", "lambda",
 _DUMP = "eigs_p{}.bsev"
 # the files that run, or the CLI view of that name, writes; they go first,
 # so none of an earlier run outlives a re-run, a failed one included
-# (summary.json and convergence.csv are always written)
+# (summary.json is always written)
 _REPLACES = {"run": ("spectrum.csv", "gap_states.csv", "localization.csv",
                      "sigma.json", _DUMP.format("*")),
              "spectrum": ("spectrum.csv", _DUMP.format("*")),
@@ -181,16 +181,6 @@ def write_sigma(cfg, entries):
     """sigma.json: one level-union entry per p."""
     _dump_json(Path(cfg.out_dir) / "sigma.json",
                {"experiment": cfg.experiment, "entries": entries})
-
-
-def write_convergence(cfg, summary):
-    """convergence.csv: per p of a finished run, distance and decay rate."""
-    rows = [[cfg.experiment, e["p"], cfg.seed, e.get("max_distance", ""),
-             e.get("kappa_median", "")]
-            for e in summary.get("results", {}).get("per_p", [])]
-    _write_csv(Path(cfg.out_dir) / "convergence.csv",
-               ["experiment", "p", "seed", "max_distance", "kappa_median"],
-               rows)
 
 
 class _Assertions:

@@ -29,12 +29,13 @@ counts, certificate and growth loop; sector m's start vector is seeded from
 slice: it sorts them, orthonormalizes degenerate clusters in block space
 and computes every residual on the full H from the pairs mapped by B_m;
 the residual check and the midpoint count check then read those full-H
-residuals.  The slice keeps the block-space vectors.  Blocks merge by
-mapping each block's vectors straight into its ascending columns of one
-column-major N x k array.  One cluster QR is enough: the B_m are
-isometries with mutually orthogonal ranges, so vectors orthonormal within
-a block stay orthonormal after mapping, and orthogonal to every other
-block's.
+residuals.  Blocks merge by sorting their pairs only: every vector stays
+in its block's coordinates, beside the block's isometry, and
+``SpectrumSlice.column`` maps one pair at a time, so no N x k array is
+made (a sector's real vectors take 1/8 of its complex lattice columns).
+One cluster QR is enough: the B_m are isometries with mutually orthogonal
+ranges, so vectors orthonormal within a block stay orthonormal after
+mapping, and orthogonal to every other block's.
 
 A sector matrix is real symmetric when H also commutes with the
 antiunitary T = conj S, S the index permutation of the diagonal reflection
@@ -114,12 +115,20 @@ _SEED_BASE = 0xB05E
 
 @dataclass
 class SpectrumSlice:
-    """Eigenpairs sorted ascending with a completeness certificate."""
+    """Eigenpairs sorted ascending with a completeness certificate.
+
+    The vectors stay in the coordinates of the blocks they were solved in;
+    ``column(i)`` maps pair i to the lattice.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray          # (n, k) column-major, columns unit norm
     residuals: np.ndarray
     certificate: str
+    # per block (isometry onto its range, or None for the whole space; its
+    # pairs' block-space vectors as columns, unit norm)
+    blocks: list
+    block: np.ndarray | None = None  # each pair's block (None: all in 0)
+    index: np.ndarray | None = None  # its column there (None: the pair's)
     tol: float = 0.0
     downgrade: str | None = None  # why the certificate is only heuristic
     krylov_k: int | None = None   # pairs the final Krylov solve asked for
@@ -127,14 +136,32 @@ class SpectrumSlice:
     symmetry: str = NO_SYMMETRY   # C4 or C4+T when solved by rotation sector
     symmetry_defect: float | None = None  # None without a quarter turn
 
+    def __post_init__(self):
+        if self.block is None:
+            self.block = np.zeros(self.values.size, dtype=np.intp)
+            self.index = np.arange(self.values.size)
+
     def __len__(self):
         return self.values.size
 
+    @property
+    def dim(self):
+        """Length of a lattice vector."""
+        basis, vectors = self.blocks[0]
+        return (vectors if basis is None else basis).shape[0]
+
+    def column(self, i):
+        """Pair i's vector on the lattice, ``basis @ v`` from its block."""
+        basis, vectors = self.blocks[self.block[i]]
+        v = vectors[:, self.index[i]]
+        return v if basis is None else basis @ v
+
     def select(self, keep):
+        """The pairs ``keep``, sharing this slice's block vectors."""
         keep = np.asarray(keep)
         return replace(self, values=self.values[keep],
-                       vectors=self.vectors[:, keep],
-                       residuals=self.residuals[keep])
+                       residuals=self.residuals[keep],
+                       block=self.block[keep], index=self.index[keep])
 
 
 def default_tol(op):
@@ -207,9 +234,10 @@ def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
         order = order[(ascending >= window[0]) & (ascending <= window[1])]
     values = values[order]
     vectors = _orthonormalize_clusters(values, np.asarray(vectors)[:, order])
-    return SpectrumSlice(values=values, vectors=vectors,
+    return SpectrumSlice(values=values,
                          residuals=_residuals(op, values, vectors, basis),
-                         certificate=certificate, tol=tol)
+                         certificate=certificate, blocks=[(basis, vectors)],
+                         tol=tol)
 
 
 def _factor_shifted(op, sigma):
@@ -306,16 +334,14 @@ def window_eigs(op, window, tol=None, seed=0):
     parts = []
     try:
         for sector, basis in blocks:
-            parts.append((basis, _block_solve(
-                op, basis, symmetry == C4_T, sector, alpha, beta, open_below,
-                tol, seed)))
+            parts.append(_block_solve(op, basis, symmetry == C4_T, sector,
+                                      alpha, beta, open_below, tol, seed))
     except ConvergenceError as exc:
         if exc.partial is not None:
-            parts.append((basis, exc.partial))
-        exc.partial = _merge(op, parts, tol, symmetry, defect) \
-            if parts else None
+            parts.append(exc.partial)
+        exc.partial = _merge(parts, symmetry, defect) if parts else None
         raise
-    return _merge(op, parts, tol, symmetry, defect)
+    return _merge(parts, symmetry, defect)
 
 
 def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
@@ -332,9 +358,9 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
     expected = c_hi - c_lo if downgrade is None else None
 
     if expected == 0:
-        return SpectrumSlice(values=np.empty(0),
-                             vectors=np.empty((block.n, 0)),
-                             residuals=np.empty(0), certificate=CERTIFIED,
+        return SpectrumSlice(values=np.empty(0), residuals=np.empty(0),
+                             certificate=CERTIFIED,
+                             blocks=[(basis, np.empty((block.n, 0)))],
                              tol=tol, krylov_k=0)
 
     k = min(16 if expected is None else expected, block.n - 2)
@@ -449,34 +475,29 @@ def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
     return sigma_s, count, downgrade, symmetry
 
 
-def _merge(op, parts, tol, symmetry, defect):
-    """One slice of op from its blocks' (basis, slice) pairs.
+def _merge(parts, symmetry, defect):
+    """One slice from the slices of its blocks, one block each.
 
-    The whole space is one block and stays as it is.  Sector blocks map
-    their vectors by their bases straight into their ascending columns of
-    one column-major N x k array.
+    A lone block stays as it is.  Otherwise the pairs are sorted and each
+    keeps its block's vectors: no lattice-sized array is made here.
     """
-    basis, out = parts[0]
-    if basis is not None:
-        slices = [sl for _, sl in parts]
-        values = np.concatenate([sl.values for sl in slices])
+    out = parts[0]
+    if len(parts) > 1:
+        values = np.concatenate([sl.values for sl in parts])
         order = np.argsort(values)
-        position = np.empty_like(order)
-        position[order] = np.arange(order.size)
         out = SpectrumSlice(
             values=values[order],
-            vectors=np.empty((op.n, values.size), dtype=complex, order="F"),
-            residuals=np.concatenate([sl.residuals for sl in slices])[order],
+            residuals=np.concatenate([sl.residuals for sl in parts])[order],
             certificate=CERTIFIED if all(sl.certificate == CERTIFIED
-                                         for sl in slices) else HEURISTIC,
-            tol=tol, downgrade=next(
-                (sl.downgrade for sl in slices if sl.downgrade), None),
-            krylov_k=sum(sl.krylov_k for sl in slices),
-            growth_rounds=sum(sl.growth_rounds for sl in slices))
-        at = 0
-        for basis, sl in parts:
-            out.vectors[:, position[at:at + len(sl)]] = basis @ sl.vectors
-            at += len(sl)
+                                         for sl in parts) else HEURISTIC,
+            blocks=[sl.blocks[0] for sl in parts],
+            block=np.repeat(np.arange(len(parts)),
+                            [len(sl) for sl in parts])[order],
+            index=np.concatenate([sl.index for sl in parts])[order],
+            tol=out.tol, downgrade=next(
+                (sl.downgrade for sl in parts if sl.downgrade), None),
+            krylov_k=sum(sl.krylov_k for sl in parts),
+            growth_rounds=sum(sl.growth_rounds for sl in parts))
     out.symmetry, out.symmetry_defect = symmetry, defect
     return out
 
@@ -583,11 +604,10 @@ def write_slice(sl, path):
     """Binary eigenvector dump: a header, then per pair its value and
     residual (``<dd``) and its vector as little-endian complex128."""
     with open(path, "wb") as fh:
-        fh.write(_BSEV.pack(BSEV_MAGIC, BSEV_VERSION, sl.vectors.shape[0],
-                            len(sl)))
+        fh.write(_BSEV.pack(BSEV_MAGIC, BSEV_VERSION, sl.dim, len(sl)))
         for i in range(len(sl)):
             fh.write(struct.pack("<dd", sl.values[i], sl.residuals[i]))
-            fh.write(np.ascontiguousarray(sl.vectors[:, i], dtype="<c16"))
+            fh.write(np.ascontiguousarray(sl.column(i), dtype="<c16"))
 
 
 def read_slice(path):
@@ -617,6 +637,6 @@ def read_slice(path):
         raise WindowError(f"eigenvector dump {path} has {trailing} bytes "
                           f"after its {count} pairs")
     return SpectrumSlice(values=pairs["value"].copy(),
-                         vectors=np.asfortranarray(pairs["vector"].T),
                          residuals=pairs["residual"].copy(),
-                         certificate=HEURISTIC)
+                         certificate=HEURISTIC,
+                         blocks=[(None, pairs["vector"].T)])

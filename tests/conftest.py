@@ -16,6 +16,15 @@ def op_from_dense(a, p=1, rank=1, lattice=None):
                            p=p, rank=rank, lattice=lattice)
 
 
+def stacked(sl):
+    """A slice's vectors on the lattice as one n x k array, column i read
+    through ``sl.column(i)``."""
+    out = np.empty((sl.dim, len(sl)), dtype=complex)
+    for i in range(len(sl)):
+        out[:, i] = sl.column(i)
+    return out
+
+
 def brute_levels(b, v, top):
     """Every (level, k, mu) with level <= top, by plain enumeration over k."""
     out = []

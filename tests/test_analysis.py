@@ -4,7 +4,7 @@ certificate."""
 import numpy as np
 import pytest
 
-from conftest import bump_rectangle_setup, torus_constant_setup
+from conftest import bump_rectangle_setup, stacked, torus_constant_setup
 from magspec import (FieldSpec, boundary_filter, build_lattice,
                      cluster_assign, decay_fit, dense_spectrum, dist_to_sigma,
                      distance_to_set, gaussian_bump_potential, interface_set,
@@ -20,8 +20,8 @@ def _slice_of(values, n=4):
     k = values.size
     vecs = np.zeros((n, k), dtype=complex)
     vecs[:k, :k] = np.eye(k)
-    return SpectrumSlice(values=values, vectors=vecs,
-                         residuals=np.zeros(k), certificate="heuristic")
+    return SpectrumSlice(values=values, residuals=np.zeros(k),
+                         certificate="heuristic", blocks=[(None, vecs)])
 
 
 def _sigma(intervals, cutoff):
@@ -125,7 +125,7 @@ def test_logsumexp_equals_scipy_on_bump_eigenvectors(tmp_path):
     rates = np.append(rep.c_grid, rep.c_min)
     assert rates.size == 26 and len(st.slice) >= 5
     d_all = st.interface.distance.values
-    for u in st.slice.vectors.T:
+    for u in stacked(st.slice).T:
         amp2 = np.abs(u) ** 2
         carrier = amp2 > 0
         log_amp2, d = np.log(amp2[carrier]), d_all[carrier]
@@ -179,8 +179,8 @@ def test_localization_report_masses_equal_scalar_reference():
     vecs[:, 0] = np.exp(-3.0 * K.distance.values)  # localized at the set
     vecs[:5, 1] = 0.0                               # sites without mass
     vecs /= np.linalg.norm(vecs, axis=0)
-    sl = SpectrumSlice(values=np.zeros(3), vectors=vecs,
-                       residuals=np.zeros(3), certificate="heuristic")
+    sl = SpectrumSlice(values=np.zeros(3), residuals=np.zeros(3),
+                       certificate="heuristic", blocks=[(None, vecs)])
     rep = localization_report(sl, K, 8, 1.0, b_min=1.0, c_min=0.3,
                               c_cap=10.0)
     filt = boundary_filter(sl, lat, 8, 1.0)
@@ -219,8 +219,8 @@ def test_boundary_filter_flags_wall_vector():
     wall = lat.boundary_distance() <= lat.spacing_x * 1.01
     vec = np.where(wall, 1.0, 0.0).astype(complex)
     vec /= np.linalg.norm(vec)
-    sl = SpectrumSlice(values=np.array([1.0]), vectors=vec[:, None],
-                       residuals=np.zeros(1), certificate="heuristic")
+    sl = SpectrumSlice(values=np.array([1.0]), residuals=np.zeros(1),
+                       certificate="heuristic", blocks=[(None, vec[:, None])])
     out = boundary_filter(sl, lat, 4, 1.0)
     assert out.artifact_mask.tolist() == [True]
     assert out.fractions[0] == pytest.approx(1.0)

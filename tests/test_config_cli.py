@@ -297,17 +297,6 @@ def test_import_loads_neither_ndimage_nor_special():
     assert out.strip() == "[]"
 
 
-def test_cli_convergence_table(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2, 4\n"
-                     f"nx = 20\nout = {tmp_path}/out\n")
-    assert main(["convergence", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "p=2" in out and "p=4" in out
-    table = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
-    assert table[0].startswith("experiment,p,seed,max_distance")
-    assert len(table) == 3
-
-
 def test_cli_gauge_check(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 4\n"
                      f"out = {tmp_path}/out\n")

@@ -11,7 +11,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (TWO_PI, bump_rectangle_setup, dip_rectangle_setup,
-                      lowest_window, op_from_dense, torus_constant_setup)
+                      lowest_window, op_from_dense, stacked,
+                      torus_constant_setup)
 from magspec import (FieldSpec, PotentialField, assemble_H, build_lattice,
                      constant_potential, count_below, dense_spectrum,
                      edge_integrals, gauge_links, gershgorin_interval,
@@ -46,7 +47,7 @@ def test_lowest_free_field_ground_state():
     sl = window_eigs(H, lowest_window(H, 1)[0])
     assert len(sl) == 1
     assert abs(sl.values[0]) <= sl.tol
-    u = sl.vectors[:, 0]
+    u = sl.column(0)
     overlap = abs(np.vdot(u, np.ones(H.n) / np.sqrt(H.n)))
     assert overlap == pytest.approx(1.0, abs=1e-8)
 
@@ -70,7 +71,8 @@ def test_lowest_matches_dense_oracle():
     sl = window_eigs(H, window)
     assert len(sl) == 20
     assert np.abs(sl.values - dense[:20]).max() <= 1e-8
-    gram = sl.vectors.conj().T @ sl.vectors
+    u = stacked(sl)
+    gram = u.conj().T @ u
     assert np.abs(gram - np.eye(20)).max() <= 1e-8
     assert np.all(sl.residuals <= sl.tol)
 
@@ -197,9 +199,16 @@ def test_convergence_error_carries_partial(one_arpack_iteration):
     partial = info.value.partial
     assert partial is not None and 1 <= len(partial) <= 39
     assert partial.certificate == HEURISTIC
-    resid = H.matrix @ partial.vectors - partial.vectors * partial.values
+    u = stacked(partial)
+    resid = H.matrix @ u - u * partial.values
     assert np.allclose(partial.residuals, np.linalg.norm(resid, axis=0),
                        rtol=1e-12, atol=0)
+
+
+def _assert_same_pairs(a, b):
+    for name in ("values", "residuals"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(stacked(a), stacked(b))
 
 
 @pytest.fixture
@@ -256,8 +265,7 @@ def test_open_lower_end_starts_below_gershgorin(splu_calls, setup, m,
     _assert_symmetric_mode_factors(splu_calls, factorizations)
     closed = window_eigs(H, (gershgorin_interval(H)[0] - 1e-6, beta))
     assert len(open_end) == m and open_end.certificate == CERTIFIED
-    for name in ("values", "vectors", "residuals"):
-        assert np.array_equal(getattr(open_end, name), getattr(closed, name))
+    _assert_same_pairs(open_end, closed)
 
 
 def test_midpoint_count_mismatch_downgrades(monkeypatch):
@@ -350,10 +358,8 @@ def test_eigenvector_dump_round_trip(tmp_path):
     path = tmp_path / "vecs.bsev"
     write_slice(sl, path)
     back = read_slice(path)
-    assert back.vectors.flags.f_contiguous
-    assert np.allclose(back.values, sl.values)
-    assert np.allclose(back.vectors, sl.vectors)
-    assert np.allclose(back.residuals, sl.residuals)
+    assert back.dim == H.n
+    _assert_same_pairs(back, sl)
 
 
 def test_eigenvector_dump_layout(tmp_path):
@@ -364,7 +370,7 @@ def test_eigenvector_dump_layout(tmp_path):
     write_slice(sl, path)
     expect = struct.pack("<4sIQQ", b"BSEV", 1, 3, 2)
     for i in range(2):
-        v = sl.vectors[:, i]
+        v = sl.column(i)
         interleaved = np.column_stack([v.real, v.imag]).ravel()
         expect += struct.pack("<dd", sl.values[i], sl.residuals[i])
         expect += struct.pack("<6d", *interleaved)
@@ -467,23 +473,100 @@ def test_sector_solve_matches_full_solve(setup, nx, splu_calls):
     # without its lattice the operator has no rotation to detect
     full = window_eigs(replace(H, lattice=None), window)
     assert (sector.symmetry, full.symmetry) == (C4_T, NO_SYMMETRY)
-    assert sector.vectors.flags.f_contiguous
-    assert sector.select([0, 2, 3]).vectors.flags.f_contiguous
+    # four sector blocks against the whole space as one
+    assert len(sector.blocks) == 4
+    assert len(full.blocks) == 1 and full.blocks[0][0] is None
     assert 0 <= sector.symmetry_defect \
         <= solvers.C4_DEFECT_FRACTION * sector.tol
     assert full.symmetry_defect is None
     assert len(sector) == len(full) == 20
     assert np.abs(sector.values - full.values).max() <= sector.tol
     assert np.abs(sector.values - dense).max() <= sector.tol
-    resid = np.linalg.norm(H.matrix @ sector.vectors
-                           - sector.vectors * sector.values, axis=0)
+    u = stacked(sector)
+    resid = np.linalg.norm(H.matrix @ u - u * sector.values, axis=0)
     assert np.allclose(sector.residuals, resid, rtol=1e-12, atol=0)
     assert resid.max() <= sector.tol
-    gram = sector.vectors.conj().T @ sector.vectors
+    gram = u.conj().T @ u
     assert np.abs(gram - np.eye(20)).max() <= 1e-8
     assert sector.certificate == full.certificate == CERTIFIED
     assert sector.downgrade is None
     assert (sector.krylov_k, sector.growth_rounds) == (20, 0)
+
+
+def _dip_case():
+    """(H, window, dense eigenvalues in it) with real rotation sectors."""
+    H = dip_rectangle_setup(nx=34, p=8)[-1]
+    return (H, *_interior_window(H))
+
+
+def _rank_two_case():
+    """The same with complex sectors, from a rank-two potential."""
+    lat, spec, b, links, V, H = dip_rectangle_setup(nx=22, p=4)
+    V2 = constant_potential(lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
+    H2 = assemble_H(lat, links, V2, 4)
+    return (H2, *_interior_window(H2, lo=6, count=12))
+
+
+@pytest.fixture(scope="module")
+def dip_slice():
+    H, window, _ = _dip_case()
+    return H, window_eigs(H, window)
+
+
+@pytest.mark.parametrize("case, symmetry, dtype", [
+    (_dip_case, C4_T, np.float64), (_rank_two_case, C4, np.complex128)],
+    ids=["C4+T", "C4"])
+def test_column_maps_block_vectors_by_their_basis(case, symmetry, dtype):
+    H, window, _ = case()
+    sl = window_eigs(H, window)
+    assert sl.symmetry == symmetry and len(sl) > 0
+    bases = solvers._rotation_sectors(H, sl.tol)[0]
+    assert len(sl.blocks) == len(bases) == 4
+    for (basis, vectors), expect in zip(sl.blocks, bases):
+        assert (basis != expect).nnz == 0
+        assert vectors.shape[0] == basis.shape[1] and vectors.dtype == dtype
+    # each pair is one column of one block, and no column is used twice
+    assert len(set(zip(sl.block, sl.index))) == len(sl) \
+        == sum(vectors.shape[1] for _, vectors in sl.blocks)
+    # every block mapped whole by its basis, as one sparse product
+    mapped = [basis @ vectors for basis, vectors in sl.blocks]
+    for i in range(len(sl)):
+        column, expect = sl.column(i), mapped[sl.block[i]][:, sl.index[i]]
+        assert column.shape == (H.n,) and column.dtype == np.complex128
+        assert column.tobytes() == expect.tobytes()
+
+
+def test_sector_dump_equals_dump_of_its_columns(dip_slice, tmp_path):
+    H, sl = dip_slice
+    whole = solvers.SpectrumSlice(values=sl.values, residuals=sl.residuals,
+                                  certificate=sl.certificate,
+                                  blocks=[(None, stacked(sl))])
+    write_slice(sl, tmp_path / "sectors.bsev")
+    write_slice(whole, tmp_path / "whole.bsev")
+    dump = (tmp_path / "sectors.bsev").read_bytes()
+    assert dump == (tmp_path / "whole.bsev").read_bytes()
+    assert len(dump) == 24 + len(sl) * (16 + 16 * H.n)
+
+
+def test_sector_slice_holds_no_lattice_sized_vectors(dip_slice):
+    # only the isometries have N rows; the pairs stay in block space
+    H, sl = dip_slice
+    assert len(sl.blocks) == 4
+    for name, value in vars(sl).items():
+        arrays = [v for _, v in value] if name == "blocks" else [value]
+        for a in arrays:
+            assert np.ndim(a) == 0 or np.shape(a)[0] < H.n, name
+
+
+def test_select_shares_the_block_vectors(dip_slice):
+    H, sl = dip_slice
+    keep = [0, 2, 3, len(sl) - 1]
+    sub = sl.select(keep)
+    for (basis, vectors), (own_basis, own) in zip(sub.blocks, sl.blocks):
+        assert basis is own_basis and np.shares_memory(vectors, own)
+    assert np.array_equal(sub.values, sl.values[keep])
+    assert np.array_equal(sub.residuals, sl.residuals[keep])
+    assert np.array_equal(stacked(sub), stacked(sl)[:, keep])
 
 
 def test_degenerate_clusters_spanning_sectors():
@@ -497,7 +580,8 @@ def test_degenerate_clusters_spanning_sectors():
     assert len(sl) == np.sum(dense <= window[1]) == 11
     assert np.abs(sl.values - dense[:11]).max() <= sl.tol
     bases = solvers._rotation_sectors(H, sl.tol)[0]
-    weight = np.array([np.linalg.norm(b.conj().T @ sl.vectors, axis=0)
+    u = stacked(sl)
+    weight = np.array([np.linalg.norm(b.conj().T @ u, axis=0)
                        for b in bases])
     sector = weight.argmax(axis=0)
     assert np.allclose(weight.max(axis=0), 1.0, atol=1e-10)
@@ -505,28 +589,23 @@ def test_degenerate_clusters_spanning_sectors():
     assert sl.values[pairs] == pytest.approx([1.364, 2.710, 3.526, 4.561],
                                              abs=1e-3)
     assert np.all(sector[pairs] != sector[pairs + 1])
-    gram = sl.vectors.conj().T @ sl.vectors
+    gram = u.conj().T @ u
     assert np.abs(gram - np.eye(11)).max() <= 1e-12
-    resid = np.linalg.norm(H.matrix @ sl.vectors - sl.vectors * sl.values,
-                           axis=0)
+    resid = np.linalg.norm(H.matrix @ u - u * sl.values, axis=0)
     assert np.allclose(sl.residuals, resid, rtol=1e-12, atol=0)
     assert resid.max() <= sl.tol
     assert sl.certificate == CERTIFIED
 
 
 def test_rank_two_potential_takes_sector_path():
-    lat, spec, b, links, V, H = dip_rectangle_setup(nx=22, p=4)
-    V2 = constant_potential(lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
-    H2 = assemble_H(lat, links, V2, 4)
-    window, dense = _interior_window(H2, lo=6, count=12)
+    H2, window, dense = _rank_two_case()
     sl = window_eigs(H2, window)
     # the complex off-diagonal of V breaks T = conj S: complex sectors
-    flip = solvers._fiber_lift(lat.reflection, 2)
+    flip = solvers._fiber_lift(H2.lattice.reflection, 2)
     defect_t = solvers._row_sum_bound(H2.matrix[flip][:, flip].conj()
                                       - H2.matrix)
     assert defect_t > solvers.C4_DEFECT_FRACTION * sl.tol
-    assert sl.symmetry == C4
-    assert sl.vectors.flags.f_contiguous
+    assert sl.symmetry == C4 and len(sl.blocks) == 4
     assert len(sl) == 12 and sl.certificate == CERTIFIED
     assert np.abs(sl.values - dense).max() <= sl.tol
     assert sl.residuals.max() <= sl.tol
@@ -572,8 +651,7 @@ def test_asymmetric_operator_keeps_the_full_solve(case, splu_calls,
     assert calls == (len(splu_calls), eigsh_spy.calls) == (3, [len(sl)])
     _assert_symmetric_mode_factors(splu_calls, 3)
     assert sl.certificate == CERTIFIED and len(sl) > 0
-    for name in ("values", "vectors", "residuals"):
-        assert np.array_equal(getattr(sl, name), getattr(full, name))
+    _assert_same_pairs(sl, full)
 
 
 def test_sector_convergence_error_carries_full_partial(one_arpack_iteration):
@@ -582,9 +660,10 @@ def test_sector_convergence_error_carries_full_partial(one_arpack_iteration):
         window_eigs(H, lowest_window(H, 40)[0])
     partial = info.value.partial
     assert partial is not None and 1 <= len(partial) <= 39
-    assert partial.vectors.shape == (H.n, len(partial))
+    assert partial.dim == H.n
     assert partial.certificate == HEURISTIC
-    resid = H.matrix @ partial.vectors - partial.vectors * partial.values
+    u = stacked(partial)
+    resid = H.matrix @ u - u * partial.values
     assert np.allclose(partial.residuals, np.linalg.norm(resid, axis=0),
                        rtol=1e-12, atol=0)
 
@@ -594,5 +673,4 @@ def test_sector_solve_is_reproducible():
     window, _ = _interior_window(H)
     first, second = (window_eigs(H, window, seed=3) for _ in range(2))
     assert first.symmetry == C4_T
-    for name in ("values", "vectors", "residuals"):
-        assert np.array_equal(getattr(first, name), getattr(second, name))
+    _assert_same_pairs(first, second)
