@@ -25,10 +25,12 @@ i^m of R (m = 0..3; the origin's components belong to m = 0 only).  Every
 other operator is one block, the whole space.  Each block gets the window
 solve above, on B_m^H H B_m (about N/4 in size) for a sector, with its own
 counts, certificate and growth loop; sector m's start vector is seeded from
-(seed, m).  One finishing step turns a block's in-window pairs into a
-slice: it sorts them, orthonormalizes degenerate clusters in block space
-and computes every residual on the full H from the pairs mapped by B_m;
-the residual check and the midpoint count check then read those full-H
+(seed, m).  That matrix is built over two column halves of B_m, so the
+N x N/4 product H B_m, the largest array of a sector solve, is never
+whole.  One finishing step turns a block's in-window pairs into a slice:
+it sorts them, orthonormalizes degenerate clusters in block space and
+computes every residual on the full H from the pairs mapped by B_m; the
+residual check and the midpoint count check then read those full-H
 residuals.  Blocks merge by sorting their pairs only: every vector stays
 in its block's coordinates, beside the block's isometry, and
 ``SpectrumSlice.column`` maps one pair at a time, so no N x k array is
@@ -349,7 +351,7 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
     space), from a start vector seeded from (seed, sector); ``real`` keeps
     the real part of a block whose basis is T-fixed."""
     block = op if basis is None \
-        else _hermitian_block(op, basis, real, op.matrix @ basis)
+        else _hermitian_block(op, basis, real, op.matrix)
     c_lo, why_lo = 0, None
     if not open_below:
         c_lo, why_lo = count_below(block, alpha)
@@ -398,12 +400,20 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
     return out
 
 
-def _hermitian_block(op, left, real, right=None):
-    """left^H right (None: left) averaged with its adjoint, so exactly
-    Hermitian, as a lattice-free op; ``real`` keeps the real part."""
-    half = left.conj().T @ (left if right is None else right)
-    matrix = 0.5 * (half + half.conj().T)
-    return replace(op, matrix=(matrix.real if real else matrix).tocsr(),
+def _hermitian_block(op, left, real, matrix=None):
+    """left^H matrix left (None: the identity) averaged with its adjoint, so
+    exactly Hermitian, as a lattice-free op; ``real`` keeps the real part.
+
+    Formed over the two column halves of ``left``, so ``matrix @ left`` is
+    never whole.  SciPy's sparse mat-mat sums each entry in the same order
+    whichever columns of the right factor are present, so the block equals
+    the one-shot product bit for bit.
+    """
+    adjoint, n = left.conj().T, left.shape[1]
+    half = sp.hstack([adjoint @ (cols if matrix is None else matrix @ cols)
+                      for cols in (left[:, :n // 2], left[:, n // 2:])])
+    block = 0.5 * (half + half.conj().T)
+    return replace(op, matrix=(block.real if real else block).tocsr(),
                    lattice=None)
 
 
@@ -466,9 +476,11 @@ def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
         gram = _hermitian_block(op, shifted @ basis, symmetry == C4_T)
         lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
         if c or why:
+            del lu  # one factor alive at a time
             lu, shift = _factor_shifted(gram, 0.0)[:2]
         (w,) = _shift_invert(gram, lu, shift, 1, seed,
                              None if len(bases) == 1 else sector)
+        del lu
         sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
         count += c
         downgrade = downgrade or why

@@ -300,6 +300,46 @@ def test_norm_bound_certificate_matches_dense_svd(tmp_path):
     assert abs(record["sigma_s"] - smallest["C4+T"]) <= 1e-10
 
 
+def test_norm_bound_keeps_one_factor_alive(tmp_path, monkeypatch):
+    # above sigma_S some sector counts a singular value below the threshold
+    # and is factored again at 0; no earlier factor, of that sector or of
+    # the one before, may still be held when a factorization starts
+    import weakref
+    import scipy.sparse.linalg as spla
+    from magspec.experiments import _bound_support
+    from magspec.solvers import norm_bound_certificate
+    p, lam = 4, 1.5
+    st = _bump_state(tmp_path, p, nx=32)
+    op, support = st.inst["op"], _bound_support(st.interface, p, 1.0)
+    sigma_s = norm_bound_certificate(op, support, lam, 0.0)[0]
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):  # a solver holding lu.solve holds the proxy
+            return self.lu.solve(rhs)
+
+    original, live, held = spla.splu, weakref.WeakSet(), []
+
+    def tracked(*args, **kwargs):
+        held.append(len(live))
+        factor = Factor(original(*args, **kwargs))
+        live.add(factor)
+        return factor
+
+    monkeypatch.setattr(spla, "splu", tracked)
+    got, count, downgrade, symmetry = norm_bound_certificate(
+        op, support, lam, sigma_s + 0.05)
+    assert symmetry == "C4+T" and downgrade is None and count > 0
+    assert got == sigma_s
+    assert len(held) > 4  # at least one sector was factored twice
+    assert held == [0] * len(held)
+
+
 def test_norm_bound_gate_fails_with_the_wall_band(tmp_path, monkeypatch):
     # keeping the wall band in S lets the Dirichlet wall's edge states
     # into the trial space: sigma_S falls below d, the count turns positive

@@ -611,6 +611,69 @@ def test_rank_two_potential_takes_sector_path():
     assert sl.residuals.max() <= sl.tol
 
 
+def _one_shot_block(left, real, right):
+    """The reference sector matrix: left^H right made whole at once."""
+    half = left.conj().T @ right
+    block = 0.5 * (half + half.conj().T)
+    return (block.real if real else block).tocsr()
+
+
+def _window_blocks(case):
+    H, window, _ = case()
+    window_eigs(H, window)
+
+
+def _gram_blocks():
+    H = _dip_case()[0]
+    support = H.lattice.boundary_distance() > 0.5  # quarter-turn invariant
+    assert solvers.norm_bound_certificate(H, support, 1.5, 0.0)[3] == C4_T
+
+
+@pytest.mark.parametrize("build, real", [
+    (lambda: _window_blocks(_dip_case), True),
+    (lambda: _window_blocks(_rank_two_case), False),
+    (_gram_blocks, True)], ids=["C4+T", "C4", "gram"])
+def test_sector_block_equals_the_one_shot_product(build, real, monkeypatch):
+    # the blocks are built over column halves; each must equal the whole
+    # product's block in every stored number and index
+    original, calls = solvers._hermitian_block, []
+
+    def spy(op, left, flag, matrix=None):
+        block = original(op, left, flag, matrix)
+        calls.append((left, flag, matrix, block.matrix))
+        return block
+
+    monkeypatch.setattr(solvers, "_hermitian_block", spy)
+    build()
+    assert len(calls) == 4
+    for left, flag, matrix, got in calls:
+        assert flag == real
+        expect = _one_shot_block(
+            left, real, left if matrix is None else matrix @ left)
+        assert got.dtype == (np.float64 if real else np.complex128)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expect, name))
+
+
+def test_sector_block_build_peaks_below_the_one_shot_build():
+    # the whole N x N/4 product H W is the build's largest array; over two
+    # column halves the traced peak is about 0.7 of the one-shot build's
+    import tracemalloc
+    H = dip_rectangle_setup(nx=48, p=8)[-1]
+    basis = solvers._rotation_sectors(H, solvers.default_tol(H))[0][0]
+    peaks = []
+    for build in (lambda: solvers._hermitian_block(H, basis, True, H.matrix),
+                  lambda: _one_shot_block(basis, True, H.matrix @ basis)):
+        build()  # warm: lazy imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 0.8 * peaks[1], peaks
+
+
 def _torus_case():
     H = torus_constant_setup(nx=24, p=4)[-1]
     bval = 1 / TWO_PI
