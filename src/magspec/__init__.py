@@ -19,7 +19,6 @@ from .model import (InterfaceSet, SigmaUnion, dist_to_sigma,
                     landau_level, sigma_region)
 from .solvers import (SpectrumSlice, count_below, dense_spectrum, read_slice,
                       window_eigs, write_slice)
-from .analysis import (ClusterReport, FilteredSlice, LocalizationReport,
-                       boundary_filter, cluster_assign, decay_fit,
-                       localization_report, mass_fraction_beyond,
+from .analysis import (FilteredSlice, LocalizationReport, boundary_filter,
+                       decay_fit, localization_report, mass_fraction_beyond,
                        scaling_exponent, weighted_mass)

@@ -1,9 +1,9 @@
 """Quantitative diagnostics on computed spectra and eigenvectors.
 
-Covers the spectral side (distance of eigenvalues to the level union,
-per-interval counts, power-law fits across the tensor power p) and the
-spatial side (exponentially weighted masses, decay-rate fits against the
-distance to the interface set, and truncation-artifact filtering for
+Covers the spectral side (power-law fits across the tensor power p; the
+distances of eigenvalues to the level union are ``model.distances_to_sigma``)
+and the spatial side (exponentially weighted masses, decay-rate fits against
+the distance to the interface set, and truncation-artifact filtering for
 Dirichlet domains).
 """
 
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, InsufficientDataError
-from .model import distances_to_sigma
 from .solvers import SpectrumSlice
 
 
@@ -30,38 +29,6 @@ def _site_amplitude_sq(vector, n_sites):
             "vector length is not a multiple of the site count")
     r = u.size // n_sites
     return np.abs(u.reshape(n_sites, r)) ** 2 @ np.ones(r)
-
-
-@dataclass
-class ClusterReport:
-    """Distances of a spectrum slice to the level union, with counts."""
-
-    distances: np.ndarray
-    max_distance: float
-    mean_distance: float
-    interval_index: np.ndarray   # merged-interval membership, -1 if outside
-    interval_counts: np.ndarray
-    truncated: bool              # slice reached beyond the union cutoff
-
-
-def cluster_assign(sl, sigma):
-    """Assign each eigenvalue its distance to the union and its interval."""
-    lams = sl.values
-    if lams.size == 0:
-        raise InsufficientDataError("empty spectrum slice")
-    dists = distances_to_sigma(lams, sigma)
-    los, his = sigma.bounds
-    idx = np.full(lams.size, -1, dtype=int)
-    for i, lam in enumerate(lams):
-        inside = np.flatnonzero((los <= lam) & (lam <= his))
-        if inside.size:
-            idx[i] = inside[0]  # disjoint intervals; ties go to the lower one
-    counts = np.bincount(idx[idx >= 0], minlength=len(sigma.intervals))
-    truncated = bool(lams.max() > sigma.cutoff)
-    return ClusterReport(distances=dists, max_distance=float(dists.max()),
-                         mean_distance=float(dists.mean()),
-                         interval_index=idx, interval_counts=counts,
-                         truncated=truncated)
 
 
 def _logsumexp(a):
@@ -144,8 +111,7 @@ def mass_fraction_beyond(vector, dist, threshold):
 def _shells(dist):
     """The field's half of ``decay_fit``: the finite-distance mask, each
     finite site's shell (width 2h), the sites per shell and the centres."""
-    lat = dist.lattice
-    width = 2.0 * max(lat.spacing_x, lat.spacing_y)
+    width = 2.0 * dist.lattice.spacing
     finite = np.isfinite(dist.values)
     shell = np.floor(dist.values[finite] / width).astype(int)
     n_shells = shell.max() + 1 if shell.size else 0
@@ -205,10 +171,10 @@ def _wall_band(lattice, p, b_max):
 
 @dataclass
 class FilteredSlice:
-    """Spectrum slice split into bulk pairs and truncation artifacts."""
+    """Spectrum slice with its truncation artifacts (``artifact_mask``)
+    dropped."""
 
     kept: SpectrumSlice
-    artifacts: SpectrumSlice
     fractions: np.ndarray
     artifact_mask: np.ndarray
 
@@ -227,7 +193,6 @@ def boundary_filter(sl, lattice, p, b_max):
         fractions[i] = amp2[near].sum() / amp2.sum()
     mask = fractions > WALL_ARTIFACT
     return FilteredSlice(kept=sl.select(np.flatnonzero(~mask)),
-                         artifacts=sl.select(np.flatnonzero(mask)),
                          fractions=fractions, artifact_mask=mask)
 
 

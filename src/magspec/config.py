@@ -6,6 +6,9 @@ organizational; keys form one flat namespace), ``key = value`` lines, and
 
 - ``_KEYS`` lists every key with its value parser; unknown keys are
   rejected by name, and syntax and value errors carry line numbers.
+- A key that the run never reads is refused by name: ``_UNREAD`` lists
+  each preset's, and a field or ``v_*`` key counts only for the field
+  preset or potential kind that reads it.
 - A config is the preset's values, then the file's keys, then the CLI's
   overrides of keys, layered over the defaults of ``ExperimentConfig``, of
   the ``FieldSpec`` constructors and of ``PotentialSpec``.  A preset names
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fields import FieldSpec, gaussian
-from .lattice import RECTANGLE, TORUS
+from .lattice import RECTANGLE, TORUS, build_lattice
 from .model import levels_in_window
 
 RESOLUTION_RULES = {"standard": 0.25, "high-accuracy": 0.1}
@@ -100,6 +103,16 @@ _PRESETS = {
     "potential_bump": dict(
         lattice_kind=RECTANGLE, field="constant", potential="bump",
         p=[16, 32, 64], window=(1.3, 1.7), cutoff=4.0, trials_p=[8, 16, 32]),
+}
+
+# each preset's settings that no stage of its run reads: the torus solves
+# its own lowest-cluster window, only potential_bump has the inner window,
+# the norm bound and the localization report, and only the torus a c1
+_UNREAD = {
+    "torus_constant": ("window", "window_margin", "trials_p", "c_min",
+                       "c_cap"),
+    "radial_dip": ("window_margin", "trials_p", "c_min", "c_cap", "c1"),
+    "potential_bump": ("c1",),
 }
 
 
@@ -224,6 +237,13 @@ def build_config(raw):
     cfg = ExperimentConfig(
         field_spec=_field_from(keys), potential=_potential_from(keys),
         **{k: v for k, v in settings.items() if k in _SETTINGS})
+    field, potential = keys["field"], keys["potential"]
+    unread = set(_UNREAD[name]).union(*_FIELD_KEYS.values(),
+                                      *_POTENTIAL_KEYS.values())
+    unread -= {*_FIELD_KEYS[field], *_POTENTIAL_KEYS[potential]}
+    if refused := sorted(unread.intersection(raw)):
+        raise ConfigError(f"{name} with field {field} and potential "
+                          f"{potential} does not read {', '.join(refused)}")
     validate_config(cfg)
     return cfg
 
@@ -318,9 +338,6 @@ def plan_geometry(cfg, p):
         extent = 2.0 * (interface_radius(cfg) + 6.0 / math.sqrt(p * b_min))
     nx = cfg.nx if cfg.nx is not None \
         else max(int(math.ceil(extent * math.sqrt(p * b_max) / rule)), 2)
-    if cfg.lattice_kind == RECTANGLE:
-        n_sites = (nx - 1) ** 2
-    else:
-        n_sites = nx ** 2
+    n_sites = build_lattice(cfg.lattice_kind, extent, nx).n_sites
     return dict(kind=cfg.lattice_kind, extent=extent, nx=nx,
                 h=extent / nx, n_sites=n_sites, p=p)

@@ -3,17 +3,17 @@
 Each tensor power p runs the same stages, held by a lazy ``PerP`` context
 that is dropped before the next p: ``build_instance``; the level union
 (``sigma_region``) and, where the preset uses one, the interface set of the
-configured window; the window solve; the preset's diagnostics (cluster
-report, wall filter, localization report, and for p in ``trials_p`` the norm
-lower bound, whose S, lam, d and threshold are chosen here and certified by
-``solvers``, the layer of every factorization and Krylov solve).  A preset
-(``PRESETS``) adds only a ``*_limits`` function, the single copy of its
-solve window and level-union cutoff, and assertion functions over the per-p
-results and across p.  ``run_experiment`` runs every stage and writes
-tables, eigenvector dumps, ``sigma.json`` and a ``summary.json`` of
-pass/fail assertions, flushing tables per p so a failed run keeps its
-finished artifacts; the CLI's ``spectrum``, ``model-sigma`` and
-``localization`` select stages and outputs of the same context.  Each
+configured window; the window solve; the preset's diagnostics (the shown
+pairs' distances to the union, wall filter, localization report, and for p
+in ``trials_p`` the norm lower bound, whose S, lam, d and threshold are
+chosen here and certified by ``solvers``, the layer of every factorization
+and Krylov solve).  A preset (``PRESETS``) adds only a ``*_limits``
+function, the single copy of its solve window and level-union cutoff, and
+assertion functions over the per-p results and across p.  ``run_experiment``
+runs every stage and writes tables, eigenvector dumps, ``sigma.json`` and a
+``summary.json`` of pass/fail assertions, flushing tables per p so a failed
+run keeps its finished artifacts; the CLI's ``spectrum``, ``model-sigma``
+and ``localization`` select stages and outputs of the same context.  Each
 writer first removes the files it replaces (``_REPLACES``).
 """
 
@@ -27,10 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import (boundary_filter, cluster_assign, localization_report,
-                       scaling_exponent)
+from .analysis import boundary_filter, localization_report, scaling_exponent
 from .config import plan_geometry
-from .errors import ConfigError, MagspecError
+from .errors import ConfigError, InsufficientDataError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
@@ -82,8 +81,7 @@ def build_potential(cfg, lattice):
 def build_instance(cfg, p):
     """Lattice, sampled field, links, potential, and operator at one p."""
     plan = plan_geometry(cfg, p)
-    lattice = build_lattice(plan["kind"], plan["extent"], plan["extent"],
-                            plan["nx"], plan["nx"])
+    lattice = build_lattice(plan["kind"], plan["extent"], plan["nx"])
     b = sample_field(cfg.field_spec, lattice)
     links = gauge_links(edge_integrals(cfg.field_spec, lattice,
                                        choose_gauge(cfg)), p)
@@ -265,8 +263,9 @@ class PerP:
         return self.slice if self.preset.edge_states else self.filtered.kept
 
     @cached_property
-    def cluster(self):
-        return cluster_assign(self.shown, self.sigma)
+    def distances(self):
+        """Distances of the shown pairs to the level union."""
+        return distances_to_sigma(self.shown.values, self.sigma)
 
     @cached_property
     def localization(self):
@@ -305,8 +304,7 @@ class PerP:
         interface = self.interface
         if interface is not None:
             entry["interface_rle"] = _rle_rows(
-                interface.mask.reshape(interface.lattice.site_ny,
-                                       interface.lattice.site_nx))
+                interface.lattice.grid(interface.mask))
             entry["interface_sites"] = int(interface.mask.sum())
         return entry
 
@@ -317,9 +315,7 @@ class PerP:
                 for e in entries]
 
     def _spectrum_rows(self):
-        sl, sigma = self.shown, self.sigma
-        dists = distances_to_sigma(sl.values, sigma) if len(sl) \
-            else np.empty(0)
+        sl, sigma, dists = self.shown, self.sigma, self.distances
         return self._rows([i, lam, sl.residuals[i], dists[i],
                            *_branch_of(lam, sigma)]
                           for i, lam in enumerate(sl.values))
@@ -359,6 +355,13 @@ def _solve_record(sl):
                 symmetry=sl.symmetry, symmetry_defect=sl.symmetry_defect)
 
 
+def _distance_stats(st):
+    """Largest and mean distance of the shown pairs to the level union."""
+    if not len(st.shown):
+        raise InsufficientDataError("empty spectrum slice")
+    return float(st.distances.max()), float(st.distances.mean())
+
+
 def _torus_limits(cfg):
     """The lowest Landau cluster; the configured window is not used.  The
     union cutoff is ``cutoff``, or one level spacing above the window."""
@@ -370,7 +373,8 @@ def _torus_limits(cfg):
 
 
 def _torus_checks(st, assertions):
-    cfg, p, sl, rep = st.cfg, st.p, st.slice, st.cluster
+    cfg, p, sl = st.cfg, st.p, st.slice
+    max_distance = _distance_stats(st)[0]
     bval = cfg.field_spec.max_intensity()
     expect = p * cfg.c1
     assertions.check(f"cluster_count_p{p}",
@@ -381,7 +385,7 @@ def _torus_checks(st, assertions):
     assertions.check(f"cluster_mean_p{p}", mean_dev <= 0.05,
                      measured=mean_dev, threshold=0.05)
     return dict(p=p, n_cluster=len(sl), **_solve_record(sl),
-                mean_dev=mean_dev, max_distance=rep.max_distance)
+                mean_dev=mean_dev, max_distance=max_distance)
 
 
 def _dip_limits(cfg):
@@ -391,11 +395,11 @@ def _dip_limits(cfg):
 
 
 def _dip_checks(st, assertions):
-    sl, filt, rep = st.slice, st.filtered, st.cluster
+    sl, filt = st.slice, st.filtered
+    max_distance, mean_distance = _distance_stats(st)
     return dict(p=st.p, n_below=len(sl), n_kept=len(filt.kept),
-                n_artifacts=len(filt.artifacts), **_solve_record(sl),
-                max_distance=rep.max_distance,
-                mean_distance=rep.mean_distance)
+                n_artifacts=int(filt.artifact_mask.sum()), **_solve_record(sl),
+                max_distance=max_distance, mean_distance=mean_distance)
 
 
 def _dip_sweep(cfg, per_p, bounds, assertions):
@@ -509,7 +513,7 @@ def pipeline(cfg, writer, ps=None):
 
 def _run_sweep(cfg, assertions):
     preset = PRESETS[cfg.experiment]
-    bound_ps = set(cfg.trials_p) if preset.edge_states else set()
+    bound_ps = set(cfg.trials_p)
     per_p, sigma_entries, bounds = [], [], {}
     # stages run lazily, so rebinding frees the previous p's context before
     # the next p does any work

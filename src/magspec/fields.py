@@ -8,7 +8,7 @@ the edge), so plaquette holonomies reproduce the flux gauge-invariantly.
 Two global gauges are supported: a Landau-type gauge theta = b(y) x dy for
 fields depending on the second coordinate only (valid on the torus, where the
 boundary mismatch becomes a twist on wrapping edges), and the symmetric/
-azimuthal gauge for radial fields on the centered Dirichlet rectangle.
+azimuthal gauge for radial fields on the centered Dirichlet square.
 """
 
 from dataclasses import dataclass
@@ -263,19 +263,19 @@ def _landau_integrals(spec, lattice):
     ymask = lattice.edge_axis == 1
     x0 = pos[src[ymask], 0]
     y0 = pos[src[ymask], 1]
-    hy = lattice.spacing_y
+    h = lattice.spacing
     quad = np.zeros(x0.size)
     for t in _GAUSS_T:
-        quad += 0.5 * spec.intensity(x0, y0 + t * hy)
-    vals[ymask] = x0 * hy * quad
+        quad += 0.5 * spec.intensity(x0, y0 + t * h)
+    vals[ymask] = x0 * h * quad
 
     total_flux = None
     if lattice.is_torus:
-        # fold the clutching twist -Lx * F(y) into the x-wrapping edges
+        # fold the clutching twist -L * F(y) into the x-wrapping edges
         wrap_x = (lattice.edge_axis == 0) & lattice.edge_wraps
         yw = pos[src[wrap_x], 1]
-        vals[wrap_x] -= lattice.extent_x * spec.antiderivative(yw)
-        total_flux = float(lattice.extent_x * spec.antiderivative(lattice.extent_y))
+        vals[wrap_x] -= lattice.extent * spec.antiderivative(yw)
+        total_flux = float(lattice.extent * spec.antiderivative(lattice.extent))
     return EdgeIntegrals(values=vals, lattice=lattice, total_flux=total_flux)
 
 
@@ -283,9 +283,7 @@ def _symmetric_integrals(spec, lattice):
     # theta = g(r) (x dy - y dx) with g the azimuthal profile
     pos = lattice.positions
     p0 = pos[lattice.edge_src]
-    step = np.where(lattice.edge_axis[:, None] == 0,
-                    np.array([lattice.spacing_x, 0.0]),
-                    np.array([0.0, lattice.spacing_y]))
+    step = lattice.spacing * np.eye(2)[lattice.edge_axis]
     vals = np.zeros(lattice.n_edges)
     for t in _GAUSS_T:
         q = p0 + t * step

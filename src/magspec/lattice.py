@@ -1,9 +1,12 @@
-"""Discretized 2D base geometries: flat torus and Dirichlet-truncated rectangle.
+"""Discretized 2D base geometries: flat torus and Dirichlet-truncated square.
 
-Sites are indexed row-major, ``site = iy * site_nx + ix``.  On the torus every
-site has 4 axis neighbors with wrapping; on the rectangle the stored sites are
-the interior grid points and the boundary carries implicit zero values (no
-ghost sites are stored, so operator dimensions equal the interior site count).
+Both are square grids: one side length and one cell count for both axes,
+the only shapes the sizing rules plan.  Sites are indexed row-major,
+``site = iy * site_nx + ix``.  On the torus every site has 4 axis neighbors
+with wrapping; on the Dirichlet square (kind ``rectangle_dirichlet``) the
+stored sites are the interior grid points and the boundary carries implicit
+zero values (no ghost sites are stored, so operator dimensions equal the
+interior site count).
 
 Also provides geodesic distance fields to a target site set (8-neighbor
 chamfer metric, wrap-aware on the torus).
@@ -24,35 +27,29 @@ RECTANGLE = "rectangle_dirichlet"
 
 @dataclass
 class Lattice:
-    """Immutable container for a discretized torus or Dirichlet rectangle.
+    """Immutable container for a discretized torus or Dirichlet square.
 
-    ``nx``/``ny`` count grid cells per axis, so ``spacing = extent / n``.
-    Torus stores nx*ny sites at (ix*hx, iy*hy); the rectangle stores the
-    (nx-1)*(ny-1) interior points, shifted so the domain center sits at the
+    ``nx`` counts grid cells per axis, so ``spacing = extent / nx``.  Torus
+    stores nx*nx sites at (ix*h, iy*h); the rectangle stores the
+    (nx-1)*(nx-1) interior points, shifted so the domain center sits at the
     coordinate origin.
     """
 
     kind: str
-    extent_x: float
-    extent_y: float
+    extent: float
     nx: int
-    ny: int
 
     def __post_init__(self):
         if self.kind not in (TORUS, RECTANGLE):
             raise InvalidSpecError(f"unknown lattice kind {self.kind!r}")
-        if not (self.extent_x > 0 and self.extent_y > 0):
-            raise InvalidSpecError("lattice extents must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise InvalidSpecError("nx, ny must be at least 2")
+        if not self.extent > 0:
+            raise InvalidSpecError("lattice extent must be positive")
+        if self.nx < 2:
+            raise InvalidSpecError("nx must be at least 2")
 
     @property
-    def spacing_x(self):
-        return self.extent_x / self.nx
-
-    @property
-    def spacing_y(self):
-        return self.extent_y / self.ny
+    def spacing(self):
+        return self.extent / self.nx
 
     @property
     def is_torus(self):
@@ -63,31 +60,18 @@ class Lattice:
         return self.nx if self.is_torus else self.nx - 1
 
     @property
-    def site_ny(self):
-        return self.ny if self.is_torus else self.ny - 1
-
-    @property
     def n_sites(self):
-        return self.site_nx * self.site_ny
-
-    @property
-    def cell_area(self):
-        return self.spacing_x * self.spacing_y
+        return self.site_nx ** 2
 
     @cached_property
     def positions(self):
         """(n_sites, 2) site coordinates."""
-        ix = np.arange(self.site_nx)
-        iy = np.arange(self.site_ny)
-        gx, gy = np.meshgrid(ix, iy)  # shape (site_ny, site_nx)
+        gy, gx = np.indices((self.site_nx,) * 2)
+        g = np.column_stack([gx.ravel(), gy.ravel()])
         if self.is_torus:
-            x = gx * self.spacing_x
-            y = gy * self.spacing_y
-        else:
-            # interior points of [0, Lx] x [0, Ly], recentered to the origin
-            x = (gx + 1) * self.spacing_x - self.extent_x / 2
-            y = (gy + 1) * self.spacing_y - self.extent_y / 2
-        return np.column_stack([x.ravel(), y.ravel()])
+            return g * self.spacing
+        # interior points of [0, L] x [0, L], recentered to the origin
+        return (g + 1) * self.spacing - self.extent / 2
 
     def site_index(self, ix, iy):
         return iy * self.site_nx + ix
@@ -97,14 +81,12 @@ class Lattice:
         """Site permutation of the quarter turn (x, y) -> (-y, x), or None.
 
         ``rotation[s]`` is the site that s turns into: (ix, iy) goes to
-        (site_nx - 1 - iy, ix).  Defined only on a square rectangle, whose
-        sites are centred at the origin; None on the torus and on a
-        non-square rectangle.
+        (site_nx - 1 - iy, ix).  Defined only on the Dirichlet square, whose
+        sites are centred at the origin; None on the torus.
         """
-        if self.is_torus or self.nx != self.ny \
-                or self.extent_x != self.extent_y:
+        if self.is_torus:
             return None
-        gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
+        gy, gx = np.indices((self.site_nx,) * 2)
         return self.site_index(self.site_nx - 1 - gy, gx).ravel()
 
     @cached_property
@@ -117,7 +99,7 @@ class Lattice:
         """
         if self.rotation is None:
             return None
-        gx, gy = np.meshgrid(np.arange(self.site_nx), np.arange(self.site_ny))
+        gy, gx = np.indices((self.site_nx,) * 2)
         return self.site_index(gy, gx).ravel()
 
     def _neighbors(self, dx, dy):
@@ -127,13 +109,13 @@ class Lattice:
         its neighbour wraps around the edges (``wraps`` marks those); on the
         rectangle only sites whose neighbour is stored are sources.
         """
-        snx, sny = self.site_nx, self.site_ny
-        gx, gy = np.meshgrid(np.arange(snx), np.arange(sny))
+        n = self.site_nx
+        gy, gx = np.indices((n, n))
         tx, ty = gx.ravel() + dx, gy.ravel() + dy
-        outside = (tx < 0) | (tx >= snx) | (ty < 0) | (ty >= sny)
+        outside = (tx < 0) | (tx >= n) | (ty < 0) | (ty >= n)
         src = np.arange(self.n_sites) if self.is_torus \
             else np.flatnonzero(~outside)
-        dst = self.site_index(tx[src] % snx, ty[src] % sny)
+        dst = self.site_index(tx[src] % n, ty[src] % n)
         return src, dst, outside[src]
 
     @cached_property
@@ -197,24 +179,21 @@ class Lattice:
     def plaquette_centers(self):
         """(n_plaquettes, 2) coordinates of unit-cell centers."""
         base = self.positions[self.plaquette_corner_sites]
-        return base + 0.5 * np.array([self.spacing_x, self.spacing_y])
+        return base + 0.5 * self.spacing
 
     @property
     def n_plaquettes(self):
         return self.plaquettes.shape[0]
 
     def grid(self, site_values):
-        """Reshape per-site values to the (site_ny, site_nx) grid."""
-        return np.asarray(site_values).reshape(self.site_ny, self.site_nx)
+        """Reshape per-site values to the (site_nx, site_nx) grid, row iy."""
+        return np.asarray(site_values).reshape(self.site_nx, self.site_nx)
 
     def boundary_distance(self):
         """Euclidean distance to the Dirichlet wall; +inf on the torus."""
         if self.is_torus:
             return np.full(self.n_sites, np.inf)
-        pos = self.positions
-        dx = self.extent_x / 2 - np.abs(pos[:, 0])
-        dy = self.extent_y / 2 - np.abs(pos[:, 1])
-        return np.minimum(dx, dy)
+        return self.extent / 2 - np.abs(self.positions).max(axis=1)
 
 
 @dataclass
@@ -225,18 +204,17 @@ class DistanceField:
     lattice: Lattice
 
 
-def build_lattice(kind, extent_x, extent_y, nx, ny):
-    """Construct a lattice, validating extents and grid counts."""
-    return Lattice(kind=kind, extent_x=float(extent_x), extent_y=float(extent_y),
-                   nx=int(nx), ny=int(ny))
+def build_lattice(kind, extent, nx):
+    """Construct a square lattice, validating its extent and grid count."""
+    return Lattice(kind=kind, extent=float(extent), nx=int(nx))
 
 
 def _chamfer_graph(lattice):
     """Undirected 8-neighbor graph with physical edge lengths as weights."""
-    hx, hy = lattice.spacing_x, lattice.spacing_y
-    hd = float(np.hypot(hx, hy))
+    h = lattice.spacing
+    hd = float(np.hypot(h, h))
     rows, cols, data = [], [], []
-    for dx, dy, w in [(1, 0, hx), (0, 1, hy), (1, 1, hd), (1, -1, hd)]:
+    for dx, dy, w in [(1, 0, h), (0, 1, h), (1, 1, hd), (1, -1, hd)]:
         src, dst, _ = lattice._neighbors(dx, dy)
         rows.append(src)
         cols.append(dst)
@@ -247,8 +225,8 @@ def _chamfer_graph(lattice):
 def distance_to_set(lattice, mask):
     """Multi-source shortest-path distance to the masked sites.
 
-    Chamfer 8-neighbor metric with axis weights hx, hy and diagonal weight
-    hypot(hx, hy); wraps on the torus.  Exact on the lattice graph, and a
+    Chamfer 8-neighbor metric with axis weight h and diagonal weight
+    hypot(h, h); wraps on the torus.  Exact on the lattice graph, and a
     known <= 8% overestimate of the continuum Euclidean/geodesic distance.
     """
     mask = np.asarray(mask, dtype=bool)

@@ -56,13 +56,10 @@ def assemble_H(lattice, links, potential, p):
     r = potential.rank
     n_sites = lattice.n_sites
     dim = n_sites * r
-    hx, hy = lattice.spacing_x, lattice.spacing_y
-    diag_kin = (2.0 / hx**2 + 2.0 / hy**2) / p
-    w_axis = np.array([1.0 / (p * hx**2), 1.0 / (p * hy**2)])
-
-    u = links.u
+    h = lattice.spacing
+    diag_kin = 4.0 / h**2 / p
+    hop = -(1.0 / (p * h**2)) * links.u
     src, dst = lattice.edge_src, lattice.edge_dst
-    hop = -w_axis[lattice.edge_axis] * u
 
     # COO triplets, written in place: the diagonal blocks kinetic degree
     # * Id + V(i), the hopping blocks (scalar multiples of the identity in

@@ -16,7 +16,7 @@ the growth rounds; a certificate that falls back to heuristic says why in
 ``downgrade``.  Start vectors are seeded, so runs are reproducible.
 
 ``window_eigs`` solves one invariant block of H at a time, each the range
-of an isometry B.  An operator on a square rectangle centred at the origin
+of an isometry B.  An operator on the Dirichlet square centred at the origin
 may commute with the quarter turn R, (x, y) -> (-y, x) (a radial field in
 the symmetric gauge and a radial potential do); its blocks are then the
 four rotation sectors.  Each orbit s, Rs, R^2 s, R^3 s of indices gives the

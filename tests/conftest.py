@@ -47,7 +47,7 @@ def lowest_window(H, m):
 
 def torus_constant_setup(nx=24, p=4, c1=1):
     """Torus of side 2 pi with constant field of Chern number c1."""
-    lat = build_lattice("torus", TWO_PI, TWO_PI, nx, nx)
+    lat = build_lattice("torus", TWO_PI, nx)
     spec = FieldSpec.constant(c1 / TWO_PI)
     b = sample_field(spec, lat)
     links = gauge_links(edge_integrals(spec, lat, "landau"), p)
@@ -57,8 +57,7 @@ def torus_constant_setup(nx=24, p=4, c1=1):
 
 def bump_rectangle_setup(nx=48, p=8, half_width=2.2, height=1.0):
     """Dirichlet square, constant unit field, Gaussian potential bump."""
-    lat = build_lattice("rectangle_dirichlet", 2 * half_width, 2 * half_width,
-                        nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 2 * half_width, nx)
     spec = FieldSpec.constant(1.0)
     b = sample_field(spec, lat)
     links = gauge_links(edge_integrals(spec, lat, "symmetric"), p)
@@ -68,8 +67,7 @@ def bump_rectangle_setup(nx=48, p=8, half_width=2.2, height=1.0):
 
 def dip_rectangle_setup(nx=48, p=8, half_width=2.2):
     """Dirichlet square with the radial field dip 1 - 0.3 exp(-|x|^2)."""
-    lat = build_lattice("rectangle_dirichlet", 2 * half_width, 2 * half_width,
-                        nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 2 * half_width, nx)
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     b = sample_field(spec, lat)
     links = gauge_links(edge_integrals(spec, lat, "symmetric"), p)

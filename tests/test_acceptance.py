@@ -190,7 +190,7 @@ def test_criterion_9_model_spectrum_suite():
     # 1000 random brute-force checks of the level rule: the window test at
     # each point, and the branches of a single-site union
     rng = np.random.default_rng(90210)
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     site = np.zeros(lat.n_sites, dtype=bool)
     site[0] = True
     ok = True
@@ -217,13 +217,13 @@ def test_criterion_9_model_spectrum_suite():
             break
 
     # interface disk radius for the field-dip window, within one cell
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 64, 64)
+    lat = build_lattice("rectangle_dirichlet", 4.4, 64)
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     b = sample_field(spec, lat)
     K = interface_set(lat, b, zero_potential(lat), (1.6, 2.4), cutoff=6.0)
     r = np.hypot(lat.positions[:, 0], lat.positions[:, 1])
     r_in = r[K.mask].max()
-    cell = max(lat.spacing_x, lat.spacing_y)
+    cell = lat.spacing
     radius = np.sqrt(np.log(1.5))
     disk_ok = abs(r_in - radius) <= cell * np.sqrt(2)
 

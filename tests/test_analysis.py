@@ -1,50 +1,20 @@
-"""Clustering reports, weighted masses, decay fits, the norm-bound
-certificate."""
+"""Wall filter, weighted masses, decay fits, the norm-bound certificate."""
 
 import numpy as np
 import pytest
 
 from conftest import bump_rectangle_setup, stacked, torus_constant_setup
-from magspec import (FieldSpec, boundary_filter, build_lattice,
-                     cluster_assign, decay_fit, dense_spectrum, dist_to_sigma,
-                     distance_to_set, gaussian_bump_potential, interface_set,
+from magspec import (FieldSpec, boundary_filter, build_lattice, decay_fit,
+                     dense_spectrum, dist_to_sigma, distance_to_set,
+                     gaussian_bump_potential, interface_set,
                      mass_fraction_beyond, sample_field, scaling_exponent,
                      sigma_region, weighted_mass)
 from magspec.errors import ConsistencyError, InsufficientDataError
-from magspec.model import SigmaUnion
 from magspec.solvers import SpectrumSlice
 
 
-def _slice_of(values, n=4):
-    values = np.asarray(values, dtype=float)
-    k = values.size
-    vecs = np.zeros((n, k), dtype=complex)
-    vecs[:k, :k] = np.eye(k)
-    return SpectrumSlice(values=values, residuals=np.zeros(k),
-                         certificate="heuristic", blocks=[(None, vecs)])
-
-
-def _sigma(intervals, cutoff):
-    return SigmaUnion(intervals=[(lo, hi, ()) for lo, hi in intervals],
-                      branches=[], cutoff=cutoff)
-
-
-def test_cluster_assign_cases():
-    rep = cluster_assign(_slice_of([1.0, 3.0]), _sigma([(1, 1), (3, 3)], 4.0))
-    assert rep.max_distance == 0.0
-    assert rep.interval_counts.tolist() == [1, 1]
-
-    rep = cluster_assign(_slice_of([2.5]), _sigma([(1, 2), (3, 10)], 10.0))
-    assert rep.max_distance == pytest.approx(0.5)
-    assert rep.interval_index.tolist() == [-1]
-    assert not rep.truncated
-
-    rep = cluster_assign(_slice_of([11.0]), _sigma([(1, 2), (3, 10)], 10.0))
-    assert rep.truncated
-
-
 def _point_distance_field(nx=16, extent=1.0):
-    lat = build_lattice("torus", extent, extent, nx, nx)
+    lat = build_lattice("torus", extent, nx)
     mask = np.zeros(lat.n_sites, dtype=bool)
     mask[lat.site_index(nx // 2, nx // 2)] = True
     return lat, distance_to_set(lat, mask)
@@ -210,13 +180,13 @@ def test_boundary_filter_torus_identity():
     lat, spec, b, links, V, H = torus_constant_setup(nx=12, p=4)
     sl = dense_spectrum(H).select(np.arange(4))
     out = boundary_filter(sl, lat, 4, 1 / (2 * np.pi))
-    assert len(out.kept) == 4 and len(out.artifacts) == 0
+    assert len(out.kept) == 4 and not out.artifact_mask.any()
     assert np.all(out.fractions == 0.0)
 
 
 def test_boundary_filter_flags_wall_vector():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 16, 16)
-    wall = lat.boundary_distance() <= lat.spacing_x * 1.01
+    lat = build_lattice("rectangle_dirichlet", 2.0, 16)
+    wall = lat.boundary_distance() <= lat.spacing * 1.01
     vec = np.where(wall, 1.0, 0.0).astype(complex)
     vec /= np.linalg.norm(vec)
     sl = SpectrumSlice(values=np.array([1.0]), residuals=np.zeros(1),
@@ -227,8 +197,7 @@ def test_boundary_filter_flags_wall_vector():
 
 
 def _trial_setup(p, nx=64, half_width=2.6):
-    lat = build_lattice("rectangle_dirichlet", 2 * half_width, 2 * half_width,
-                        nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 2 * half_width, nx)
     spec = FieldSpec.constant(1.0)
     b = sample_field(spec, lat)
     V = gaussian_bump_potential(lat, 1.0, 1.0)
@@ -250,7 +219,7 @@ def test_trial_support_enforced():
     support = _bound_support(K, p, 1.0)
     assert near.any() and (K.omega & near).any() and support.any()
     assert np.array_equal(support, K.omega & ~near)
-    lat = build_lattice("torus", 2 * np.pi, 2 * np.pi, 32, 32)
+    lat = build_lattice("torus", 2 * np.pi, 32)
     K = interface_set(lat, sample_field(FieldSpec.constant(1.0), lat),
                       gaussian_bump_potential(lat, 1.0, 1.0), (1.3, 1.7),
                       cutoff=4.0)
@@ -440,7 +409,7 @@ def test_transition_field_gap_holds_only_wall_states():
     # finds there must live on the Dirichlet wall and get flagged.
     import magspec as ms
     p = 8
-    lat = ms.build_lattice("rectangle_dirichlet", 6.0, 6.0, 96, 96)
+    lat = ms.build_lattice("rectangle_dirichlet", 6.0, 96)
     spec = ms.FieldSpec.transition(1.0, 2.0, 0.3)
     links = ms.gauge_links(ms.edge_integrals(spec, lat, "landau"), p)
     H = ms.assemble_H(lat, links, ms.zero_potential(lat), p)

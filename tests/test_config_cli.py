@@ -17,7 +17,7 @@ import pytest
 from magspec.cli import main
 from magspec.config import (PotentialSpec, build_config, interface_radius,
                             parse_config, plan_geometry)
-from magspec.errors import ConfigError
+from magspec.errors import ConfigError, InvalidSpecError
 from magspec.experiments import run_experiment
 
 
@@ -100,6 +100,16 @@ def test_truncation_rule_drives_extent():
         assert plan["extent"] == pytest.approx(want, rel=1e-6)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("nx = 1", "nx must be at least 2"),
+    ("extent = -1", "lattice extent must be positive")])
+def test_plan_refuses_a_grid_the_lattice_refuses(line, message):
+    # the plan takes its site count from the lattice, so a grid that no
+    # lattice can be built on is refused with the config, not at the first p
+    with pytest.raises(InvalidSpecError, match=message):
+        parse_config(f"experiment = radial_dip\n{line}\n")
+
+
 def _write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -166,13 +176,14 @@ def test_cli_spectrum_and_model_sigma(tmp_path, capsys):
 
 
 def test_cli_spectrum_window_override(tmp_path, capsys):
+    # the torus solves its own lowest-cluster window: a --window that the
+    # view would ignore is refused, and nothing is solved or written
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 4\nnx = 24\n"
                      f"out = {tmp_path}/out\n")
-    # cluster window around the lowest level b = 1/(2 pi)
-    assert main(["spectrum", "--config", cfg, "--window",
-                 "0.0955,0.2228"]) == 0
-    out = capsys.readouterr().out
-    assert "4 pairs (certified)" in out
+    assert main(["spectrum", "--config", cfg, "--window", "5,6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(r"\bwindow\b", err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_localization_on_dumps(tmp_path, capsys):
@@ -203,6 +214,22 @@ _SMALL = {
     "radial_dip": "p = 2, 4\nnx = 24\n",
     "potential_bump": "p = 4\nnx = 32\ntrials_p = 4\n",
 }
+
+
+@pytest.mark.parametrize("preset", ["torus_constant", "radial_dip"])
+def test_empty_shown_slice_is_insufficient_data(tmp_path, capsys,
+                                                monkeypatch, preset):
+    # with every pair a wall artifact no shown pair is left to take the
+    # worst distance over: the run records that, it does not crash
+    import magspec.analysis
+
+    monkeypatch.setattr(magspec.analysis, "WALL_ARTIFACT", -1.0)
+    cfg = _write_cfg(tmp_path, f"experiment = {preset}\n{_SMALL[preset]}"
+                     f"out = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg]) == 1
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["error"] == "InsufficientDataError: empty spectrum slice"
 
 
 @pytest.mark.parametrize("preset", sorted(_SMALL))
@@ -552,6 +579,36 @@ def test_preset_potential_honours_v_keys():
     cfg = parse_config("experiment = potential_bump\nv_height = 2.0\n"
                        "v_width = 0.5\n")
     assert (cfg.potential.height, cfg.potential.width) == (2.0, 0.5)
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    # the torus solves its own lowest-cluster window, and only the bump
+    # preset has the norm bound and the localization report
+    ("torus_constant", "window", "5, 6"),
+    ("torus_constant", "trials_p", "4"),
+    ("torus_constant", "c_cap", "5"),
+    ("radial_dip", "window_margin", "0.1"),
+    ("radial_dip", "c1", "2"),
+    ("radial_dip", "trials_p", "8"),
+    # the bump preset's field is constant, which reads b alone
+    ("potential_bump", "b_inf", "2"),
+    ("potential_bump", "depth", "0.5"),
+    # radial_dip's potential is none, which reads no v_* key
+    ("radial_dip", "v_height", "1"),
+])
+def test_unread_key_is_refused_by_name(preset, key, value):
+    with pytest.raises(ConfigError, match=rf"does not read {key}$"):
+        parse_config(f"experiment = {preset}\n{key} = {value}\n")
+
+
+def test_unread_keys_follow_the_chosen_field_and_potential():
+    cfg = parse_config("experiment = radial_dip\npotential = bump\n"
+                       "v_height = 0.5\n")
+    assert cfg.potential.height == 0.5
+    cfg = parse_config("experiment = potential_bump\nfield = radial_dip\n"
+                       "depth = 0.2\n")
+    assert cfg.field_spec == build_config(
+        {"experiment": "radial_dip", "depth": 0.2}).field_spec
 
 
 def test_const_potential_unbounded_interface_is_refused():

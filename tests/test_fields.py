@@ -15,7 +15,7 @@ from magspec.fields import EdgeIntegrals
 
 
 def test_constant_preset_samples():
-    lat = build_lattice("torus", 1.0, 1.0, 8, 8)
+    lat = build_lattice("torus", 1.0, 8)
     b = sample_field(FieldSpec.constant(1.0), lat)
     assert np.all(b.site_values == 1.0)
     assert np.all(b.plaquette_values == 1.0)
@@ -89,27 +89,27 @@ def test_flux_quantization_integer():
                             "p": [4]})
         inst = build_instance(cfg, 4)
         b, lat = inst["b"], inst["lattice"]
-        flux = float(np.sum(b.plaquette_values) * lat.cell_area)
+        flux = float(np.sum(b.plaquette_values) * lat.spacing ** 2)
         assert flux / TWO_PI == pytest.approx(c1, rel=1e-12)
 
 
 def test_landau_edge_values_constant_field():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 10, 10)
+    lat = build_lattice("rectangle_dirichlet", 2.0, 10)
     bval = 0.8
     ints = edge_integrals(FieldSpec.constant(bval), lat, "landau")
     xmask = lat.edge_axis == 0
     assert np.allclose(ints.values[xmask], 0.0)
     x = lat.positions[lat.edge_src[~xmask], 0]
-    assert np.allclose(ints.values[~xmask], bval * x * lat.spacing_y)
+    assert np.allclose(ints.values[~xmask], bval * x * lat.spacing)
 
 
 def test_plaquette_sums_equal_flux_constant_torus():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 12, 12)
+    lat = build_lattice("torus", TWO_PI, 12)
     bval = 2 / TWO_PI
     ints = edge_integrals(FieldSpec.constant(bval), lat, "landau")
     signs = np.array([1.0, 1.0, -1.0, -1.0])
     sums = ints.values[lat.plaquettes] @ signs
-    flux = bval * lat.cell_area
+    flux = bval * lat.spacing ** 2
     corner = lat.n_plaquettes - 1  # carries the total-flux defect by design
     ok = np.ones(lat.n_plaquettes, dtype=bool)
     ok[corner] = False
@@ -122,7 +122,7 @@ def test_plaquette_sums_match_fine_flux_radial():
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     errs = {}
     for nx in (16, 32):
-        lat = build_lattice("rectangle_dirichlet", 2.4, 2.4, nx, nx)
+        lat = build_lattice("rectangle_dirichlet", 2.4, nx)
         ints = edge_integrals(spec, lat, "symmetric")
         signs = np.array([1.0, 1.0, -1.0, -1.0])
         sums = ints.values[lat.plaquettes] @ signs
@@ -130,13 +130,13 @@ def test_plaquette_sums_match_fine_flux_radial():
         nodes, weights = np.polynomial.legendre.leggauss(6)
         tx = 0.5 * (nodes + 1)
         cen = lat.plaquette_centers
-        hx, hy = lat.spacing_x, lat.spacing_y
+        h = lat.spacing
         flux = np.zeros(len(cen))
         for ax, wx in zip(tx, weights):
             for ay, wy in zip(tx, weights):
-                xx = cen[:, 0] + (ax - 0.5) * hx
-                yy = cen[:, 1] + (ay - 0.5) * hy
-                flux += 0.25 * wx * wy * spec.intensity(xx, yy) * hx * hy
+                xx = cen[:, 0] + (ax - 0.5) * h
+                yy = cen[:, 1] + (ay - 0.5) * h
+                flux += 0.25 * wx * wy * spec.intensity(xx, yy) * h * h
         errs[nx] = np.abs(sums - flux).max()
     # halving h divides the worst defect by about 2^4
     assert errs[16] / errs[32] > 10
@@ -144,7 +144,7 @@ def test_plaquette_sums_match_fine_flux_radial():
 
 
 def test_gauge_links_quarter_turn():
-    lat = build_lattice("rectangle_dirichlet", 1.0, 1.0, 3, 3)
+    lat = build_lattice("rectangle_dirichlet", 1.0, 3)
     vals = np.zeros(lat.n_edges)
     vals[0] = np.pi / 2
     ints = EdgeIntegrals(values=vals, lattice=lat, total_flux=None)
@@ -153,7 +153,7 @@ def test_gauge_links_quarter_turn():
 
 
 def test_gauge_links_quantization_gate():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 12, 12)
+    lat = build_lattice("torus", TWO_PI, 12)
     spec = FieldSpec.constant(1.5 / TWO_PI)  # 1.5 flux quanta
     ints = edge_integrals(spec, lat, "landau")
     links = gauge_links(ints, 2)  # 3 quanta at p = 2: fine
@@ -165,7 +165,7 @@ def test_gauge_links_quantization_gate():
 def test_holonomy_constant_field():
     lat, spec, b, links, V, H = torus_constant_setup(nx=16, p=4)
     hol = plaquette_holonomy(links)
-    expect = -4 * (1 / TWO_PI) * lat.cell_area
+    expect = -4 * (1 / TWO_PI) * lat.spacing ** 2
     assert np.allclose(np.angle(np.exp(1j * (hol - expect))), 0.0, atol=1e-12)
     # total curvature closes: product of all plaquette holonomies is 1
     total = np.exp(1j * hol).prod()
@@ -175,11 +175,11 @@ def test_holonomy_constant_field():
 def test_holonomy_tracks_local_flux_radial():
     p = 4
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
-    lat = build_lattice("rectangle_dirichlet", 2.4, 2.4, 32, 32)
+    lat = build_lattice("rectangle_dirichlet", 2.4, 32)
     links = gauge_links(edge_integrals(spec, lat, "symmetric"), p)
     hol = plaquette_holonomy(links)
     cen = lat.plaquette_centers
-    approx = -p * spec.intensity(cen[:, 0], cen[:, 1]) * lat.cell_area
+    approx = -p * spec.intensity(cen[:, 0], cen[:, 1]) * lat.spacing ** 2
     assert np.abs(hol - approx).max() < p * 1e-5
 
 
@@ -209,8 +209,8 @@ def test_gauge_transform_preserves_spectrum():
 
 
 def test_unsupported_gauge_combinations():
-    torus = build_lattice("torus", TWO_PI, TWO_PI, 8, 8)
-    rect = build_lattice("rectangle_dirichlet", 2.0, 2.0, 8, 8)
+    torus = build_lattice("torus", TWO_PI, 8)
+    rect = build_lattice("rectangle_dirichlet", 2.0, 8)
     with pytest.raises(GaugeDomainError):
         edge_integrals(FieldSpec.radial_dip(1.0, 0.3), torus, "landau")
     with pytest.raises(GaugeDomainError):
@@ -223,12 +223,12 @@ def test_unsupported_gauge_combinations():
 
 def test_transition_field_landau_gauge_flux():
     spec = FieldSpec.transition(1.0, 2.0, 0.5)
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, 24, 24)
+    lat = build_lattice("rectangle_dirichlet", 3.0, 24)
     ints = edge_integrals(spec, lat, "landau")
     signs = np.array([1.0, 1.0, -1.0, -1.0])
     sums = ints.values[lat.plaquettes] @ signs
     cen = lat.plaquette_centers
-    approx = spec.intensity(cen[:, 0], cen[:, 1]) * lat.cell_area
+    approx = spec.intensity(cen[:, 0], cen[:, 1]) * lat.spacing ** 2
     assert np.abs(sums - approx).max() < 1e-4
 
 
@@ -240,7 +240,7 @@ def test_field_width_must_be_positive(preset):
 
 
 def test_potential_validation_and_eigenvalues():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 6, 6)
+    lat = build_lattice("rectangle_dirichlet", 2.0, 6)
     bad = np.zeros((lat.n_sites, 2, 2), dtype=complex)
     bad[:, 0, 1] = 1.0  # not Hermitian
     with pytest.raises(InvalidSpecError):

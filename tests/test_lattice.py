@@ -12,15 +12,15 @@ TWO_PI = 2 * np.pi
 
 
 def test_torus_counts_and_spacing():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 64, 64)
+    lat = build_lattice("torus", TWO_PI, 64)
     assert lat.n_sites == 4096
-    assert lat.spacing_x == pytest.approx(TWO_PI / 64)
+    assert lat.spacing == pytest.approx(TWO_PI / 64)
     assert lat.n_edges == 2 * 4096
     assert lat.n_plaquettes == 4096
 
 
 def test_rectangle_interior_sites():
-    lat = build_lattice("rectangle_dirichlet", 1.0, 1.0, 4, 4)
+    lat = build_lattice("rectangle_dirichlet", 1.0, 4)
     assert lat.n_sites == 9
     # every interior site has at most 4 in-domain neighbors; count edges
     degree = np.zeros(lat.n_sites)
@@ -33,7 +33,7 @@ def test_rectangle_interior_sites():
 
 def test_torus_edges_and_plaquettes_pinned():
     # 3 x 3 torus, site = 3 iy + ix: +x edges from every site, then +y
-    lat = build_lattice("torus", 1.0, 1.0, 3, 3)
+    lat = build_lattice("torus", 1.0, 3)
     right = [1, 2, 0, 4, 5, 3, 7, 8, 6]  # +x neighbour of each site
     up = [3, 4, 5, 6, 7, 8, 0, 1, 2]     # +y neighbour of each site
     sites = list(range(9))
@@ -50,28 +50,31 @@ def test_torus_edges_and_plaquettes_pinned():
 
 
 def test_rectangle_edges_and_plaquettes_pinned():
-    # nx = 4, ny = 3 cells: a 3 x 2 grid of interior sites, no wall edges
-    lat = build_lattice("rectangle_dirichlet", 2.0, 1.5, 4, 3)
-    assert lat.edge_src.tolist() == [0, 1, 3, 4, 0, 1, 2]
-    assert lat.edge_dst.tolist() == [1, 2, 4, 5, 3, 4, 5]
-    assert lat.edge_axis.tolist() == [0, 0, 0, 0, 1, 1, 1]
-    assert lat.edge_wraps.tolist() == [False] * 7
-    assert lat.plaquette_corner_sites.tolist() == [0, 1]
-    assert lat.plaquettes.tolist() == [[0, 5, 2, 4], [1, 6, 3, 5]]
+    # nx = 4 cells: a 3 x 3 grid of interior sites, site = 3 iy + ix, no
+    # wall edges; a +x edge steps the site by 1, a +y edge by 3
+    lat = build_lattice("rectangle_dirichlet", 2.0, 4)
+    assert lat.edge_src.tolist() == [0, 1, 3, 4, 6, 7] + [0, 1, 2, 3, 4, 5]
+    assert lat.edge_dst.tolist() == [1, 2, 4, 5, 7, 8] + [3, 4, 5, 6, 7, 8]
+    assert lat.edge_axis.tolist() == [0] * 6 + [1] * 6
+    assert lat.edge_wraps.tolist() == [False] * 12
+    assert lat.plaquette_corner_sites.tolist() == [0, 1, 3, 4]
+    # +x edge of site s is edge [0, 1, _, 2, 3, _, 4, 5][s], +y edge 6 + s
+    assert lat.plaquettes.tolist() == [[0, 7, 2, 6], [1, 8, 3, 7],
+                                       [2, 10, 4, 9], [3, 11, 5, 10]]
 
 
 def test_invalid_specs_rejected():
     with pytest.raises(InvalidSpecError):
-        build_lattice("torus", 1.0, 1.0, 0, 8)
+        build_lattice("torus", 1.0, 1)
     with pytest.raises(InvalidSpecError):
-        build_lattice("torus", -1.0, 1.0, 8, 8)
+        build_lattice("torus", -1.0, 8)
     with pytest.raises(InvalidSpecError):
-        build_lattice("klein_bottle", 1.0, 1.0, 8, 8)
+        build_lattice("klein_bottle", 1.0, 8)
 
 
 def test_distance_single_source_neighbors():
-    lat = build_lattice("torus", 1.0, 1.0, 10, 10)
-    h = lat.spacing_x
+    lat = build_lattice("torus", 1.0, 10)
+    h = lat.spacing
     mask = np.zeros(lat.n_sites, dtype=bool)
     center = lat.site_index(5, 5)
     mask[center] = True
@@ -83,13 +86,13 @@ def test_distance_single_source_neighbors():
 
 
 def test_distance_empty_mask_rejected():
-    lat = build_lattice("torus", 1.0, 1.0, 8, 8)
+    lat = build_lattice("torus", 1.0, 8)
     with pytest.raises(EmptyMaskError):
         distance_to_set(lat, np.zeros(lat.n_sites, dtype=bool))
 
 
 def test_distance_symmetric_between_singletons():
-    lat = build_lattice("rectangle_dirichlet", 1.0, 1.0, 12, 12)
+    lat = build_lattice("rectangle_dirichlet", 1.0, 12)
     i, j = lat.site_index(2, 3), lat.site_index(8, 6)
     for a, bb in [(i, j), (j, i)]:
         mask = np.zeros(lat.n_sites, dtype=bool)
@@ -103,10 +106,9 @@ def test_distance_symmetric_between_singletons():
 
 def _brute_dijkstra(lat, mask):
     """Reference multi-source Dijkstra over the same 8-neighbor graph."""
-    snx, sny = lat.site_nx, lat.site_ny
-    hx, hy = lat.spacing_x, lat.spacing_y
-    hd = np.hypot(hx, hy)
-    steps = [(1, 0, hx), (-1, 0, hx), (0, 1, hy), (0, -1, hy),
+    n, h = lat.site_nx, lat.spacing
+    hd = np.hypot(h, h)
+    steps = [(1, 0, h), (-1, 0, h), (0, 1, h), (0, -1, h),
              (1, 1, hd), (1, -1, hd), (-1, 1, hd), (-1, -1, hd)]
     dist = np.full(lat.n_sites, np.inf)
     heap = []
@@ -117,15 +119,15 @@ def _brute_dijkstra(lat, mask):
         d0, i = heapq.heappop(heap)
         if d0 > dist[i]:
             continue
-        ix, iy = i % snx, i // snx
+        ix, iy = i % n, i // n
         for dx, dy, w in steps:
             jx, jy = ix + dx, iy + dy
             if lat.is_torus:
-                jx %= snx
-                jy %= sny
-            elif not (0 <= jx < snx and 0 <= jy < sny):
+                jx %= n
+                jy %= n
+            elif not (0 <= jx < n and 0 <= jy < n):
                 continue
-            j = jy * snx + jx
+            j = jy * n + jx
             if d0 + w < dist[j]:
                 dist[j] = d0 + w
                 heapq.heappush(heap, (d0 + w, j))
@@ -135,7 +137,7 @@ def _brute_dijkstra(lat, mask):
 @pytest.mark.parametrize("kind", ["torus", "rectangle_dirichlet"])
 def test_distance_matches_brute_force(kind):
     rng = np.random.default_rng(3)
-    lat = build_lattice(kind, 2.0, 1.5, 18, 14)
+    lat = build_lattice(kind, 2.0, 18)
     for _ in range(3):
         mask = rng.random(lat.n_sites) < 0.05
         if not mask.any():
@@ -146,18 +148,17 @@ def test_distance_matches_brute_force(kind):
 
 
 def test_distance_lipschitz_along_edges():
-    lat = build_lattice("torus", 3.0, 3.0, 24, 24)
+    lat = build_lattice("torus", 3.0, 24)
     mask = np.zeros(lat.n_sites, dtype=bool)
     mask[[0, 301]] = True
     d = distance_to_set(lat, mask).values
-    lengths = np.where(lat.edge_axis == 0, lat.spacing_x, lat.spacing_y)
     jump = np.abs(d[lat.edge_src] - d[lat.edge_dst])
-    assert np.all(jump <= 1.08 * lengths + 1e-12)
+    assert np.all(jump <= 1.08 * lat.spacing + 1e-12)
 
 
 @pytest.mark.parametrize("nx", [6, 7])
 def test_rotation_is_the_quarter_turn(nx):
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
     rot, pos = lat.rotation, lat.positions
     assert np.array_equal(np.sort(rot), np.arange(lat.n_sites))
     assert np.allclose(pos[rot], np.column_stack([-pos[:, 1], pos[:, 0]]),
@@ -170,7 +171,7 @@ def test_rotation_is_the_quarter_turn(nx):
 
 @pytest.mark.parametrize("nx", [6, 7])
 def test_reflection_swaps_the_coordinates(nx):
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
     flip, pos = lat.reflection, lat.positions
     assert np.array_equal(flip[flip], np.arange(lat.n_sites))
     assert np.allclose(pos[flip], pos[:, ::-1], atol=1e-14)
@@ -179,11 +180,9 @@ def test_reflection_swaps_the_coordinates(nx):
                           np.arange(lat.n_sites))
 
 
-@pytest.mark.parametrize("kind, extent_y, ny", [
-    ("torus", 3.0, 6),                 # no centre to turn about
-    ("rectangle_dirichlet", 4.0, 6),   # not square
-    ("rectangle_dirichlet", 3.0, 8),   # square, but unequal grids
-])
-def test_rotation_needs_a_centred_square(kind, extent_y, ny):
-    lat = build_lattice(kind, 3.0, extent_y, 6, ny)
+# the torus has no centre to turn about, at an even or odd grid count
+@pytest.mark.parametrize("kind, extent, nx", [("torus", 3.0, 6),
+                                              ("torus", TWO_PI, 7)])
+def test_rotation_needs_a_centred_square(kind, extent, nx):
+    lat = build_lattice(kind, extent, nx)
     assert lat.rotation is None and lat.reflection is None

@@ -33,7 +33,7 @@ def test_levels_in_window_brute_force():
 
 
 def test_sigma_region_single_site_brute_force():
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     rng = np.random.default_rng(7)
     region = np.zeros(lat.n_sites, dtype=bool)
     region[5] = True
@@ -60,7 +60,7 @@ def _field_on(lat, values):
 
 
 def test_sigma_region_point_intervals():
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     b = _field_on(lat, np.ones(lat.n_sites))
     sig = sigma_region(b, zero_potential(lat), cutoff=7.0)
     assert [(lo, hi) for lo, hi, _ in sig.intervals] == \
@@ -68,7 +68,7 @@ def test_sigma_region_point_intervals():
 
 
 def test_sigma_region_intervals_and_merge():
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     b = _field_on(lat, np.linspace(0.7, 1.0, lat.n_sites))
     sig = sigma_region(b, zero_potential(lat), cutoff=3.2)
     assert [(lo, hi) for lo, hi, _ in sig.intervals] == \
@@ -84,7 +84,7 @@ def test_sigma_region_intervals_and_merge():
 
 
 def test_sigma_region_rank2_branches():
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     b = _field_on(lat, np.ones(lat.n_sites))
     V = constant_potential(lat, np.diag([1.0, -1.0]))
     sig = sigma_region(b, V, cutoff=4.0)
@@ -96,7 +96,7 @@ def test_sigma_region_rank2_branches():
 
 
 def test_sigma_region_empty_region_rejected():
-    lat = build_lattice("torus", 1.0, 1.0, 4, 4)
+    lat = build_lattice("torus", 1.0, 4)
     b = _field_on(lat, np.ones(lat.n_sites))
     with pytest.raises(EmptyMaskError):
         sigma_region(b, zero_potential(lat),
@@ -106,7 +106,7 @@ def test_sigma_region_empty_region_rejected():
 def test_sigma_region_disconnected_components():
     # two separated patches at distinct field strengths: the union keeps the
     # per-component intervals instead of bridging them
-    lat = build_lattice("rectangle_dirichlet", 1.0, 1.0, 8, 8)
+    lat = build_lattice("rectangle_dirichlet", 1.0, 8)
     vals = np.ones(lat.n_sites)
     region = np.zeros(lat.n_sites, dtype=bool)
     region[lat.site_index(0, 0)] = True
@@ -121,13 +121,13 @@ def test_sigma_region_disconnected_components():
 def test_interface_set_analytic_disk():
     # field dip: the window [1.6, 2.4] meets only the k=1 branch, giving the
     # disk 3 b(x) <= 2.4, radius sqrt(ln 1.5)
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 64, 64)
+    lat = build_lattice("rectangle_dirichlet", 4.4, 64)
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     b = sample_field(spec, lat)
     K = interface_set(lat, b, zero_potential(lat), (1.6, 2.4), cutoff=6.0)
     r = np.hypot(lat.positions[:, 0], lat.positions[:, 1])
     radius = np.sqrt(np.log(1.5))
-    cell = max(lat.spacing_x, lat.spacing_y)
+    cell = lat.spacing
     inside = r <= radius - cell
     outside = r >= radius + cell
     assert K.mask[inside].all()
@@ -137,7 +137,7 @@ def test_interface_set_analytic_disk():
 
 
 def test_interface_set_trivial_windows():
-    lat = build_lattice("torus", 1.0, 1.0, 6, 6)
+    lat = build_lattice("torus", 1.0, 6)
     b = _field_on(lat, np.ones(lat.n_sites))
     V = zero_potential(lat)
     empty = interface_set(lat, b, V, (1.5, 2.5), cutoff=6.0)
@@ -152,7 +152,7 @@ def test_interface_set_trivial_windows():
 
 
 def test_interface_window_monotone():
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 32, 32)
+    lat = build_lattice("rectangle_dirichlet", 4.4, 32)
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     b = sample_field(spec, lat)
     V = zero_potential(lat)
@@ -162,7 +162,7 @@ def test_interface_window_monotone():
 
 
 def test_interface_witness_consistency():
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 24, 24)
+    lat = build_lattice("rectangle_dirichlet", 4.4, 24)
     spec = FieldSpec.radial_dip(1.0, 0.3, 1.0)
     b = sample_field(spec, lat)
     V = zero_potential(lat)

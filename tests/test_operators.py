@@ -11,7 +11,7 @@ from magspec.operators import gershgorin_interval, hermiticity_defect
 
 
 def _free_torus(nx=12, p=2):
-    lat = build_lattice("torus", TWO_PI, TWO_PI, nx, nx)
+    lat = build_lattice("torus", TWO_PI, nx)
     links = trivial_links(lat, p)
     V = zero_potential(lat)
     return lat, assemble_H(lat, links, V, p)
@@ -54,7 +54,7 @@ def test_hermiticity_and_gershgorin():
     w = dense_spectrum(H).values
     assert w.min() >= lo - 1e-12 and w.max() <= hi + 1e-12
     # and the closed-form bound 8/(p h^2) + max V
-    h = lat.spacing_x
+    h = lat.spacing
     assert hi <= 8 / (4 * h * h) + 1e-12
 
 
@@ -66,7 +66,7 @@ def test_potential_shifted_positivity():
 
 
 def test_rank2_block_structure():
-    lat = build_lattice("rectangle_dirichlet", 2.0, 2.0, 8, 8)
+    lat = build_lattice("rectangle_dirichlet", 2.0, 8)
     links = trivial_links(lat, 2)
     pauli_z = np.diag([1.0, -1.0])
     V = constant_potential(lat, pauli_z)

@@ -42,7 +42,7 @@ def test_dense_guards():
 
 
 def test_lowest_free_field_ground_state():
-    lat = build_lattice("torus", TWO_PI, TWO_PI, 16, 16)
+    lat = build_lattice("torus", TWO_PI, 16)
     H = assemble_H(lat, trivial_links(lat, 2), zero_potential(lat), 2)
     sl = window_eigs(H, lowest_window(H, 1)[0])
     assert len(sl) == 1
@@ -54,12 +54,12 @@ def test_lowest_free_field_ground_state():
 
 def test_lowest_free_field_first_excited_level():
     n_side, p = 20, 2
-    lat = build_lattice("torus", TWO_PI, TWO_PI, n_side, n_side)
+    lat = build_lattice("torus", TWO_PI, n_side)
     H = assemble_H(lat, trivial_links(lat, p), zero_potential(lat), p)
     # the third level, wave vectors (+-1, +-1), is 4-fold too: keep it whole
     sl = window_eigs(H, lowest_window(H, 9)[0])
     assert len(sl) == 9
-    h = lat.spacing_x
+    h = lat.spacing
     lam2 = (1 / p) * (2 / h**2) * (1 - np.cos(TWO_PI / n_side))
     assert np.allclose(sl.values[1:5], lam2, rtol=1e-10)  # 4-fold degenerate
     assert sl.values[5] > sl.values[4] * 1.5
@@ -422,7 +422,7 @@ def _interior_window(H, lo=10, count=20):
 @pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
 @pytest.mark.parametrize("rank", [1, 2])
 def test_sector_bases_split_the_rotation(nx, rank):
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
     perm = (lat.rotation[:, None] * rank + np.arange(rank)).ravel()
     n = perm.size
     bases = [b.toarray() for b in solvers._sector_bases(perm)]
@@ -441,7 +441,7 @@ def test_sector_bases_split_the_rotation(nx, rank):
 @pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
 @pytest.mark.parametrize("rank", [1, 2])
 def test_real_basis_is_fixed_by_the_reflection(nx, rank):
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, nx, nx)
+    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
     perm = solvers._fiber_lift(lat.rotation, rank)
     flip = solvers._fiber_lift(lat.reflection, rank)
     n = perm.size
@@ -572,7 +572,7 @@ def test_select_shares_the_block_vectors(dip_slice):
 def test_degenerate_clusters_spanning_sectors():
     # the free Laplacian's 2-fold pairs at 1.364, 2.710, 3.526 and 4.561
     # each split over two rotation sectors, so no cluster QR sees a pair
-    lat = build_lattice("rectangle_dirichlet", 3.0, 3.0, 24, 24)
+    lat = build_lattice("rectangle_dirichlet", 3.0, 24)
     H = assemble_H(lat, trivial_links(lat, 4), zero_potential(lat), 4)
     window, dense = lowest_window(H, 11)  # the gap 4.87 .. 5.38
     sl = window_eigs(H, window)
@@ -681,7 +681,7 @@ def _torus_case():
 
 
 def _transition_case():
-    lat = build_lattice("rectangle_dirichlet", 4.4, 4.4, 25, 25)
+    lat = build_lattice("rectangle_dirichlet", 4.4, 25)
     spec = FieldSpec.transition()
     links = gauge_links(edge_integrals(spec, lat, "landau"), 4)
     H = assemble_H(lat, links, zero_potential(lat), 4)
