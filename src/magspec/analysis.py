@@ -21,14 +21,18 @@ DECAY_FLOOR = 1e-12
 WALL_ARTIFACT = 0.5
 
 
-def _site_amplitude_sq(vector, n_sites):
-    """|u|^2 per site, summing fiber components for rank > 1 vectors."""
-    u = np.asarray(vector)
-    if u.size % n_sites != 0:
+def _site_sum(abs_sq, n_sites):
+    """Per-site sums of a per-index |u|^2 over the fiber components."""
+    if abs_sq.size % n_sites != 0:
         raise ConsistencyError(
             "vector length is not a multiple of the site count")
-    r = u.size // n_sites
-    return np.abs(u.reshape(n_sites, r)) ** 2 @ np.ones(r)
+    r = abs_sq.size // n_sites
+    return abs_sq.reshape(n_sites, r) @ np.ones(r)
+
+
+def _site_amplitude_sq(vector, n_sites):
+    """|u|^2 per site, summing fiber components for rank > 1 vectors."""
+    return _site_sum(np.abs(np.asarray(vector)) ** 2, n_sites)
 
 
 def _logsumexp(a):
@@ -62,41 +66,34 @@ def weighted_mass(vector, dist, c, p):
     """
     if c < 0:
         raise ValueError("decay rate c must be nonnegative")
-    lat = dist.lattice
-    amp2 = _site_amplitude_sq(vector, lat.n_sites)
+    amp2 = _site_amplitude_sq(vector, dist.lattice.n_sites)
+    return _mass(_carrier(amp2, dist.values), c, p)
+
+
+def _carrier(amp2, dist_values):
+    """A vector's half of ``weighted_mass``: log |u|^2 and the distances on
+    the sites with mass, and the log of the plain mass."""
     carrier = amp2 > 0
     if not carrier.any():
         raise ValueError("vector has zero norm")
+    log_amp2 = np.log(amp2[carrier])
+    return log_amp2, dist_values[carrier], _logsumexp(log_amp2)
+
+
+def _mass(carrier, c, p):
+    """``weighted_mass`` at the rate c >= 0 from the vector's ``_carrier``.
+
+    One site-length temporary per rate, never a rates x sites block:
+    freeing multi-megabyte blocks raised glibc's mmap threshold, and the
+    next p's window solve then peaked about 16 MB higher.
+    """
     if c == 0:
         return 1.0
-    log_amp2 = np.log(amp2[carrier])
-    log_w = 2.0 * c * np.sqrt(p) * dist.values[carrier]
-    log_mass = _logsumexp(log_w + log_amp2) - _logsumexp(log_amp2)
+    log_amp2, d, log_total = carrier
+    log_mass = _logsumexp(2.0 * c * np.sqrt(p) * d + log_amp2) - log_total
     # the log-domain sum cannot overflow; the final value may saturate +inf
     with np.errstate(over="ignore"):
         return float(np.exp(log_mass))
-
-
-def _weighted_masses(amp2, dist_values, rates, p):
-    """``weighted_mass`` of one vector's |u|^2 at every (nonnegative) rate,
-    with its log, the carrier's distances and the plain mass taken once.
-
-    The same arithmetic per rate, so each value equals the scalar one bit
-    for bit.  One site-length temporary per rate, not a rates x sites
-    block: freeing multi-megabyte blocks raises glibc's dynamic mmap
-    threshold, and the next p's window solve then peaked about 16 MB
-    higher (potential_bump, p = 64 then 128); the loop was also faster.
-    """
-    carrier = amp2 > 0
-    if not carrier.any():
-        raise ValueError("vector has zero norm")
-    log_amp2 = np.log(amp2[carrier])
-    d = dist_values[carrier]
-    log_mass = np.array([_logsumexp(s * d + log_amp2)
-                         for s in 2.0 * rates * np.sqrt(p)])
-    log_mass -= _logsumexp(log_amp2)
-    with np.errstate(over="ignore"):
-        return np.where(rates == 0, 1.0, np.exp(log_mass))
 
 
 def mass_fraction_beyond(vector, dist, threshold):
@@ -189,7 +186,7 @@ def boundary_filter(sl, lattice, p, b_max):
     near = _wall_band(lattice, p, b_max)
     fractions = np.empty(k)
     for i in range(k):
-        amp2 = _site_amplitude_sq(sl.column(i), lattice.n_sites)
+        amp2 = _site_sum(sl.abs_sq(i), lattice.n_sites)
         fractions[i] = amp2[near].sum() / amp2.sum()
     mask = fractions > WALL_ARTIFACT
     return FilteredSlice(kept=sl.select(np.flatnonzero(~mask)),
@@ -200,7 +197,6 @@ def boundary_filter(sl, lattice, p, b_max):
 class LocalizationEntry:
     index: int
     value: float
-    w_grid: np.ndarray
     c_star: float
     w_at_cmin: float
     kappa: float              # nan when the decay fit lacks shells
@@ -224,40 +220,40 @@ def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
     """Per-eigenpair weighted-mass and decay diagnostics against the set.
 
     c_star is the largest rate of the grid of 25 from 0 to 6 c_min (None:
-    0.2 sqrt(b_min)) whose weighted mass stays below the cap ``c_cap``; the
-    grid starts at 0 where the mass is exactly 1, so c_star always exists.
-    Each pair's column is read once, into one |u|^2 that the wall fraction
-    (as ``boundary_filter``), the weighted masses, the decay fit and the
-    far-mass fraction share; the masks and shell bins are taken once.
+    0.2 sqrt(b_min)) whose weighted mass is within the cap ``c_cap`` (0.0
+    if none; the mass at 0 is 1): the grid is scanned down from its top to
+    the first such rate, so no other mass is computed.  Each pair's |u|^2
+    is read once from its block (``SpectrumSlice.abs_sq``) and shared by
+    the wall fraction (as ``boundary_filter``), the masses, the decay fit
+    and the far-mass fraction; the masks and shell bins are taken once.
     """
     lat = interface.lattice
     if c_min is None:
         c_min = 0.2 * np.sqrt(b_min)
-    c_grid = np.linspace(0.0, 6.0 * c_min, 25)
-    rates = np.append(c_grid, c_min)
-    if np.any(rates < 0):
+    if c_min < 0:
         raise ValueError("decay rate c must be nonnegative")
+    c_grid = np.linspace(0.0, 6.0 * c_min, 25)
     dist = interface.distance
     near = _wall_band(lat, p, b_max)
     far = dist.values > 3.0 / np.sqrt(p * b_max)
     shells = _shells(dist)
     entries = []
     for i in range(len(sl)):
-        amp2 = _site_amplitude_sq(sl.column(i), lat.n_sites)
+        amp2 = _site_sum(sl.abs_sq(i), lat.n_sites)
         total = amp2.sum()
         wall_fraction = amp2[near].sum() / total
-        masses = _weighted_masses(amp2, dist.values, rates, p)
-        w, w_at_cmin = masses[:-1], float(masses[-1])
-        admissible = np.flatnonzero(w <= c_cap)
-        c_star = float(c_grid[admissible[-1]]) if admissible.size else 0.0
+        carrier = _carrier(amp2, dist.values)
+        c_star = next((float(c) for c in c_grid[::-1]
+                       if _mass(carrier, c, p) <= c_cap), 0.0)
         try:
             kappa, stderr, n_shells = _shell_fit(amp2, shells)
         except InsufficientDataError:
             kappa, stderr, n_shells = float("nan"), float("nan"), None
         entries.append(LocalizationEntry(
-            index=i, value=float(sl.values[i]), w_grid=w, c_star=c_star,
-            w_at_cmin=w_at_cmin, kappa=kappa, kappa_stderr=stderr,
-            shells=n_shells, boundary_fraction=float(wall_fraction),
+            index=i, value=float(sl.values[i]), c_star=c_star,
+            w_at_cmin=_mass(carrier, c_min, p), kappa=kappa,
+            kappa_stderr=stderr, shells=n_shells,
+            boundary_fraction=float(wall_fraction),
             far_mass_fraction=float(amp2[far].sum() / total),
             artifact=bool(wall_fraction > WALL_ARTIFACT)))
     return LocalizationReport(entries=entries, c_grid=c_grid,

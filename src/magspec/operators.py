@@ -12,7 +12,7 @@ implicit zeros (they still count in the diagonal).
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,10 @@ class SparseHermitian:
     rank: int
     lattice: Lattice | None = None
     provenance: str = ""
+    # its rotation orbits and defect bounds (``solvers``), built on first
+    # use; ``replace`` starts a new operator without them
+    orbit_table: object = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @property
     def n(self):

@@ -15,41 +15,41 @@ converge them.  Only a shortfall grows k.  A slice records its final k and
 the growth rounds; a certificate that falls back to heuristic says why in
 ``downgrade``.  Start vectors are seeded, so runs are reproducible.
 
-``window_eigs`` solves one invariant block of H at a time, each the range
-of an isometry B.  An operator on the Dirichlet square centred at the origin
-may commute with the quarter turn R, (x, y) -> (-y, x) (a radial field in
-the symmetric gauge and a radial potential do); its blocks are then the
-four rotation sectors.  Each orbit s, Rs, R^2 s, R^3 s of indices gives the
-column 1/2 sum_j i^(-mj) e_(R^j s) of the isometry B_m onto the eigenspace
-i^m of R (m = 0..3; the origin's components belong to m = 0 only).  Every
-other operator is one block, the whole space.  Each block gets the window
-solve above, on B_m^H H B_m (about N/4 in size) for a sector, with its own
-counts, certificate and growth loop; sector m's start vector is seeded from
-(seed, m).  That matrix is built over two column halves of B_m, so the
-N x N/4 product H B_m, the largest array of a sector solve, is never
-whole.  One finishing step turns a block's in-window pairs into a slice:
-it sorts them, orthonormalizes degenerate clusters in block space and
-computes every residual on the full H from the pairs mapped by B_m; the
-residual check and the midpoint count check then read those full-H
-residuals.  Blocks merge by sorting their pairs only: every vector stays
-in its block's coordinates, beside the block's isometry, and
-``SpectrumSlice.column`` maps one pair at a time, so no N x k array is
-made (a sector's real vectors take 1/8 of its complex lattice columns).
-One cluster QR is enough: the B_m are isometries with mutually orthogonal
-ranges, so vectors orthonormal within a block stay orthonormal after
-mapping, and orthogonal to every other block's.
+``window_eigs`` solves one invariant block of H at a time.  An operator on
+the Dirichlet square centred at the origin may commute with the quarter turn
+R, (x, y) -> (-y, x) (a radial field in the symmetric gauge and a radial
+potential do); its blocks are then the four rotation sectors.  Each orbit s,
+Rs, R^2 s, R^3 s of indices gives the column b_c = 1/2 sum_j i^(-mj)
+e_(R^j s) of the isometry B_m onto the eigenspace i^m of R (m = 0..3; the
+indices R fixes belong to m = 0 only).  Every other operator is one block,
+the whole space.  The sectors rest on one orbit table per operator, built
+on first use with its defect bounds (below) and shared by its window solves
+and certificates.  A sector's isometry is built from the table only while
+its block B_m^H H B_m (about N/4 in size) is formed, over two column halves,
+so the N x N/4 product H B_m is never whole.  Each block gets the window
+solve above, with its own counts, certificate and growth loop; sector m's
+start vector is seeded from (seed, m).  One finishing step sorts a block's
+in-window pairs, orthonormalizes degenerate clusters in block space and
+computes every residual on the full H, which the residual check and the
+midpoint count check read.  Blocks merge by sorting their pairs only: the
+vectors stay in block coordinates beside their sector, ``column`` lifts one
+pair by a gather from the table and ``abs_sq`` spreads its |u|^2 there
+without the lattice vector, so no N x k array is made.  One cluster QR is enough: the B_m are
+isometries with mutually orthogonal ranges, so vectors orthonormal within a
+block stay orthonormal on the lattice, and orthogonal to every other
+block's.
 
 A sector matrix is real symmetric when H also commutes with the
 antiunitary T = conj S, S the index permutation of the diagonal reflection
 (x, y) -> (y, x): the reflection reverses the field and the conjugation
 restores it, which holds on the radial presets.  Since S R S = R^-1 and R
-is real, T maps each rotation sector to itself, and B_m^H S conj(B_m) is a
-phase times a column permutation: T b_c = phi_c b_c', c' the column whose
-orbit S maps c's orbit onto, with phi_c' = phi_c because T^2 = 1.  A
-T-fixed column (c' = c) gives the basis vector sqrt(phi_c) b_c; a pair c <
-c' gives (b_c + phi_c b_c') / sqrt 2 and i (b_c - phi_c b_c') / sqrt 2.
-These are T-fixed, so <w, H w'> = conj <Tw, T H w'> = conj <w, H w'> is
-real: in the isometry W_m = B_m Q_m the sector matrix is real symmetric,
+is real, T maps each rotation sector to itself: when S s_c = R^k s_c', the
+table gives T b_c = 1/2 sum_j i^(mj) e_(R^(k-j) s_c') = phi_c b_c' with
+phi_c = i^(mk), and phi_c' = phi_c because T^2 = 1.  A T-fixed column (c' =
+c) gives the basis vector sqrt(phi_c) b_c; a pair c < c' gives (b_c + phi_c
+b_c') / sqrt 2 and i (b_c - phi_c b_c') / sqrt 2, side by side in the order
+of c.  These are T-fixed, so <w, H w'> = conj <Tw, T H w'> = conj <w, H w'>
+is real: in the isometry W_m = B_m Q_m the sector matrix is real symmetric,
 and it is solved with a real factor and real Lanczos (ARPACK's symmetric
 driver; a complex matrix goes to its Arnoldi driver) from a real start
 vector seeded from (seed, m).
@@ -120,13 +120,13 @@ class SpectrumSlice:
     """Eigenpairs sorted ascending with a completeness certificate.
 
     The vectors stay in the coordinates of the blocks they were solved in;
-    ``column(i)`` maps pair i to the lattice.
+    ``column(i)`` lifts pair i to the lattice.
     """
 
     values: np.ndarray
     residuals: np.ndarray
     certificate: str
-    # per block (isometry onto its range, or None for the whole space; its
+    # per block (its rotation sector, or None for the whole space; its
     # pairs' block-space vectors as columns, unit norm)
     blocks: list
     block: np.ndarray | None = None  # each pair's block (None: all in 0)
@@ -149,14 +149,22 @@ class SpectrumSlice:
     @property
     def dim(self):
         """Length of a lattice vector."""
-        basis, vectors = self.blocks[0]
-        return (vectors if basis is None else basis).shape[0]
+        sector, vectors = self.blocks[0]
+        return vectors.shape[0] if sector is None else sector.orbits.n
+
+    def _pair(self, i):
+        sector, vectors = self.blocks[self.block[i]]
+        return sector, vectors[:, self.index[i]]
 
     def column(self, i):
-        """Pair i's vector on the lattice, ``basis @ v`` from its block."""
-        basis, vectors = self.blocks[self.block[i]]
-        v = vectors[:, self.index[i]]
-        return v if basis is None else basis @ v
+        """Pair i's vector on the lattice, lifted from its block."""
+        sector, v = self._pair(i)
+        return v if sector is None else sector.lift(v)
+
+    def abs_sq(self, i):
+        """|column(i)|^2 per lattice index, bit for bit, without the column."""
+        sector, v = self._pair(i)
+        return np.abs(v) ** 2 if sector is None else sector.abs_sq(v)
 
     def select(self, keep):
         """The pairs ``keep``, sharing this slice's block vectors."""
@@ -181,9 +189,10 @@ def _start_vector(n, seed, sector, dtype):
     return v / np.linalg.norm(v)
 
 
-def _residuals(op, values, vectors, basis=None):
-    """Full-H residual norms of the pairs with vectors ``basis @ vectors``
-    (None: ``vectors``), two columns at a time (the last three together).
+def _residuals(op, values, vectors, sector=None):
+    """Full-H residual norms of the pairs with block vectors ``vectors`` of
+    ``sector`` (None: the whole space), two columns at a time (the last
+    three together).
 
     No N x k temporary is made, only N x 2 ones.  Each chunk holds at least
     two columns of a matrix of two or more, because numpy sums a lone column
@@ -193,8 +202,8 @@ def _residuals(op, values, vectors, basis=None):
     norms = np.empty(k)
     edges = np.append(np.arange(0, max(k - 1, 1), 2), k)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        mapped = vectors[:, lo:hi] if basis is None \
-            else basis @ vectors[:, lo:hi]
+        mapped = vectors[:, lo:hi] if sector is None \
+            else sector.lift(vectors[:, lo:hi])
         resid = op.matrix @ mapped - mapped * values[None, lo:hi]
         norms[lo:hi] = np.linalg.norm(resid, axis=0)
     return norms
@@ -224,11 +233,12 @@ def _orthonormalize_clusters(values, vectors):
     return vectors
 
 
-def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
+def _finish(op, sector, values, vectors, certificate, tol=0.0, window=None):
     """Ascending slice of one block from its raw pairs: the pairs inside
     ``window`` (all without one), clusters orthonormalized in block space,
-    residuals computed on the full H from the vectors mapped by ``basis``
-    (None: the whole space).  The slice keeps the block-space vectors."""
+    residuals computed on the full H from the vectors lifted from
+    ``sector`` (None: the whole space).  The slice keeps the block-space
+    vectors."""
     values = np.asarray(values)
     order = np.argsort(values)
     if window is not None:
@@ -237,8 +247,8 @@ def _finish(op, basis, values, vectors, certificate, tol=0.0, window=None):
     values = values[order]
     vectors = _orthonormalize_clusters(values, np.asarray(vectors)[:, order])
     return SpectrumSlice(values=values,
-                         residuals=_residuals(op, values, vectors, basis),
-                         certificate=certificate, blocks=[(basis, vectors)],
+                         residuals=_residuals(op, values, vectors, sector),
+                         certificate=certificate, blocks=[(sector, vectors)],
                          tol=tol)
 
 
@@ -329,15 +339,14 @@ def window_eigs(op, window, tol=None, seed=0):
     if tol is None:
         tol = default_tol(op)
 
-    bases, symmetry, defect = _rotation_sectors(op, tol)
-    blocks = [(None, None)] if bases is None else enumerate(bases)
+    sectors, symmetry, defect = _rotation_sectors(op, tol)
     # no block eigenvalue lies below the Gershgorin bound of H
     open_below = alpha < lowest
     parts = []
     try:
-        for sector, basis in blocks:
-            parts.append(_block_solve(op, basis, symmetry == C4_T, sector,
-                                      alpha, beta, open_below, tol, seed))
+        for sector in sectors or [None]:
+            parts.append(_block_solve(op, sector, alpha, beta, open_below,
+                                      tol, seed))
     except ConvergenceError as exc:
         if exc.partial is not None:
             parts.append(exc.partial)
@@ -346,12 +355,12 @@ def window_eigs(op, window, tol=None, seed=0):
     return _merge(parts, symmetry, defect)
 
 
-def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
-    """The window solve of op on the range of ``basis`` (None: the whole
-    space), from a start vector seeded from (seed, sector); ``real`` keeps
-    the real part of a block whose basis is T-fixed."""
-    block = op if basis is None \
-        else _hermitian_block(op, basis, real, op.matrix)
+def _block_solve(op, sector, alpha, beta, open_below, tol, seed):
+    """The window solve of op on ``sector`` (None: the whole space), from a
+    start vector seeded from (seed, its m); the sector's isometry lives only
+    while its block is formed."""
+    block = op if sector is None \
+        else _hermitian_block(op, sector.isometry(), sector.real, op.matrix)
     c_lo, why_lo = 0, None
     if not open_below:
         c_lo, why_lo = count_below(block, alpha)
@@ -362,20 +371,21 @@ def _block_solve(op, basis, real, sector, alpha, beta, open_below, tol, seed):
     if expected == 0:
         return SpectrumSlice(values=np.empty(0), residuals=np.empty(0),
                              certificate=CERTIFIED,
-                             blocks=[(basis, np.empty((block.n, 0)))],
+                             blocks=[(sector, np.empty((block.n, 0)))],
                              tol=tol, krylov_k=0)
 
     k = min(16 if expected is None else expected, block.n - 2)
     lu, shift, c_mid, why_mid = _factor_shifted(block, 0.5 * (alpha + beta))
 
     def finish(values, vectors, window=None):
-        out = _finish(op, basis, values, vectors, HEURISTIC, tol, window)
+        out = _finish(op, sector, values, vectors, HEURISTIC, tol, window)
         out.krylov_k, out.growth_rounds = k, rounds
         return out
 
     rounds = 0
     while True:
-        w, u = _shift_invert(block, lu, shift, k, seed, sector, finish)
+        w, u = _shift_invert(block, lu, shift, k, seed,
+                             None if sector is None else sector.m, finish)
         got = int(np.sum((w >= alpha) & (w <= beta)))
         if expected is None or got >= expected or k >= block.n - 2:
             break
@@ -455,31 +465,32 @@ def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
     On the rotation sectors that ``window_eigs`` takes at ``tol``, when S is
     invariant under the quarter turn, each sector column lies wholly inside
     S or wholly outside it, and the columns inside span the vectors
-    supported in S.  G is then block diagonal in them: each block, real in a
-    T-fixed basis, is counted and solved alone, the counts add up and
-    sigma_S is the smallest block minimum; else G is one block.  Returns
-    (sigma_S, count, downgrade, symmetry); only start vectors use ``seed``.
+    supported in S (read off the orbit table).  G is then block diagonal in
+    them: each block, real in a T-fixed basis, is counted and solved alone,
+    the counts add up and sigma_S is the smallest block minimum; else G is
+    one block.  Returns (sigma_S, count, downgrade, symmetry); only start
+    vectors use ``seed``.
     """
     inside = np.repeat(support, op.rank)
     shifted = op.matrix - lam * sp.identity(op.n, dtype=op.matrix.dtype,
                                             format="csr")
-    bases, symmetry, _ = _rotation_sectors(
+    sectors, symmetry, _ = _rotation_sectors(
         op, default_tol(op) if tol is None else tol)
-    if bases is not None:
-        bases = [basis[:, np.asarray(abs(basis[~inside]).sum(axis=0)).ravel()
-                       == 0] for basis in bases]
-    if bases is None or sum(b.shape[1] for b in bases) != inside.sum():
-        bases, symmetry = [sp.identity(op.n, format="csc")[:, inside]], \
-            NO_SYMMETRY
+    columns = [sector.inside(inside) for sector in sectors or []]
+    if not columns or sum(cols.sum() for cols in columns) != inside.sum():
+        sectors, columns, symmetry = [None], [inside], NO_SYMMETRY
     sigma_s, count, downgrade = np.inf, 0, None
-    for sector, basis in enumerate(bases):
-        gram = _hermitian_block(op, shifted @ basis, symmetry == C4_T)
+    for sector, cols in zip(sectors, columns):
+        basis = sp.identity(op.n, format="csc") if sector is None \
+            else sector.isometry()
+        gram = _hermitian_block(op, shifted @ basis[:, cols], symmetry == C4_T)
+        del basis  # no isometry alive while the block is solved
         lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
         if c or why:
             del lu  # one factor alive at a time
             lu, shift = _factor_shifted(gram, 0.0)[:2]
         (w,) = _shift_invert(gram, lu, shift, 1, seed,
-                             None if len(bases) == 1 else sector)
+                             None if sector is None else sector.m)
         del lu
         sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
         count += c
@@ -517,30 +528,89 @@ def _merge(parts, symmetry, defect):
 # ----------------------------------------------------------------------
 # rotation sectors
 
-def _rotation_sectors(op, tol):
-    """(sector isometries or None, symmetry, defect bound or None) of op.
+# i^k for k = 0..3 with +0 zero parts, and the entries i^(-k) / 2 of B_m
+_UNITS = np.array([1, 1j, -1, -1j]) + 0.0
+_HALVES = 0.5 * _UNITS[-np.arange(4) % 4]
+# (Q v)_c = alpha v[a_c] + beta v[a_c + 1] at 4 kind + k for a column c of
+# B_m that is the second of its T pair, T-fixed or the first (kind 0, 1,
+# 2), phi_c = i^k
+_R = np.sqrt(0.5)
+_ALPHA = np.concatenate([_R * _UNITS, np.sqrt(_UNITS), np.full(4, _R + 0j)])
+_BETA = np.concatenate([-1j * _R * _UNITS, np.zeros(4), np.full(4, 1j * _R)])
 
-    The bound is None when op's lattice has no quarter turn; the bases are
-    None unless the rotation defect is within the guard.  They are T-real
-    (symmetry C4+T, bound ||D|| + ||D_T||) when the reflection defect is
-    within it too, else the complex B_m (C4, bound ||D||).
+
+@dataclass
+class _OrbitTable:
+    """An operator's quarter-turn orbits and its two defect bounds.
+
+    Row j of ``table`` holds R^j s_c for the least index s_c of orbit c, a
+    column of every B_m; the indices R fixes are the last columns of B_0.
+    ``slot`` is each index's place in the table read row by row, then in
+    ``fixed``.  Column c of B_0 has S s_c = R^(turns_c) s_(twin_c); its T
+    pair opens the column ``first[c]`` of W_m, and ``kind[c]`` is 0, 1 or 2
+    when c is the pair's second, T-fixed or the pair's first.
     """
+
+    n: int
+    defect: float | None = None    # ||D||; None without a quarter turn
+    defect_t: float | None = None  # ||D_T||
+    table: np.ndarray | None = None
+    fixed: np.ndarray | None = None
+    slot: np.ndarray | None = None
+    twin: np.ndarray | None = None
+    turns: np.ndarray | None = None
+    first: np.ndarray | None = None
+    kind: np.ndarray | None = None
+
+
+def _build_orbit_table(op):
     lat = op.lattice
-    rot = None if lat is None else lat.rotation
-    if rot is None or op.n != lat.n_sites * op.rank:
-        return None, NO_SYMMETRY, None
-    perm = _fiber_lift(rot, op.rank)
+    if lat is None or lat.rotation is None or op.n != lat.n_sites * op.rank:
+        return _OrbitTable(op.n)
+    perm = _fiber_lift(lat.rotation, op.rank)
     inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    defect = _row_sum_bound(op.matrix[inv][:, inv] - op.matrix)  # P H P^T - H
-    if defect > C4_DEFECT_FRACTION * tol:
-        return None, NO_SYMMETRY, defect
-    bases = _sector_bases(perm)
+    inv[perm] = np.arange(op.n)
     flip = _fiber_lift(lat.reflection, op.rank)  # an involution: S^-1 = S
-    defect_t = _row_sum_bound(op.matrix[flip][:, flip].conj() - op.matrix)
-    if defect_t > C4_DEFECT_FRACTION * tol:
-        return bases, C4, defect
-    return [_real_basis(b, flip) for b in bases], C4_T, defect + defect_t
+    out = _OrbitTable(
+        op.n, _row_sum_bound(op.matrix[inv][:, inv] - op.matrix),  # PHP^T-H
+        _row_sum_bound(op.matrix[flip][:, flip].conj() - op.matrix))
+    turned = [np.arange(op.n)]
+    for _ in range(3):
+        turned.append(perm[turned[-1]])
+    out.table = np.stack(turned)[:, turned[0] < np.min(turned[1:], axis=0)]
+    out.fixed = np.flatnonzero(perm == turned[0])
+    orbits = out.table.shape[1]
+    out.slot = np.empty(op.n, dtype=np.intp)  # k * orbits + c at R^k s_c
+    out.slot[out.table] = np.arange(4 * orbits).reshape(4, orbits)
+    out.slot[out.fixed] = 4 * orbits + np.arange(out.fixed.size)
+    turns, twin = np.divmod(out.slot[flip[out.table[0]]], orbits)
+    out.twin = np.append(twin, orbits + np.arange(out.fixed.size))
+    out.turns = np.append(turns, np.zeros(out.fixed.size, dtype=np.intp))
+    out.kind = 1 + np.sign(out.twin - np.arange(out.twin.size))
+    lead = np.flatnonzero(out.kind)  # a pair's first or T-fixed: its width
+    out.first = np.empty_like(out.twin)
+    out.first[lead] = out.first[out.twin[lead]] = \
+        np.cumsum(out.kind[lead]) - out.kind[lead]
+    return out
+
+
+def _rotation_sectors(op, tol):
+    """(sectors or None, symmetry, defect bound or None) of op at tol, from
+    op's orbit table, built on first use and kept on op.
+
+    The bound is None when op's lattice has no quarter turn; the sectors
+    are None unless the rotation defect is within the guard.  They are
+    T-real (symmetry C4+T, bound ||D|| + ||D_T||) when the reflection defect
+    is within it too, else complex (C4, bound ||D||).
+    """
+    if op.orbit_table is None:
+        op.orbit_table = _build_orbit_table(op)
+    orbits, guard = op.orbit_table, C4_DEFECT_FRACTION * tol
+    if orbits.defect is None or orbits.defect > guard:
+        return None, NO_SYMMETRY, orbits.defect
+    real = orbits.defect_t <= guard
+    return ([_Sector(orbits, m, real) for m in range(4)], C4_T if real else C4,
+            orbits.defect + orbits.defect_t if real else orbits.defect)
 
 
 def _fiber_lift(sites, rank):
@@ -555,61 +625,91 @@ def _row_sum_bound(diff):
     return float(abs(diff).sum(axis=1).max()) if diff.nnz else 0.0
 
 
-# i^(-k) for k = 0..3
-_PHASES = np.array([1, -1j, -1, 1j])
+@dataclass(frozen=True)
+class _Sector:
+    """Rotation sector m of an orbit table: its isometry W_m = B_m Q_m
+    (T-fixed columns when ``real``, else Q_m = 1), built on demand, and
+    the gathers that lift its block vectors without it."""
 
+    orbits: _OrbitTable
+    m: int
+    real: bool
 
-def _sector_bases(perm):
-    """Sparse isometries B_0..B_3 onto the eigenspaces i^m of a quarter turn.
+    @property
+    def width(self):
+        o = self.orbits
+        return o.table.shape[1] + (o.fixed.size if self.m == 0 else 0)
 
-    ``perm`` has order 4 and no 2-cycles.  An orbit's representative is its
-    smallest index; a fixed index is one more column of B_0.
-    """
-    n = perm.size
-    orbit = [np.arange(n)]
-    for _ in range(3):
-        orbit.append(perm[orbit[-1]])
-    rep = np.flatnonzero((orbit[0] < orbit[1]) & (orbit[0] < orbit[2])
-                         & (orbit[0] < orbit[3]))
-    fixed = np.flatnonzero(perm == orbit[0])
-    rows = np.concatenate([o[rep] for o in orbit])
-    cols = np.tile(np.arange(rep.size), 4)
-    j = np.repeat(np.arange(4), rep.size)
-    bases = []
-    for m in range(4):
-        r, c, v = rows, cols, 0.5 * _PHASES[(m * j) % 4]
-        if m == 0:
-            r = np.concatenate([r, fixed])
-            c = np.concatenate([c, rep.size + np.arange(fixed.size)])
-            v = np.concatenate([v, np.ones(fixed.size)])
-        width = rep.size + (fixed.size if m == 0 else 0)
-        bases.append(sp.csr_matrix((v, (r, c)), shape=(n, width)))
-    return bases
+    def _pairing(self):
+        """Per column c of B_m: a_c, a_c + 1 if its pair has a second
+        column (else a_c), alpha_c and beta_c (``_ALPHA``, ``_BETA``)."""
+        o, w = self.orbits, self.width
+        if not self.real:
+            return np.arange(w), np.arange(w), np.ones(w), np.zeros(w)
+        code = 4 * o.kind[:w] + self.m * o.turns[:w] % 4
+        first = o.first[:w]
+        return (first, first + (o.kind[:w] != 1), _ALPHA.take(code),
+                _BETA.take(code))
 
+    def _values(self, v):
+        """(Q v)_c per column c of B_m, of block vectors v."""
+        first, second, alpha, beta = self._pairing()
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        return alpha.reshape(shape) * v.take(first, axis=0) \
+            + beta.reshape(shape) * v.take(second, axis=0)
 
-def _real_basis(basis, flip):
-    """Isometry W = B Q onto the same range as ``basis`` with T-fixed
-    columns, T = conj S and ``flip`` the index involution of S.
+    def _spread(self, rows, fixed):
+        """The lattice array holding rows[j][c] at R^j s_c and ``fixed`` at
+        the fixed indices (zeros there when it is empty)."""
+        o = self.orbits
+        pad = np.zeros((o.fixed.size - len(fixed),) + fixed.shape[1:])
+        return np.concatenate(rows + [fixed, pad]).take(o.slot, axis=0)
 
-    B^H S conj(B) holds one phase phi_c per column c, in the row c' of the
-    column T maps c to; Q takes sqrt(phi_c) e_c for c' = c, and for c < c'
-    the columns (e_c + phi_c e_c') / sqrt 2 and i (e_c - phi_c e_c') /
-    sqrt 2, side by side in the order of c.
-    """
-    twin = (basis.conj().T @ basis.conj()[flip]).tocsc()
-    n = twin.shape[1]
-    partner, phase = twin.indices, twin.data  # one entry per column
-    lead = np.flatnonzero(partner >= np.arange(n))
-    paired = partner[lead] != lead
-    width = 1 + paired
-    start = np.cumsum(width) - width
-    one, two = lead[~paired], lead[paired]
-    s, f, r = start[paired], phase[two], np.sqrt(0.5)
-    rows = np.concatenate([one, two, partner[two], two, partner[two]])
-    cols = np.concatenate([start[~paired], s, s, s + 1, s + 1])
-    vals = np.concatenate([np.sqrt(phase[one]), np.full(two.size, r), r * f,
-                           np.full(two.size, 1j * r), -1j * r * f])
-    return (basis @ sp.csr_matrix((vals, (rows, cols)), shape=(n, n))).tocsr()
+    def isometry(self):
+        """W_m as CSR from the table: the rows and entries of the sparse
+        product B_m Q_m, a pair's second column first."""
+        o, (first, second, alpha, beta) = self.orbits, self._pairing()
+        col = np.zeros(o.n, dtype=np.intp)  # each index's column of B_m
+        scale = np.zeros(o.n, complex)      # and its entry there
+        col[o.table] = np.arange(o.table.shape[1])
+        scale[o.table] = _HALVES[self.m * np.arange(4) % 4, None]
+        if self.m == 0:
+            col[o.fixed] = o.table.shape[1] + np.arange(o.fixed.size)
+            scale[o.fixed] = 1.0
+        two = second[col] != first[col]
+        keep = np.c_[scale != 0, (scale != 0) & two]
+        data = scale[:, None] * np.c_[np.where(two, beta[col], alpha[col]),
+                                      alpha[col]]
+        return sp.csr_matrix(
+            (data[keep] + 0.0, np.c_[second[col], first[col]][keep],
+             np.r_[0, np.cumsum(keep.sum(axis=1))]), shape=(o.n, self.width))
+
+    def lift(self, v):
+        """The lattice vectors W_m v of block vectors v by gather: x[R^j
+        s_c] = i^(-mj) (Q v)_c / 2, and (Q v)_c at a fixed index.  For the
+        block's own vectors (real in a T-real sector) this is the sparse
+        product bit for bit."""
+        y, k = self._values(v), self.orbits.table.shape[1]
+        x = self._spread([_HALVES[self.m * j % 4] * y[:k] for j in range(4)],
+                         y[k:])
+        x += 0.0  # +0 zeros, as a sparse product sums from 0
+        return x
+
+    def abs_sq(self, v):
+        """|W_m v|^2 per index of one block vector v without the lattice
+        vector: |(Q v)_c / 2|^2 over each orbit."""
+        y, k = self._values(v), self.orbits.table.shape[1]
+        return self._spread([np.abs(0.5 * y[:k]) ** 2] * 4,
+                            np.abs(y[k:]) ** 2)
+
+    def inside(self, mask):
+        """Which columns of W_m lie wholly in the index mask."""
+        o, (first, second, _, _) = self.orbits, self._pairing()
+        ok = np.append(mask[o.table].all(axis=0), mask[o.fixed])[:first.size]
+        ok &= ok[o.twin[:first.size]] if self.real else True
+        cols = np.empty(first.size, dtype=bool)
+        cols[first] = cols[second] = ok
+        return cols
 
 
 def write_slice(sl, path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import bump_rectangle_setup, stacked, torus_constant_setup
+from conftest import (bump_rectangle_setup, dip_rectangle_setup, stacked,
+                      torus_constant_setup)
 from magspec import (FieldSpec, boundary_filter, build_lattice, decay_fit,
                      dense_spectrum, dist_to_sigma, distance_to_set,
                      gaussian_bump_potential, interface_set,
@@ -141,23 +142,28 @@ def test_decay_fit_insufficient_shells():
 
 
 def test_localization_report_masses_equal_scalar_reference():
+    # c_star is the largest grid rate whose scalar mass is within the cap,
+    # for a pair at the grid's top (sharply localized) and pairs below it
     lat, spec, b, links, V, H = bump_rectangle_setup(nx=32, p=8)
     from magspec import localization_report
     K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
     rng = np.random.default_rng(11)
-    vecs = rng.standard_normal((lat.n_sites, 3)) + 0j
+    vecs = rng.standard_normal((lat.n_sites, 4)) + 0j
     vecs[:, 0] = np.exp(-3.0 * K.distance.values)  # localized at the set
     vecs[:5, 1] = 0.0                               # sites without mass
+    vecs[:, 3] = np.exp(-20.0 * K.distance.values)  # sharply localized
     vecs /= np.linalg.norm(vecs, axis=0)
-    sl = SpectrumSlice(values=np.zeros(3), residuals=np.zeros(3),
+    sl = SpectrumSlice(values=np.zeros(4), residuals=np.zeros(4),
                        certificate="heuristic", blocks=[(None, vecs)])
     rep = localization_report(sl, K, 8, 1.0, b_min=1.0, c_min=0.3,
                               c_cap=10.0)
     filt = boundary_filter(sl, lat, 8, 1.0)
+    tops = []
     for i, e in enumerate(rep.entries):
         scalar = [weighted_mass(vecs[:, i], K.distance, c, 8)
                   for c in rep.c_grid]
-        assert np.array_equal(e.w_grid, scalar)
+        tops.append(np.flatnonzero(np.array(scalar) <= 10.0)[-1])
+        assert e.c_star == rep.c_grid[tops[-1]]
         assert e.w_at_cmin == weighted_mass(vecs[:, i], K.distance, 0.3, 8)
         kappa, stderr, shells = decay_fit(vecs[:, i], K.distance)
         assert (e.kappa, e.kappa_stderr, e.shells) == (kappa, stderr, shells)
@@ -165,6 +171,46 @@ def test_localization_report_masses_equal_scalar_reference():
         assert e.artifact == filt.artifact_mask[i]
         assert e.far_mass_fraction == mass_fraction_beyond(
             vecs[:, i], K.distance, 3.0 / np.sqrt(8))
+    assert tops[3] == rep.c_grid.size - 1 and 0 < min(tops[:3]) < tops[3]
+
+
+@pytest.mark.parametrize("case", ["C4+T", "C4", "none", "dump"])
+def test_abs_sq_equals_the_column_amplitude_bit_for_bit(case, tmp_path):
+    # |u|^2 scattered from block coordinates against |u|^2 of the lifted
+    # column, on real and complex sectors, the whole space and a dump
+    from dataclasses import replace
+    from magspec import (assemble_H, constant_potential, read_slice,
+                         window_eigs, write_slice)
+    from magspec.analysis import _site_amplitude_sq, _site_sum
+    lat, spec, b, links, V, H = dip_rectangle_setup(nx=22, p=4)
+    if case == "C4":  # a complex off-diagonal potential breaks T
+        H = assemble_H(lat, links, constant_potential(
+            lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]]), 4)
+    elif case == "none":
+        H = replace(H, lattice=None)
+    sl = window_eigs(H, (None, 0.5 * sum(dense_spectrum(H).values[11:13])))
+    assert sl.symmetry == ("C4+T" if case == "dump" else case)
+    if case == "dump":
+        write_slice(sl, tmp_path / "eigs.bsev")
+        sl = read_slice(tmp_path / "eigs.bsev")
+    assert len(sl) == 12
+    for i in range(len(sl)):
+        got = _site_sum(sl.abs_sq(i), lat.n_sites)
+        assert got.tobytes() == _site_amplitude_sq(sl.column(i),
+                                                   lat.n_sites).tobytes()
+
+
+def test_localization_of_a_slice_equals_that_of_its_dump(tmp_path):
+    # the run reads |u|^2 from sector coordinates, the localization view
+    # from the dump's lattice vectors: entry for entry the same report
+    from magspec import read_slice, write_slice
+    st = _bump_state(tmp_path, 8)
+    write_slice(st.slice, tmp_path / "eigs.bsev")
+    view = _bump_state(tmp_path, 8)
+    view.slice = read_slice(tmp_path / "eigs.bsev")
+    assert st.slice.symmetry == "C4+T" and view.slice.blocks[0][0] is None
+    assert len(st.localization.entries) == len(st.slice) >= 5
+    assert repr(view.localization) == repr(st.localization)
 
 
 def test_scaling_exponent_cases():
@@ -240,7 +286,10 @@ def test_norm_bound_certificate_matches_dense_svd(tmp_path):
     # dense singular values of (H - lam)[:, S] below t, for t below, between
     # and above the smallest ones, and sigma_S is the smallest; S is
     # rotation invariant (four real sector blocks), and without one site it
-    # is not (one complex block)
+    # is not (one complex block); without the first orbit of one
+    # reflection pair of orbits and the second of another it is rotation
+    # invariant but not reflection invariant, so the real columns of both
+    # pairs straddle it, though the in and out counts balance (one block)
     from magspec.experiments import _bound_support
     from magspec.solvers import norm_bound_certificate
     p, lam = 4, 1.5
@@ -249,8 +298,19 @@ def test_norm_bound_certificate_matches_dense_svd(tmp_path):
     invariant = _bound_support(st.interface, p, 1.0)
     broken = invariant.copy()
     broken[np.flatnonzero(invariant)[0]] = False
+    turn, flip = st.inst["lattice"].rotation, st.inst["lattice"].reflection
+    orbit = lambda s: [s, turn[s], turn[turn[s]], turn[turn[turn[s]]]]
+    pairs = {min(orbit(s)): (orbit(s), orbit(flip[s]))
+             for s in np.flatnonzero(invariant)
+             if min(orbit(s)) < min(orbit(flip[s]))}
+    (lead, _), (_, partner) = list(pairs.values())[:2]
+    chiral = invariant.copy()
+    chiral[lead] = chiral[partner] = False
+    assert np.array_equal(chiral[turn], chiral)
+    assert not np.array_equal(chiral[flip], chiral)
     smallest = {}
-    for support, symmetry in ((invariant, "C4+T"), (broken, "none")):
+    for support, symmetry in ((invariant, "C4+T"), (broken, "none"),
+                              (chiral, "none")):
         dense = (op.matrix.toarray() - lam * np.eye(op.n))[:, support]
         svals = np.linalg.svd(dense, compute_uv=False)[::-1]
         smallest[symmetry] = svals[0]
@@ -431,8 +491,8 @@ def test_localization_report_edge_states():
     genuine = [e for e in rep.entries if not e.artifact]
     assert genuine, "expected at least one non-artifact gap state"
     for e in genuine:
-        assert e.w_grid[0] == 1.0
-        assert np.all(np.diff(e.w_grid) >= -1e-12)
+        assert weighted_mass(sl.column(e.index), K.distance, e.c_star,
+                             16) <= 10.0
         assert e.far_mass_fraction <= 0.05
         assert e.kappa < 0
         assert e.c_star >= 0.2

@@ -166,20 +166,25 @@ def test_inertia_consistency_on_assembled_operator():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_chunked_residuals_match_the_one_shot_norm(order):
-    # the reference: the whole N x k residual matrix at once
-    lat, spec, b, links, V, H = dip_rectangle_setup(nx=12, p=4)
-    basis = solvers._sector_bases(solvers._fiber_lift(lat.rotation, 1))[1]
+    # the reference: the whole N x k residual matrix at once, of the
+    # vectors mapped by the sparse isometry (complex vectors in a complex
+    # sector, real ones in a T-real sector)
+    H = dip_rectangle_setup(nx=12, p=4)[-1]
+    real = solvers._rotation_sectors(H, solvers.default_tol(H))[0][1]
+    cases = [(None, H.n, True), (real, real.width, False),
+             (replace(real, real=False), real.width, True)]
     rng = np.random.default_rng(5)
     for k in (1, 2, 3, 5, 8):
         values = rng.standard_normal(k)
-        for vecs, mapping in [(H.n, None), (basis.shape[1], basis)]:
-            u = rng.standard_normal((vecs, k)) \
-                + 1j * rng.standard_normal((vecs, k))
+        for sector, rows, complex_vectors in cases:
+            u = rng.standard_normal((rows, k))
+            if complex_vectors:
+                u = u + 1j * rng.standard_normal((rows, k))
             u = np.asarray(u, order=order)
-            full = u if mapping is None else mapping @ u
+            full = u if sector is None else sector.isometry() @ u
             expect = np.linalg.norm(H.matrix @ full - full * values[None, :],
                                     axis=0)
-            got = solvers._residuals(H, values, u, mapping)
+            got = solvers._residuals(H, values, u, sector)
             assert np.array_equal(got, expect)
 
 
@@ -419,45 +424,100 @@ def _interior_window(H, lo=10, count=20):
     return (0.5 * (w[lo - 1] + w[lo]), 0.5 * (w[hi - 1] + w[hi])), w[lo:hi]
 
 
+def _table_sectors(nx, rank):
+    """The four T-real sectors of a zero-field rank-r operator on the
+    nx-cell square (a real symmetric potential keeps T), with R and S."""
+    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
+    V = zero_potential(lat) if rank == 1 \
+        else constant_potential(lat, [[0.3, 0.1], [0.1, -0.2]])
+    H = assemble_H(lat, trivial_links(lat, 4), V, 4)
+    sectors, symmetry, _ = solvers._rotation_sectors(H, 1e-8)
+    assert symmetry == C4_T
+    n = H.n
+    rotate, flip = np.zeros((n, n)), solvers._fiber_lift(lat.reflection, rank)
+    rotate[solvers._fiber_lift(lat.rotation, rank), np.arange(n)] = 1.0
+    return lat, sectors, rotate, flip
+
+
+def _assert_isometries_split_the_rotation(nx, rank, real):
+    """The CSR isometries built from the orbit table: W^H W = I, R W =
+    i^m W, T-fixed columns when ``real``, and sum_m W_m W_m^H = I."""
+    lat, sectors, rotate, flip = _table_sectors(nx, rank)
+    n = rotate.shape[0]
+    mats = [replace(s, real=real).isometry() for s in sectors]
+    assert all(sp.isspmatrix_csr(w) for w in mats)
+    mats = [w.toarray() for w in mats]
+    orbits, fixed = divmod(n, 4)
+    assert fixed == rank * (lat.site_nx % 2)
+    assert [w.shape[1] for w in mats] == [orbits + fixed] + [orbits] * 3
+    total = np.zeros((n, n), dtype=complex)
+    for m, w in enumerate(mats):
+        assert np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() <= 1e-15
+        assert np.abs(rotate @ w - 1j ** m * w).max() <= 1e-15
+        if real:
+            assert np.abs(w[flip].conj() - w).max() <= 1e-15  # S conj(w) = w
+        total += w @ w.conj().T
+    assert np.abs(total - np.eye(n)).max() <= 1e-15
+    if real:  # both kinds of column occur: T-fixed orbits and swapped pairs
+        assert {4, 8} <= set(np.count_nonzero(np.hstack(mats), axis=0))
+
+
 @pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
 @pytest.mark.parametrize("rank", [1, 2])
 def test_sector_bases_split_the_rotation(nx, rank):
-    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
-    perm = (lat.rotation[:, None] * rank + np.arange(rank)).ravel()
-    n = perm.size
-    bases = [b.toarray() for b in solvers._sector_bases(perm)]
-    orbits, fixed = divmod(n, 4)
-    assert fixed == rank * (lat.site_nx % 2)
-    widths = [b.shape[1] for b in bases]
-    assert widths == [orbits + fixed, orbits, orbits, orbits]
-    u = np.hstack(bases)
-    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
-    rotate = np.zeros((n, n))
-    rotate[perm, np.arange(n)] = 1.0
-    for m, b in enumerate(bases):
-        assert np.abs(rotate @ b - 1j ** m * b).max() <= 1e-15
+    _assert_isometries_split_the_rotation(nx, rank, real=False)
 
 
-@pytest.mark.parametrize("nx", [7, 8])  # site_nx odd (origin site), even
+@pytest.mark.parametrize("nx", [7, 8])
 @pytest.mark.parametrize("rank", [1, 2])
 def test_real_basis_is_fixed_by_the_reflection(nx, rank):
-    lat = build_lattice("rectangle_dirichlet", 3.0, nx)
-    perm = solvers._fiber_lift(lat.rotation, rank)
-    flip = solvers._fiber_lift(lat.reflection, rank)
-    n = perm.size
-    bases = solvers._sector_bases(perm)
-    real = [solvers._real_basis(b, flip).toarray() for b in bases]
-    assert [w.shape for w in real] == [b.shape for b in bases]
-    u = np.hstack(real)
-    assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-15
-    rotate = np.zeros((n, n))
-    rotate[perm, np.arange(n)] = 1.0
-    for m, w in enumerate(real):
-        assert np.abs(rotate @ w - 1j ** m * w).max() <= 1e-15
-        assert np.abs(w[flip].conj() - w).max() <= 1e-15  # S conj(w) = w
-    # both kinds of column occur: T-fixed orbits and swapped pairs
-    support = np.count_nonzero(np.hstack(real), axis=0)
-    assert {4, 8} <= set(support)
+    _assert_isometries_split_the_rotation(nx, rank, real=True)
+
+
+@pytest.mark.parametrize("nx", [7, 8])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_table_pairing_is_the_reflection_of_the_columns(nx, rank):
+    # read off the table, T b_c = phi_c b_c' is the one entry of column c
+    # of B^H S conj(B), and W_m is the sparse product B_m Q_m, columns in
+    # the order of c, in every stored number and index (so every block and
+    # output is that of the product)
+    lat, sectors, rotate, flip = _table_sectors(nx, rank)
+    orbits = sectors[0].orbits
+    for m, sector in enumerate(sectors):
+        b = replace(sector, real=False).isometry()
+        twin = (b.conj().T @ b.conj()[flip]).tocsc()
+        assert np.array_equal(np.diff(twin.indptr), np.ones(b.shape[1]))
+        assert np.array_equal(twin.indices, orbits.twin[:b.shape[1]])
+        phase = 1j ** (m * orbits.turns[:b.shape[1]])
+        assert np.abs(twin.data - phase).max() <= 1e-15
+        q = np.zeros((b.shape[1],) * 2, dtype=complex)
+        col, r = 0, np.sqrt(0.5)
+        for c, (c2, f) in enumerate(zip(twin.indices, twin.data)):
+            if c2 == c:
+                q[c, col], col = np.sqrt(f), col + 1
+            elif c2 > c:
+                q[[c, c2], col] = r, r * f
+                q[[c, c2], col + 1] = 1j * r, -1j * r * f
+                col += 2
+        got, expect = sector.isometry(), b @ sp.csr_matrix(q)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() \
+                == getattr(expect, name).tobytes(), name
+
+
+def test_one_orbit_table_per_operator(monkeypatch):
+    # the window solve and the certificate share the operator's table
+    original, built = solvers._build_orbit_table, []
+    monkeypatch.setattr(solvers, "_build_orbit_table",
+                        lambda op: built.append(op) or original(op))
+    H, window, _ = _dip_case()
+    sl = window_eigs(H, window)
+    support = H.lattice.boundary_distance() > 0.5  # quarter-turn invariant
+    assert solvers.norm_bound_certificate(H, support, 1.5, 0.0)[3] == C4_T
+    assert sl.symmetry == C4_T and built == [H]
+    assert all(sector.orbits is H.orbit_table for sector, _ in sl.blocks)
+    # a new operator made from it by replace starts without the table
+    assert replace(H, lattice=None).orbit_table is None
 
 
 @pytest.mark.parametrize("setup", [dip_rectangle_setup, bump_rectangle_setup],
@@ -520,16 +580,17 @@ def test_column_maps_block_vectors_by_their_basis(case, symmetry, dtype):
     H, window, _ = case()
     sl = window_eigs(H, window)
     assert sl.symmetry == symmetry and len(sl) > 0
-    bases = solvers._rotation_sectors(H, sl.tol)[0]
-    assert len(sl.blocks) == len(bases) == 4
-    for (basis, vectors), expect in zip(sl.blocks, bases):
-        assert (basis != expect).nnz == 0
-        assert vectors.shape[0] == basis.shape[1] and vectors.dtype == dtype
+    sectors = solvers._rotation_sectors(H, sl.tol)[0]
+    assert len(sl.blocks) == len(sectors) == 4
+    for (sector, vectors), expect in zip(sl.blocks, sectors):
+        assert sector == expect
+        assert vectors.shape[0] == sector.width and vectors.dtype == dtype
     # each pair is one column of one block, and no column is used twice
     assert len(set(zip(sl.block, sl.index))) == len(sl) \
         == sum(vectors.shape[1] for _, vectors in sl.blocks)
-    # every block mapped whole by its basis, as one sparse product
-    mapped = [basis @ vectors for basis, vectors in sl.blocks]
+    # every block mapped whole by its isometry, as one sparse product: the
+    # gather is that product bit for bit
+    mapped = [sector.isometry() @ vectors for sector, vectors in sl.blocks]
     for i in range(len(sl)):
         column, expect = sl.column(i), mapped[sl.block[i]][:, sl.index[i]]
         assert column.shape == (H.n,) and column.dtype == np.complex128
@@ -549,13 +610,19 @@ def test_sector_dump_equals_dump_of_its_columns(dip_slice, tmp_path):
 
 
 def test_sector_slice_holds_no_lattice_sized_vectors(dip_slice):
-    # only the isometries have N rows; the pairs stay in block space
+    # the pairs stay in block space beside their sectors, which hold the
+    # orbit table and no isometry
     H, sl = dip_slice
     assert len(sl.blocks) == 4
     for name, value in vars(sl).items():
         arrays = [v for _, v in value] if name == "blocks" else [value]
         for a in arrays:
             assert np.ndim(a) == 0 or np.shape(a)[0] < H.n, name
+    for sector, _ in sl.blocks:
+        for value in [*vars(sector).values(), *vars(sector.orbits).values()]:
+            assert not sp.issparse(value)
+            assert np.ndim(value) < 2 or np.shape(value)[0] == 4
+            assert np.size(value) <= H.n
 
 
 def test_select_shares_the_block_vectors(dip_slice):
@@ -579,7 +646,7 @@ def test_degenerate_clusters_spanning_sectors():
     assert sl.symmetry == C4_T
     assert len(sl) == np.sum(dense <= window[1]) == 11
     assert np.abs(sl.values - dense[:11]).max() <= sl.tol
-    bases = solvers._rotation_sectors(H, sl.tol)[0]
+    bases = [s.isometry() for s in solvers._rotation_sectors(H, sl.tol)[0]]
     u = stacked(sl)
     weight = np.array([np.linalg.norm(b.conj().T @ u, axis=0)
                        for b in bases])
@@ -660,7 +727,8 @@ def test_sector_block_build_peaks_below_the_one_shot_build():
     # column halves the traced peak is about 0.7 of the one-shot build's
     import tracemalloc
     H = dip_rectangle_setup(nx=48, p=8)[-1]
-    basis = solvers._rotation_sectors(H, solvers.default_tol(H))[0][0]
+    basis = solvers._rotation_sectors(H, solvers.default_tol(H))[0][0] \
+        .isometry()
     peaks = []
     for build in (lambda: solvers._hermitian_block(H, basis, True, H.matrix),
                   lambda: _one_shot_block(basis, True, H.matrix @ basis)):
