@@ -8,29 +8,13 @@ Subcommands (all but gauge-check select stages and outputs of run):
     gauge-check  gauge-invariance suite on a reduced instance
 
 Common flags: --config PATH (required), --out DIR, --p LIST, --window A,B,
---seed N, --threads N, --dry-run.  --out, --p, --window and --seed override
-the config keys of their names, in the file's syntax.
+--seed N, --dry-run.  --out, --p, --window and --seed override the config
+keys of their names, in the file's syntax.
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
-
-_THREAD_KEYS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS")
-
-
-def _apply_threads(n, real_cli):
-    """Cap BLAS/OpenMP pools; re-exec so the caps precede numpy's import."""
-    want = str(int(n))
-    if os.environ.get("_MAGSPEC_THREADS") == want:
-        return
-    for key in _THREAD_KEYS:
-        os.environ[key] = want
-    os.environ["_MAGSPEC_THREADS"] = want
-    if real_cli:
-        os.execv(sys.executable, [sys.executable] + sys.argv)
 
 
 def build_parser():
@@ -50,7 +34,6 @@ def build_parser():
         cmd.add_argument("--p", help="comma-separated tensor powers override")
         cmd.add_argument("--window", help="energy window override: A,B")
         cmd.add_argument("--seed", help="seed override")
-        cmd.add_argument("--threads", type=int, help="worker thread cap")
         cmd.add_argument("--dry-run", action="store_true",
                          help="print the plan; no solves")
     return parser
@@ -192,10 +175,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    real_cli = argv is None
     args = build_parser().parse_args(argv)
-    if args.threads:
-        _apply_threads(args.threads, real_cli)
     from .errors import MagspecError
 
     try:

@@ -72,7 +72,6 @@ class ExperimentConfig:
     lattice_kind: str
     p_list: list
     window: tuple | None
-    window_margin: float = 0.05
     cutoff: float | None = None
     resolution: str = "standard"
     extent: float | None = None   # fixed side length; None = auto per p
@@ -82,8 +81,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "magspec_out"
     trials_p: list = field(default_factory=list)  # p of the norm bound
-    c_min: float | None = None
-    c_cap: float = 10.0
     c1: int = 1                   # torus Chern number
 
 
@@ -106,12 +103,11 @@ _PRESETS = {
 }
 
 # each preset's settings that no stage of its run reads: the torus solves
-# its own lowest-cluster window, only potential_bump has the inner window,
-# the norm bound and the localization report, and only the torus a c1
+# its own lowest-cluster window, only potential_bump has the norm bound,
+# and only the torus a c1
 _UNREAD = {
-    "torus_constant": ("window", "window_margin", "trials_p", "c_min",
-                       "c_cap"),
-    "radial_dip": ("window_margin", "trials_p", "c_min", "c_cap", "c1"),
+    "torus_constant": ("window", "trials_p"),
+    "radial_dip": ("trials_p", "c1"),
     "potential_bump": ("c1",),
 }
 
@@ -144,8 +140,7 @@ def _window(value):
 _KEYS = {
     "experiment": str, "p": _ints, "seed": int, "out": str,
     "resolution": str, "nx": int, "extent": float, "cutoff": float,
-    "window": _window, "window_margin": float, "tol": float,
-    "max_sites": int, "trials_p": _ints, "c_min": float, "c_cap": float,
+    "window": _window, "tol": float, "max_sites": int, "trials_p": _ints,
     "c1": int,
     "field": str, "b": float, "b_inf": float, "depth": float,
     "height": float, "width": float, "b_minus": float, "b_plus": float,
@@ -272,24 +267,37 @@ def _potential_from(keys):
     return pot
 
 
+def run_ps(cfg):
+    """Every p the run builds: the p list and the norm bound's ``trials_p``,
+    ascending."""
+    return sorted({*cfg.p_list, *cfg.trials_p})
+
+
 def validate_config(cfg):
     if not cfg.p_list:
         raise ConfigError("p list must be non-empty")
-    if any(p < 1 for p in cfg.p_list):
-        raise ConfigError("all p must be >= 1")
-    if list(cfg.p_list) != sorted(set(cfg.p_list)):
-        raise ConfigError("p list must be strictly ascending")
+    for key, ps in (("p", cfg.p_list), ("trials_p", cfg.trials_p)):
+        if any(p < 1 for p in ps):
+            raise ConfigError(f"all {key} must be >= 1")
+        if list(ps) != sorted(set(ps)):
+            raise ConfigError(f"{key} list must be strictly ascending")
+    # NaN fails these as well as zero and negative values
+    if cfg.tol is not None and not cfg.tol > 0:
+        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    if not cfg.potential.width > 0:
+        raise ConfigError(f"v_width must be positive, got "
+                          f"{cfg.potential.width}")
     if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
         raise ConfigError(f"window {cfg.window} is empty")
     if cfg.resolution not in RESOLUTION_RULES:
         raise ConfigError(f"resolution must be one of "
                           f"{sorted(RESOLUTION_RULES)}")
-    # the resolution rule must be satisfiable at the largest p
-    plan = plan_geometry(cfg, max(cfg.p_list))
+    # the resolution rule must be satisfiable at the largest p built
+    plan = plan_geometry(cfg, run_ps(cfg)[-1])
     if plan["n_sites"] > cfg.max_sites:
         raise ConfigError(
             f"resolution rule needs nx = {plan['nx']} "
-            f"({plan['n_sites']} sites) at p = {max(cfg.p_list)}, above "
+            f"({plan['n_sites']} sites) at p = {plan['p']}, above "
             f"max_sites = {cfg.max_sites}; raise max_sites or reduce p")
 
 

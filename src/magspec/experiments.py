@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .analysis import boundary_filter, localization_report, scaling_exponent
-from .config import plan_geometry
+from .config import plan_geometry, run_ps
 from .errors import ConfigError, InsufficientDataError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
@@ -198,6 +198,11 @@ class _Assertions:
 # ----------------------------------------------------------------------
 # the per-p pipeline
 
+# the weighted-mass cap that defines each pair's c_star in
+# ``localization_report``, whose rate c_min is always 0.2 sqrt(b_min)
+C_CAP = 10.0
+
+
 class PerP:
     """The pipeline stages of one p; each runs on first use and is kept.
 
@@ -269,10 +274,10 @@ class PerP:
 
     @cached_property
     def localization(self):
-        cfg, spec = self.cfg, self.cfg.field_spec
+        spec = self.cfg.field_spec
         return localization_report(
             self.slice, self.interface, self.p, spec.max_intensity(),
-            b_min=spec.min_intensity(), c_min=cfg.c_min, c_cap=cfg.c_cap)
+            b_min=spec.min_intensity(), c_min=None, c_cap=C_CAP)
 
     def norm_bound(self):
         """The norm lower bound at the window midpoint lam, certified over
@@ -418,11 +423,15 @@ def _dip_sweep(cfg, per_p, bounds, assertions):
             "clustering_exponent": exponent, "max_distances": max_dists}
 
 
+# the solve window's margin inside each end of the configured gap window
+WINDOW_MARGIN = 0.05
+
+
 def _bump_limits(cfg):
-    """The configured gap window shrunk by ``window_margin`` at each end;
+    """The configured gap window shrunk by ``WINDOW_MARGIN`` at each end;
     the union cut at ``cutoff``."""
     window = cfg.window
-    inner = (window[0] + cfg.window_margin, window[1] - cfg.window_margin)
+    inner = (window[0] + WINDOW_MARGIN, window[1] - WINDOW_MARGIN)
     return inner, cfg.cutoff
 
 
@@ -513,11 +522,10 @@ def pipeline(cfg, writer, ps=None):
 
 def _run_sweep(cfg, assertions):
     preset = PRESETS[cfg.experiment]
-    bound_ps = set(cfg.trials_p)
     per_p, sigma_entries, bounds = [], [], {}
     # stages run lazily, so rebinding frees the previous p's context before
     # the next p does any work
-    for st in pipeline(cfg, "run", sorted(set(cfg.p_list) | bound_ps)):
+    for st in pipeline(cfg, "run", run_ps(cfg)):
         p = st.p
         if p in cfg.p_list:
             per_p.append(preset.checks(st, assertions))
@@ -526,7 +534,7 @@ def _run_sweep(cfg, assertions):
             else:
                 st.write_spectrum()
             sigma_entries.append(st.sigma_entry())
-        if p in bound_ps:
+        if p in cfg.trials_p:
             bounds[p] = st.norm_bound()
     del st
     results = {"per_p": per_p}
@@ -537,8 +545,8 @@ def _run_sweep(cfg, assertions):
 
 
 def plan_report(cfg):
-    """Dry-run view: the lattice each sweep entry would use."""
-    return [plan_geometry(cfg, p) for p in cfg.p_list]
+    """Dry-run view: the lattice of every p the run builds."""
+    return [plan_geometry(cfg, p) for p in run_ps(cfg)]
 
 
 def run_experiment(cfg, dry_run=False):

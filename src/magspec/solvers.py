@@ -260,10 +260,13 @@ def _factor_shifted(op, sigma):
     factorization jitters the shift, up to three tries.  Returns (lu
     or None, shift used, negative pivots, None or why the count is untrusted).
 
-    The diagonal is read from a full copy of ``lu.U``: scipy's ``SuperLU``
-    object exposes only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``,
-    ``shape`` and ``solve`` (checked on scipy 1.17), with no accessor for
-    the pivots alone.
+    The diagonal is read from ``lu.U``: scipy's ``SuperLU`` object exposes
+    only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``, ``shape`` and
+    ``solve`` (checked on scipy 1.17), with no accessor for the pivots
+    alone.  The first ``.U`` access builds CSC copies of both L and U and
+    caches them on the factor (scipy 1.17), so a factor kept for solves
+    carries both copies while it lives: on a 150 x 150 grid Laplacian with
+    fill 993,076 the factor took 10.2 MB and the copies 11.4 MB more.
     """
     n = op.n
     shift = float(sigma)

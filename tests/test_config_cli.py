@@ -405,23 +405,79 @@ def test_failed_assertions_nonzero_exit_with_partial_results(tmp_path, capsys):
     assert summary["passed"] is False
 
 
-def test_cli_threads_flag_sets_env(tmp_path, capsys):
-    import os
-    saved = {k: os.environ.get(k) for k in
-             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "NUMEXPR_NUM_THREADS", "_MAGSPEC_THREADS")}
-    try:
-        cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2\n"
-                         f"nx = 16\nout = {tmp_path}/out\n")
-        assert main(["run", "--config", cfg, "--dry-run", "--threads", "2"]) == 0
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
-        capsys.readouterr()
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+def test_cli_threads_flag_is_refused(tmp_path, capsys):
+    # BLAS and OpenMP take their thread counts from the environment; no
+    # subcommand has a flag for them
+    cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2\n"
+                     f"nx = 16\nout = {tmp_path}/out\n")
+    for command in ("run", "spectrum", "model-sigma", "localization",
+                    "gauge-check"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--config", cfg, "--dry-run", "--threads", "2"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    """Fail any test that builds a lattice operator, so a refusal is seen
+    to come before every solve."""
+    import magspec.experiments
+
+    def build_instance(cfg, p):
+        raise AssertionError(f"built the operator at p = {p}")
+
+    monkeypatch.setattr(magspec.experiments, "build_instance", build_instance)
+
+
+@pytest.mark.parametrize("preset, key, value", [
+    # the inner-window margin, the weighted-mass cap and the rate the
+    # report takes W at are constants of the pipeline, not config keys
+    ("radial_dip", "window_margin", "0.1"),
+    ("torus_constant", "c_cap", "5"),
+    # a margin that empties the inner window, and a negative rate
+    ("potential_bump", "window_margin", "0.2"),
+    ("potential_bump", "c_min", "-0.5"),
+    ("potential_bump", "c_cap", "5"),
+])
+def test_retired_key_is_unknown(tmp_path, capsys, no_build, preset, key,
+                                value):
+    cfg = _write_cfg(tmp_path, f"experiment = {preset}\n{key} = {value}\n"
+                     f"out = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: line 2: unknown key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("trials_p = 0, 8\n", "all trials_p must be >= 1"),
+    ("trials_p = 16, 8, 8\n", "trials_p list must be strictly ascending"),
+    # p = 32768 plans more sites than max_sites; so does a trials_p of it
+    ("p = 16\ntrials_p = 32768\n",
+     "resolution rule needs nx = 1636 (2673225 sites) at p = 32768, above "
+     "max_sites = 2000000; raise max_sites or reduce p"),
+    ("p = 4\ntol = 0\n", "tol must be positive, got 0.0"),
+    ("p = 4\nv_width = 0\n", "v_width must be positive, got 0.0"),
+])
+def test_bad_value_is_refused_before_any_solve(tmp_path, capsys, no_build,
+                                               lines, message):
+    cfg = _write_cfg(tmp_path, f"experiment = potential_bump\n{lines}"
+                     f"out = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dry_run_plans_every_p_the_run_builds(tmp_path, capsys):
+    # the norm bound's p are built too, so the plan lists them
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 16\n"
+                     f"trials_p = 8, 16\nout = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg, "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^p=(\d+):", out, re.M) == ["8", "16"]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert [plan["p"] for plan in summary["plans"]] == [8, 16]
 
 
 def test_run_reproducible_bit_for_bit(tmp_path):
@@ -457,9 +513,8 @@ _REPO = Path(__file__).parents[1]
 
 _NO_POTENTIAL = {"kind": "none", "height": 1.0, "width": 1.0, "matrix": None,
                  "rank": 1, "path": None}
-_SETTINGS = {"window_margin": 0.05, "nx": None, "tol": None,
-             "max_sites": 2_000_000, "seed": 0, "out_dir": "magspec_out",
-             "trials_p": [], "c_min": None, "c_cap": 10.0, "c1": 1}
+_SETTINGS = {"nx": None, "tol": None, "max_sites": 2_000_000, "seed": 0,
+             "out_dir": "magspec_out", "trials_p": [], "c1": 1}
 _PINNED = {
     "torus_constant": dict(
         _SETTINGS, experiment="torus_constant",
@@ -586,8 +641,6 @@ def test_preset_potential_honours_v_keys():
     # preset has the norm bound and the localization report
     ("torus_constant", "window", "5, 6"),
     ("torus_constant", "trials_p", "4"),
-    ("torus_constant", "c_cap", "5"),
-    ("radial_dip", "window_margin", "0.1"),
     ("radial_dip", "c1", "2"),
     ("radial_dip", "trials_p", "8"),
     # the bump preset's field is constant, which reads b alone
@@ -664,4 +717,19 @@ def test_readme_names_exactly_the_config_keys():
     paragraph = next(block for block in readme.split("\n\n")
                      if block.startswith("Recognized keys:"))
     assert sorted(re.findall(r"`([^`]+)`", paragraph)) == sorted(_KEYS)
-    assert len(_KEYS) == 30
+    assert len(_KEYS) == 27
+
+
+def test_readme_names_exactly_the_common_flags():
+    from magspec.cli import build_parser
+
+    readme = (_REPO / "README.md").read_text(encoding="utf-8")
+    paragraph = next(block for block in readme.split("\n\n")
+                     if block.startswith("Common flags:"))
+    named = {flag.replace("-", "_") for flag in re.findall(
+        r"`--([a-z-]+)", paragraph.split(".  ")[0])}
+    for command in ("run", "spectrum", "model-sigma", "localization",
+                    "gauge-check"):
+        args = vars(build_parser().parse_args([command, "--config", "x"]))
+        flags = set(args) - {"command"}
+        assert flags == named | {"config"} and len(flags) == 6, command
