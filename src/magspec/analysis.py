@@ -19,6 +19,8 @@ from .solvers import SpectrumSlice
 DECAY_FLOOR = 1e-12
 # a pair with more than this share of its mass in the wall band is an artifact
 WALL_ARTIFACT = 0.5
+# the weighted-mass cap that defines each pair's c_star
+C_CAP = 10.0
 
 
 def _site_sum(abs_sq, n_sites):
@@ -172,7 +174,6 @@ class FilteredSlice:
     dropped."""
 
     kept: SpectrumSlice
-    fractions: np.ndarray
     artifact_mask: np.ndarray
 
 
@@ -182,15 +183,12 @@ def boundary_filter(sl, lattice, p, b_max):
     The margin is three magnetic lengths 3 / sqrt(p b_max).  The torus has
     no wall (``boundary_distance`` is +inf), so every pair is kept there.
     """
-    k = len(sl)
     near = _wall_band(lattice, p, b_max)
-    fractions = np.empty(k)
-    for i in range(k):
-        amp2 = _site_sum(sl.abs_sq(i), lattice.n_sites)
-        fractions[i] = amp2[near].sum() / amp2.sum()
-    mask = fractions > WALL_ARTIFACT
+    amp2 = (_site_sum(sl.abs_sq(i), lattice.n_sites) for i in range(len(sl)))
+    mask = np.array([a[near].sum() / a.sum() > WALL_ARTIFACT for a in amp2],
+                    dtype=bool)
     return FilteredSlice(kept=sl.select(np.flatnonzero(~mask)),
-                         fractions=fractions, artifact_mask=mask)
+                         artifact_mask=mask)
 
 
 @dataclass
@@ -210,28 +208,24 @@ class LocalizationEntry:
 @dataclass
 class LocalizationReport:
     entries: list
-    c_grid: np.ndarray
     c_min: float
     c_cap: float
-    p: int
 
 
-def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
+def localization_report(sl, interface, p, b_max, *, b_min):
     """Per-eigenpair weighted-mass and decay diagnostics against the set.
 
-    c_star is the largest rate of the grid of 25 from 0 to 6 c_min (None:
-    0.2 sqrt(b_min)) whose weighted mass is within the cap ``c_cap`` (0.0
-    if none; the mass at 0 is 1): the grid is scanned down from its top to
-    the first such rate, so no other mass is computed.  Each pair's |u|^2
-    is read once from its block (``SpectrumSlice.abs_sq``) and shared by
-    the wall fraction (as ``boundary_filter``), the masses, the decay fit
-    and the far-mass fraction; the masks and shell bins are taken once.
+    c_star is the largest rate of the grid of 25 from 0 to 6 c_min, with
+    c_min = 0.2 sqrt(b_min), whose weighted mass is within the cap
+    ``C_CAP`` (0.0 if none; the mass at 0 is 1): the grid is scanned down
+    from its top to the first such rate, so no other mass is computed; each
+    pair's W is taken at c_min.  Each pair's |u|^2 is read once from its
+    block (``SpectrumSlice.abs_sq``) and shared by the wall fraction (as
+    ``boundary_filter``), the masses, the decay fit and the far-mass
+    fraction; the masks and shell bins are taken once.
     """
     lat = interface.lattice
-    if c_min is None:
-        c_min = 0.2 * np.sqrt(b_min)
-    if c_min < 0:
-        raise ValueError("decay rate c must be nonnegative")
+    c_min = 0.2 * np.sqrt(b_min)
     c_grid = np.linspace(0.0, 6.0 * c_min, 25)
     dist = interface.distance
     near = _wall_band(lat, p, b_max)
@@ -244,7 +238,7 @@ def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
         wall_fraction = amp2[near].sum() / total
         carrier = _carrier(amp2, dist.values)
         c_star = next((float(c) for c in c_grid[::-1]
-                       if _mass(carrier, c, p) <= c_cap), 0.0)
+                       if _mass(carrier, c, p) <= C_CAP), 0.0)
         try:
             kappa, stderr, n_shells = _shell_fit(amp2, shells)
         except InsufficientDataError:
@@ -256,5 +250,5 @@ def localization_report(sl, interface, p, b_max, *, b_min, c_min, c_cap):
             boundary_fraction=float(wall_fraction),
             far_mass_fraction=float(amp2[far].sum() / total),
             artifact=bool(wall_fraction > WALL_ARTIFACT)))
-    return LocalizationReport(entries=entries, c_grid=c_grid,
-                              c_min=float(c_min), c_cap=float(c_cap), p=int(p))
+    return LocalizationReport(entries=entries, c_min=float(c_min),
+                              c_cap=C_CAP)

@@ -103,7 +103,8 @@ def _cmd_model_sigma(cfg, args):
 
 
 def _cmd_localization(cfg, args):
-    from .experiments import PRESETS, pipeline
+    from .config import PRESETS
+    from .experiments import pipeline
     from .solvers import read_slice
 
     if not PRESETS[cfg.experiment].edge_states:

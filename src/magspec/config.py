@@ -5,10 +5,13 @@ organizational; keys form one flat namespace), ``key = value`` lines, and
 ``#`` comments.  Each rule is stated once:
 
 - ``_KEYS`` lists every key with its value parser; unknown keys are
-  rejected by name, and syntax and value errors carry line numbers.
-- A key that the run never reads is refused by name: ``_UNREAD`` lists
-  each preset's, and a field or ``v_*`` key counts only for the field
-  preset or potential kind that reads it.
+  rejected by name, and syntax and value errors carry line numbers.  A
+  float that is not finite is refused, naming its key.
+- Each preset is one ``PRESETS`` record: its values, its solve window and
+  level-union cutoff (``limits``, checked before any build) and the keys
+  it reads.  A key the run never reads is refused by name: the preset's
+  ``unread``, and a field or ``v_*`` key counts only for the field preset
+  or potential kind that reads it.
 - A config is the preset's values, then the file's keys, then the CLI's
   overrides of keys, layered over the defaults of ``ExperimentConfig``, of
   the ``FieldSpec`` constructors and of ``PotentialSpec``.  A preset names
@@ -37,11 +40,12 @@ import copy
 import math
 import re
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
-from .fields import FieldSpec, gaussian
+from .fields import MAX_RANK, FieldSpec, gaussian
 from .lattice import RECTANGLE, TORUS, build_lattice
 from .model import levels_in_window
 
@@ -84,31 +88,71 @@ class ExperimentConfig:
     c1: int = 1                   # torus Chern number
 
 
-# each preset's values, named by config key (lattice_kind, which no key
-# sets, by its field); a key the preset does not name keeps the default of
-# its ExperimentConfig field, FieldSpec constructor parameter or
-# PotentialSpec field
-_PRESETS = {
-    "torus_constant": dict(
+def sigma_ceiling(window_top, b_max):
+    """Union cutoff: the window plus one full level spacing of headroom."""
+    return window_top + 2.0 * b_max
+
+
+def _torus_limits(cfg):
+    """The lowest Landau cluster; the configured window is not used.  The
+    union cutoff is ``cutoff``, or one level spacing above the window."""
+    bval = cfg.field_spec.max_intensity()
+    window = (0.6 * bval, 1.4 * bval)
+    cutoff = cfg.cutoff if cfg.cutoff is not None \
+        else sigma_ceiling(window[1], bval)
+    return window, cutoff
+
+
+def _dip_limits(cfg):
+    """All pairs below ``cutoff``, union one spacing above."""
+    return (None, cfg.cutoff), sigma_ceiling(cfg.cutoff,
+                                             cfg.field_spec.max_intensity())
+
+
+# the solve window's margin inside each end of the configured gap window
+WINDOW_MARGIN = 0.05
+
+
+def _bump_limits(cfg):
+    """The configured gap window shrunk by ``WINDOW_MARGIN`` at each end;
+    the union cut at ``cutoff``."""
+    lo, hi = cfg.window
+    return (lo + WINDOW_MARGIN, hi - WINDOW_MARGIN), cfg.cutoff
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One experiment: ``values`` by config key (lattice_kind by its field);
+    a key not named keeps its ExperimentConfig, FieldSpec or PotentialSpec
+    default."""
+
+    values: dict
+    limits: Callable           # cfg -> (solve window, level-union cutoff)
+    interface: bool = False    # builds the interface set of cfg.window
+    edge_states: bool = False  # localization tables and the norm bound
+
+    @property
+    def unread(self):
+        """Settings the run never reads: ``window`` without an interface
+        set, ``trials_p`` without the norm bound, ``c1`` off the torus."""
+        return {key for key, read in (
+            ("window", self.interface), ("trials_p", self.edge_states),
+            ("c1", self.values["lattice_kind"] == TORUS)) if not read}
+
+
+PRESETS = {
+    "torus_constant": Preset(dict(
         lattice_kind=TORUS, field="constant", potential="none",
         p=[4, 8, 16], window=None, extent=TWO_PI,
-        resolution="high-accuracy"),
-    "radial_dip": dict(
+        resolution="high-accuracy"), _torus_limits),
+    "radial_dip": Preset(dict(
         lattice_kind=RECTANGLE, field="radial_dip", potential="none",
         p=[8, 16, 32, 64], window=(1.6, 2.4), cutoff=2.0,
-        resolution="high-accuracy"),
-    "potential_bump": dict(
+        resolution="high-accuracy"), _dip_limits, interface=True),
+    "potential_bump": Preset(dict(
         lattice_kind=RECTANGLE, field="constant", potential="bump",
         p=[16, 32, 64], window=(1.3, 1.7), cutoff=4.0, trials_p=[8, 16, 32]),
-}
-
-# each preset's settings that no stage of its run reads: the torus solves
-# its own lowest-cluster window, only potential_bump has the norm bound,
-# and only the torus a c1
-_UNREAD = {
-    "torus_constant": ("window", "trials_p"),
-    "radial_dip": ("trials_p", "c1"),
-    "potential_bump": ("c1",),
+        _bump_limits, interface=True, edge_states=True),
 }
 
 
@@ -123,14 +167,21 @@ def _ints(value):
     return [int(s) for s in _items(value)]
 
 
+def _float(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"must be finite, got {value.strip()}")
+    return x
+
+
 def _floats(value):
-    return [float(s) for s in _items(value)]
+    return [_float(s) for s in _items(value)]
 
 
 def _window(value):
     vals = _floats(value)
     if len(vals) != 2:
-        raise ConfigError("window needs two values")
+        raise ConfigError("needs two values")
     return tuple(vals)
 
 
@@ -139,12 +190,12 @@ def _window(value):
 # others set the ExperimentConfig field of their name (see _RENAMED).
 _KEYS = {
     "experiment": str, "p": _ints, "seed": int, "out": str,
-    "resolution": str, "nx": int, "extent": float, "cutoff": float,
-    "window": _window, "tol": float, "max_sites": int, "trials_p": _ints,
+    "resolution": str, "nx": int, "extent": _float, "cutoff": _float,
+    "window": _window, "tol": _float, "max_sites": int, "trials_p": _ints,
     "c1": int,
-    "field": str, "b": float, "b_inf": float, "depth": float,
-    "height": float, "width": float, "b_minus": float, "b_plus": float,
-    "potential": str, "v_height": float, "v_width": float,
+    "field": str, "b": _float, "b_inf": _float, "depth": _float,
+    "height": _float, "width": _float, "b_minus": _float, "b_plus": _float,
+    "potential": str, "v_height": _float, "v_width": _float,
     "v_matrix": lambda value: tuple(_floats(value)), "v_rank": int,
     "v_file": str,
 }
@@ -204,7 +255,7 @@ def _parse(key, value, where):
     try:
         return _KEYS[key](value)
     except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {key} {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {key} = {value!r}") from exc
 
@@ -215,10 +266,10 @@ def build_config(raw):
     if "experiment" not in raw:
         raise ConfigError("missing required key 'experiment'")
     name = raw["experiment"]
-    if name not in _PRESETS:
+    if name not in PRESETS:
         raise ConfigError(f"unknown experiment {name!r}; choose from "
-                          f"{sorted(_PRESETS)}")
-    keys = copy.deepcopy({**_PRESETS[name], **raw})
+                          f"{sorted(PRESETS)}")
+    keys = copy.deepcopy({**PRESETS[name].values, **raw})
     if keys["lattice_kind"] == TORUS:
         if "field" in raw or "b" in raw:
             raise ConfigError("the torus field is constant with b = c1 / "
@@ -233,8 +284,8 @@ def build_config(raw):
         field_spec=_field_from(keys), potential=_potential_from(keys),
         **{k: v for k, v in settings.items() if k in _SETTINGS})
     field, potential = keys["field"], keys["potential"]
-    unread = set(_UNREAD[name]).union(*_FIELD_KEYS.values(),
-                                      *_POTENTIAL_KEYS.values())
+    unread = PRESETS[name].unread.union(*_FIELD_KEYS.values(),
+                                       *_POTENTIAL_KEYS.values())
     unread -= {*_FIELD_KEYS[field], *_POTENTIAL_KEYS[potential]}
     if refused := sorted(unread.intersection(raw)):
         raise ConfigError(f"{name} with field {field} and potential "
@@ -287,8 +338,19 @@ def validate_config(cfg):
     if not cfg.potential.width > 0:
         raise ConfigError(f"v_width must be positive, got "
                           f"{cfg.potential.width}")
+    if not 1 <= cfg.potential.rank <= MAX_RANK:
+        raise ConfigError(f"v_rank must be in 1..{MAX_RANK}, got "
+                          f"{cfg.potential.rank}")
     if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
         raise ConfigError(f"window {cfg.window} is empty")
+    preset = PRESETS[cfg.experiment]
+    (lo, hi), cutoff = preset.limits(cfg)
+    if lo is not None and not lo < hi:
+        raise ConfigError(f"window {cfg.window} leaves {cfg.experiment} the "
+                          f"empty solve window ({lo}, {hi})")
+    if preset.interface and cfg.window[1] > cutoff:
+        raise ConfigError(f"window top {cfg.window[1]} exceeds the "
+                          f"level-union cutoff {cutoff}")
     if cfg.resolution not in RESOLUTION_RULES:
         raise ConfigError(f"resolution must be one of "
                           f"{sorted(RESOLUTION_RULES)}")

@@ -7,14 +7,14 @@ configured window; the window solve; the preset's diagnostics (the shown
 pairs' distances to the union, wall filter, localization report, and for p
 in ``trials_p`` the norm lower bound, whose S, lam, d and threshold are
 chosen here and certified by ``solvers``, the layer of every factorization
-and Krylov solve).  A preset (``PRESETS``) adds only a ``*_limits``
-function, the single copy of its solve window and level-union cutoff, and
-assertion functions over the per-p results and across p.  ``run_experiment``
-runs every stage and writes tables, eigenvector dumps, ``sigma.json`` and a
-``summary.json`` of pass/fail assertions, flushing tables per p so a failed
-run keeps its finished artifacts; the CLI's ``spectrum``, ``model-sigma``
-and ``localization`` select stages and outputs of the same context.  Each
-writer first removes the files it replaces (``_REPLACES``).
+and Krylov solve).  A preset is a ``config.PRESETS`` record; here it adds
+only assertions over the per-p results and across p (``CHECKS``).
+``run_experiment`` runs every stage and writes tables, eigenvector dumps,
+``sigma.json`` and a ``summary.json`` of pass/fail assertions, flushing
+tables per p so a failed run keeps its finished artifacts; the CLI's
+``spectrum``, ``model-sigma`` and ``localization`` select stages and
+outputs of the same context.  Each writer first removes the files it
+replaces (``_REPLACES``).
 """
 
 import csv
@@ -23,12 +23,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
 from .analysis import boundary_filter, localization_report, scaling_exponent
-from .config import plan_geometry, run_ps
+from .config import PRESETS, plan_geometry, run_ps
 from .errors import ConfigError, InsufficientDataError, MagspecError
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
@@ -89,11 +87,6 @@ def build_instance(cfg, p):
     op = assemble_H(lattice, links, potential, p)
     return dict(plan=plan, lattice=lattice, b=b, links=links,
                 potential=potential, op=op)
-
-
-def sigma_ceiling(window_top, b_max):
-    """Union cutoff: the window plus one full level spacing of headroom."""
-    return window_top + 2.0 * b_max
 
 
 def _bound_support(interface, p, b_min):
@@ -198,11 +191,6 @@ class _Assertions:
 # ----------------------------------------------------------------------
 # the per-p pipeline
 
-# the weighted-mass cap that defines each pair's c_star in
-# ``localization_report``, whose rate c_min is always 0.2 sqrt(b_min)
-C_CAP = 10.0
-
-
 class PerP:
     """The pipeline stages of one p; each runs on first use and is kept.
 
@@ -277,7 +265,7 @@ class PerP:
         spec = self.cfg.field_spec
         return localization_report(
             self.slice, self.interface, self.p, spec.max_intensity(),
-            b_min=spec.min_intensity(), c_min=None, c_cap=C_CAP)
+            b_min=spec.min_intensity())
 
     def norm_bound(self):
         """The norm lower bound at the window midpoint lam, certified over
@@ -367,16 +355,6 @@ def _distance_stats(st):
     return float(st.distances.max()), float(st.distances.mean())
 
 
-def _torus_limits(cfg):
-    """The lowest Landau cluster; the configured window is not used.  The
-    union cutoff is ``cutoff``, or one level spacing above the window."""
-    bval = cfg.field_spec.max_intensity()
-    window = (0.6 * bval, 1.4 * bval)
-    cutoff = cfg.cutoff if cfg.cutoff is not None \
-        else sigma_ceiling(window[1], bval)
-    return window, cutoff
-
-
 def _torus_checks(st, assertions):
     cfg, p, sl = st.cfg, st.p, st.slice
     max_distance = _distance_stats(st)[0]
@@ -391,12 +369,6 @@ def _torus_checks(st, assertions):
                      measured=mean_dev, threshold=0.05)
     return dict(p=p, n_cluster=len(sl), **_solve_record(sl),
                 mean_dev=mean_dev, max_distance=max_distance)
-
-
-def _dip_limits(cfg):
-    """All pairs below ``cutoff``, union one spacing above."""
-    return (None, cfg.cutoff), sigma_ceiling(cfg.cutoff,
-                                             cfg.field_spec.max_intensity())
 
 
 def _dip_checks(st, assertions):
@@ -419,20 +391,8 @@ def _dip_sweep(cfg, per_p, bounds, assertions):
     assertions.check("clustering_rate", exponent is None or exponent <= -0.25,
                      measured=0.0 if exponent is None else exponent,
                      threshold=-0.25)
-    return {"ceiling": _dip_limits(cfg)[0][1],
+    return {"ceiling": PRESETS[cfg.experiment].limits(cfg)[0][1],
             "clustering_exponent": exponent, "max_distances": max_dists}
-
-
-# the solve window's margin inside each end of the configured gap window
-WINDOW_MARGIN = 0.05
-
-
-def _bump_limits(cfg):
-    """The configured gap window shrunk by ``WINDOW_MARGIN`` at each end;
-    the union cut at ``cutoff``."""
-    window = cfg.window
-    inner = (window[0] + WINDOW_MARGIN, window[1] - WINDOW_MARGIN)
-    return inner, cfg.cutoff
 
 
 def _bump_checks(st, assertions):
@@ -464,8 +424,8 @@ def _bump_sweep(cfg, per_p, bounds, assertions):
     p of ``trials_p`` with the one constant C."""
     kappa_by_p = {e["p"]: e["kappa_median"] for e in per_p}
     stderr_by_p = {e["p"]: e["kappa_stderr_max"] for e in per_p}
-    results = {"window": list(cfg.window),
-               "inner_window": list(_bump_limits(cfg)[0]),
+    inner = PRESETS[cfg.experiment].limits(cfg)[0]
+    results = {"window": list(cfg.window), "inner_window": list(inner),
                "kappa_by_p": kappa_by_p}
     for p in cfg.p_list:
         if 4 * p in kappa_by_p and np.isfinite(kappa_by_p[p]):
@@ -491,20 +451,12 @@ def _bump_sweep(cfg, per_p, bounds, assertions):
     return results
 
 
-@dataclass(frozen=True)
-class Preset:
-    limits: Callable          # cfg -> (solve window, level-union cutoff)
-    checks: Callable          # (PerP, assertions) -> per-p summary entry
-    sweep: Callable | None = None  # (cfg, per_p, bounds, assertions) -> dict
-    interface: bool = False    # builds the interface set of cfg.window
-    edge_states: bool = False  # localization tables and the norm bound
-
-
-PRESETS = {
-    "torus_constant": Preset(_torus_limits, _torus_checks),
-    "radial_dip": Preset(_dip_limits, _dip_checks, _dip_sweep, interface=True),
-    "potential_bump": Preset(_bump_limits, _bump_checks, _bump_sweep,
-                             interface=True, edge_states=True),
+# each preset's assertions: (PerP, assertions) -> per-p summary entry, and
+# (cfg, per_p, bounds, assertions) -> the results across p, or None
+CHECKS = {
+    "torus_constant": (_torus_checks, None),
+    "radial_dip": (_dip_checks, _dip_sweep),
+    "potential_bump": (_bump_checks, _bump_sweep),
 }
 
 
@@ -521,15 +473,16 @@ def pipeline(cfg, writer, ps=None):
 
 
 def _run_sweep(cfg, assertions):
-    preset = PRESETS[cfg.experiment]
+    checks, sweep = CHECKS[cfg.experiment]
+    edge_states = PRESETS[cfg.experiment].edge_states
     per_p, sigma_entries, bounds = [], [], {}
     # stages run lazily, so rebinding frees the previous p's context before
     # the next p does any work
     for st in pipeline(cfg, "run", run_ps(cfg)):
         p = st.p
         if p in cfg.p_list:
-            per_p.append(preset.checks(st, assertions))
-            if preset.edge_states:
+            per_p.append(checks(st, assertions))
+            if edge_states:
                 st.write_edge_states()
             else:
                 st.write_spectrum()
@@ -538,8 +491,8 @@ def _run_sweep(cfg, assertions):
             bounds[p] = st.norm_bound()
     del st
     results = {"per_p": per_p}
-    if preset.sweep is not None:
-        results.update(preset.sweep(cfg, per_p, bounds, assertions))
+    if sweep is not None:
+        results.update(sweep(cfg, per_p, bounds, assertions))
     write_sigma(cfg, sigma_entries)
     return results
 

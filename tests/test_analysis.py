@@ -93,7 +93,7 @@ def test_logsumexp_equals_scipy_on_bump_eigenvectors(tmp_path):
     st = PerP(build_config({"experiment": "potential_bump", "p": [p],
                             "out": str(tmp_path)}), p)
     rep = st.localization
-    rates = np.append(rep.c_grid, rep.c_min)
+    rates = np.append(np.linspace(0.0, 6.0 * rep.c_min, 25), rep.c_min)
     assert rates.size == 26 and len(st.slice) >= 5
     d_all = st.interface.distance.values
     for u in stacked(st.slice).T:
@@ -155,23 +155,29 @@ def test_localization_report_masses_equal_scalar_reference():
     vecs /= np.linalg.norm(vecs, axis=0)
     sl = SpectrumSlice(values=np.zeros(4), residuals=np.zeros(4),
                        certificate="heuristic", blocks=[(None, vecs)])
-    rep = localization_report(sl, K, 8, 1.0, b_min=1.0, c_min=0.3,
-                              c_cap=10.0)
+    # b_min = 2.25 puts the rate c_min = 0.2 sqrt(b_min) at 0.3
+    rep = localization_report(sl, K, 8, 1.0, b_min=2.25)
+    assert rep.c_min == pytest.approx(0.3) and rep.c_cap == 10.0
+    c_grid = np.linspace(0.0, 6.0 * rep.c_min, 25)
     filt = boundary_filter(sl, lat, 8, 1.0)
+    near = lat.boundary_distance() <= 3.0 / np.sqrt(8)
     tops = []
     for i, e in enumerate(rep.entries):
         scalar = [weighted_mass(vecs[:, i], K.distance, c, 8)
-                  for c in rep.c_grid]
+                  for c in c_grid]
         tops.append(np.flatnonzero(np.array(scalar) <= 10.0)[-1])
-        assert e.c_star == rep.c_grid[tops[-1]]
-        assert e.w_at_cmin == weighted_mass(vecs[:, i], K.distance, 0.3, 8)
+        assert e.c_star == c_grid[tops[-1]]
+        assert e.w_at_cmin == weighted_mass(vecs[:, i], K.distance,
+                                            rep.c_min, 8)
         kappa, stderr, shells = decay_fit(vecs[:, i], K.distance)
         assert (e.kappa, e.kappa_stderr, e.shells) == (kappa, stderr, shells)
-        assert e.boundary_fraction == filt.fractions[i]
+        amp2 = np.abs(vecs[:, i]) ** 2
+        assert e.boundary_fraction == pytest.approx(
+            amp2[near].sum() / amp2.sum(), rel=1e-14)
         assert e.artifact == filt.artifact_mask[i]
         assert e.far_mass_fraction == mass_fraction_beyond(
             vecs[:, i], K.distance, 3.0 / np.sqrt(8))
-    assert tops[3] == rep.c_grid.size - 1 and 0 < min(tops[:3]) < tops[3]
+    assert tops[3] == c_grid.size - 1 and 0 < min(tops[:3]) < tops[3]
 
 
 @pytest.mark.parametrize("case", ["C4+T", "C4", "none", "dump"])
@@ -227,7 +233,7 @@ def test_boundary_filter_torus_identity():
     sl = dense_spectrum(H).select(np.arange(4))
     out = boundary_filter(sl, lat, 4, 1 / (2 * np.pi))
     assert len(out.kept) == 4 and not out.artifact_mask.any()
-    assert np.all(out.fractions == 0.0)
+    assert np.array_equal(out.kept.values, sl.values)
 
 
 def test_boundary_filter_flags_wall_vector():
@@ -239,7 +245,7 @@ def test_boundary_filter_flags_wall_vector():
                        certificate="heuristic", blocks=[(None, vec[:, None])])
     out = boundary_filter(sl, lat, 4, 1.0)
     assert out.artifact_mask.tolist() == [True]
-    assert out.fractions[0] == pytest.approx(1.0)
+    assert len(out.kept) == 0
 
 
 def _trial_setup(p, nx=64, half_width=2.6):
@@ -476,8 +482,7 @@ def test_transition_field_gap_holds_only_wall_states():
     sl = ms.window_eigs(H, (2.2, 2.8))
     out = boundary_filter(sl, lat, p, spec.max_intensity())
     assert len(out.kept) == 0
-    if len(sl):
-        assert out.fractions.min() > 0.5
+    assert out.artifact_mask.all()
 
 
 def test_localization_report_edge_states():
@@ -485,8 +490,7 @@ def test_localization_report_edge_states():
     from magspec import window_eigs, localization_report
     K = interface_set(lat, b, V, (1.3, 1.7), cutoff=4.0)
     sl = window_eigs(H, (1.35, 1.65))
-    rep = localization_report(sl, K, 16, 1.0, b_min=1.0, c_min=None,
-                              c_cap=10.0)
+    rep = localization_report(sl, K, 16, 1.0, b_min=1.0)
     assert len(rep.entries) == len(sl)
     genuine = [e for e in rep.entries if not e.artifact]
     assert genuine, "expected at least one non-artifact gap state"

@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from magspec.cli import main
-from magspec.config import (PotentialSpec, build_config, interface_radius,
-                            parse_config, plan_geometry)
+from magspec.config import (PRESETS, PotentialSpec, build_config,
+                            interface_radius, parse_config, plan_geometry)
 from magspec.errors import ConfigError, InvalidSpecError
 from magspec.experiments import run_experiment
 
@@ -459,12 +459,45 @@ def test_retired_key_is_unknown(tmp_path, capsys, no_build, preset, key,
      "max_sites = 2000000; raise max_sites or reduce p"),
     ("p = 4\ntol = 0\n", "tol must be positive, got 0.0"),
     ("p = 4\nv_width = 0\n", "v_width must be positive, got 0.0"),
+    # the solve window and the union cutoff of the preset's limits: a
+    # window narrower than twice the 0.05 margin, a cutoff below its top
+    ("window = 1.3, 1.39\n", "window (1.3, 1.39) leaves potential_bump the "
+     "empty solve window (1.35, 1.3399999999999999)"),
+    ("cutoff = 1.0\n", "window top 1.7 exceeds the level-union cutoff 1.0"),
+    # every float key is finite, and the rank is one the potential takes
+    ("v_height = nan\n", "line 2: v_height must be finite, got nan"),
+    ("field = radial_dip\nwidth = nan\n",
+     "line 3: width must be finite, got nan"),
+    ("cutoff = nan\n", "line 2: cutoff must be finite, got nan"),
+    ("b = inf\n", "line 2: b must be finite, got inf"),
+    ("window = 1.3, -inf\n", "line 2: window must be finite, got -inf"),
+    ("v_matrix = 1e400\npotential = const\n",
+     "line 2: v_matrix must be finite, got 1e400"),
+    ("v_rank = 0\n", "v_rank must be in 1..8, got 0"),
+    ("v_rank = 9\n", "v_rank must be in 1..8, got 9"),
 ])
 def test_bad_value_is_refused_before_any_solve(tmp_path, capsys, no_build,
                                                lines, message):
     cfg = _write_cfg(tmp_path, f"experiment = potential_bump\n{lines}"
                      f"out = {tmp_path}/out\n")
     assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "1.3,1.39", "window (1.3, 1.39) leaves potential_bump the "
+     "empty solve window (1.35, 1.3399999999999999)"),
+    ("--window", "1.3,4.5",
+     "window top 4.5 exceeds the level-union cutoff 4.0"),
+    ("--window", "1.3,nan", "--window: window must be finite, got nan")])
+def test_window_rule_is_checked_at_dry_run(tmp_path, capsys, no_build, flag,
+                                           value, message):
+    # the preset's limits are config rules, so a plan refuses what the run
+    # would
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\n"
+                     f"out = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg, flag, value, "--dry-run"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
@@ -594,6 +627,9 @@ def test_shipped_config_pinned(name):
      "p list must be strictly ascending"),
     ("experiment = potential_bump\nwindow = 1.7, 1.3\n",
      "window (1.7, 1.3) is empty"),
+    # radial_dip's union is cut one level spacing above its cutoff: 2.1
+    ("experiment = radial_dip\ncutoff = 0.1\n",
+     "window top 2.4 exceeds the level-union cutoff 2.1"),
     ("experiment = potential_bump\nresolution = coarse\n",
      "resolution must be one of ['high-accuracy', 'standard']"),
     ("experiment = torus_constant\np = 256\nmax_sites = 100\n",
@@ -652,6 +688,15 @@ def test_preset_potential_honours_v_keys():
 def test_unread_key_is_refused_by_name(preset, key, value):
     with pytest.raises(ConfigError, match=rf"does not read {key}$"):
         parse_config(f"experiment = {preset}\n{key} = {value}\n")
+
+
+def test_preset_unread_keys_pinned():
+    # derived from each preset's record: window without an interface set,
+    # trials_p without the norm bound, c1 off the torus
+    assert {name: preset.unread for name, preset in PRESETS.items()} == {
+        "torus_constant": {"window", "trials_p"},
+        "radial_dip": {"trials_p", "c1"},
+        "potential_bump": {"c1"}}
 
 
 def test_unread_keys_follow_the_chosen_field_and_potential():
