@@ -348,9 +348,12 @@ def validate_config(cfg):
     if lo is not None and not lo < hi:
         raise ConfigError(f"window {cfg.window} leaves {cfg.experiment} the "
                           f"empty solve window ({lo}, {hi})")
-    if preset.interface and cfg.window[1] > cutoff:
-        raise ConfigError(f"window top {cfg.window[1]} exceeds the "
-                          f"level-union cutoff {cutoff}")
+    # the union reaches the top of every window the run reads: the solve
+    # window, and the configured one where it builds an interface set
+    top = max(hi, cfg.window[1]) if preset.interface else hi
+    if top > cutoff:
+        raise ConfigError(f"window top {top} exceeds the level-union cutoff "
+                          f"{cutoff}")
     if cfg.resolution not in RESOLUTION_RULES:
         raise ConfigError(f"resolution must be one of "
                           f"{sorted(RESOLUTION_RULES)}")

@@ -208,7 +208,11 @@ class PerP:
 
     @cached_property
     def inst(self):
-        return build_instance(self.cfg, self.p)
+        """``build_instance``'s parts less the links, which no later stage
+        reads: H holds them, and its provenance hashes them."""
+        inst = build_instance(self.cfg, self.p)
+        del inst["links"]
+        return inst
 
     @property
     def h(self):

@@ -2,11 +2,13 @@
 
 Both are square grids: one side length and one cell count for both axes,
 the only shapes the sizing rules plan.  Sites are indexed row-major,
-``site = iy * site_nx + ix``.  On the torus every site has 4 axis neighbors
-with wrapping; on the Dirichlet square (kind ``rectangle_dirichlet``) the
-stored sites are the interior grid points and the boundary carries implicit
-zero values (no ghost sites are stored, so operator dimensions equal the
-interior site count).
+``site = iy * site_nx + ix``, in int32 index arrays.  On the torus every
+site has 4 axis neighbors with wrapping; on the Dirichlet square (kind
+``rectangle_dirichlet``) the stored sites are the interior grid points and
+the boundary carries implicit zero values (no ghost sites are stored, so
+operator dimensions equal the interior site count).  Only the sites'
+positions and edges are kept: the symmetry permutations and plaquette
+corners are built on each read.
 
 Also provides geodesic distance fields to a target site set (8-neighbor
 chamfer metric, wrap-aware on the torus).
@@ -76,30 +78,36 @@ class Lattice:
     def site_index(self, ix, iy):
         return iy * self.site_nx + ix
 
-    @cached_property
+    def _grid_indices(self):
+        """(iy, ix) of every site, each a (site_nx, site_nx) grid."""
+        return np.indices((self.site_nx,) * 2, dtype=np.int32)
+
+    @property
     def rotation(self):
         """Site permutation of the quarter turn (x, y) -> (-y, x), or None.
 
         ``rotation[s]`` is the site that s turns into: (ix, iy) goes to
         (site_nx - 1 - iy, ix).  Defined only on the Dirichlet square, whose
-        sites are centred at the origin; None on the torus.
+        sites are centred at the origin; None on the torus.  Built on each
+        read and not kept: the orbit table reads it once per operator.
         """
         if self.is_torus:
             return None
-        gy, gx = np.indices((self.site_nx,) * 2)
+        gy, gx = self._grid_indices()
         return self.site_index(self.site_nx - 1 - gy, gx).ravel()
 
-    @cached_property
+    @property
     def reflection(self):
         """Site permutation of the diagonal reflection (x, y) -> (y, x), or
         None where ``rotation`` is None.
 
         ``reflection[s]`` is the site that s reflects to: (ix, iy) goes to
-        (iy, ix).  It is an involution.
+        (iy, ix).  It is an involution.  Built on each read, like
+        ``rotation``.
         """
-        if self.rotation is None:
+        if self.is_torus:
             return None
-        gy, gx = np.indices((self.site_nx,) * 2)
+        gy, gx = self._grid_indices()
         return self.site_index(gy, gx).ravel()
 
     def _neighbors(self, dx, dy):
@@ -110,11 +118,11 @@ class Lattice:
         rectangle only sites whose neighbour is stored are sources.
         """
         n = self.site_nx
-        gy, gx = np.indices((n, n))
+        gy, gx = self._grid_indices()
         tx, ty = gx.ravel() + dx, gy.ravel() + dy
         outside = (tx < 0) | (tx >= n) | (ty < 0) | (ty >= n)
-        src = np.arange(self.n_sites) if self.is_torus \
-            else np.flatnonzero(~outside)
+        src = np.arange(self.n_sites, dtype=np.int32) if self.is_torus \
+            else np.flatnonzero(~outside).astype(np.int32)
         dst = self.site_index(tx[src] % n, ty[src] % n)
         return src, dst, outside[src]
 
@@ -152,13 +160,14 @@ class Lattice:
     @cached_property
     def _edge_lookup(self):
         """Map (src, axis) -> edge index; every site has at most one +x/+y edge."""
-        lut = np.full((self.n_sites, 2), -1, dtype=np.int64)
+        lut = np.full((self.n_sites, 2), -1, dtype=np.int32)
         lut[self.edge_src, self.edge_axis] = np.arange(self.n_edges)
         return lut
 
-    @cached_property
+    @property
     def plaquette_corner_sites(self):
-        """Lower-left corner site of each unit cell with four stored corners."""
+        """Lower-left corner site of each unit cell with four stored corners,
+        built on each read."""
         return self._neighbors(1, 1)[0]
 
     @cached_property
@@ -175,9 +184,10 @@ class Lattice:
         top = lut[self.edge_dst[left], 0]
         return np.column_stack([bottom, right, top, left])
 
-    @cached_property
+    @property
     def plaquette_centers(self):
-        """(n_plaquettes, 2) coordinates of unit-cell centers."""
+        """(n_plaquettes, 2) coordinates of unit-cell centers, built on each
+        read: ``sample_field`` reads them once per lattice."""
         base = self.positions[self.plaquette_corner_sites]
         return base + 0.5 * self.spacing
 

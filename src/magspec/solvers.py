@@ -252,43 +252,78 @@ def _finish(op, sector, values, vectors, certificate, tol=0.0, window=None):
                          tol=tol)
 
 
-def _factor_shifted(op, sigma):
-    """One factor of H - sigma, for its inertia and for shift-invert solves.
+def _factor(op, shift):
+    """SuperLU factor of op - shift, or None where it is exactly singular.
 
-    SuperLU symmetric mode, MMD_AT_PLUS_A ordering, diagonal pivots: the
-    signs of the real U diagonal give the inertia (Sylvester).  A singular
-    factorization jitters the shift, up to three tries.  Returns (lu
-    or None, shift used, negative pivots, None or why the count is untrusted).
+    Symmetric mode, MMD_AT_PLUS_A ordering, diagonal pivots: the signs of
+    the real U diagonal give the inertia (Sylvester, ``_inertia``).  No
+    pivot is read here.
+    """
+    mat = (op.matrix - shift * sp.identity(op.n, dtype=op.matrix.dtype,
+                                           format="csr")).tocsc()
+    try:
+        return spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.0,
+                         options=dict(SymmetricMode=True))
+    except RuntimeError:  # exactly singular at this shift
+        return None
+
+
+def _inertia(lu):
+    """(negative pivots, None or why the count is untrusted) of the factor
+    ``lu``, or None when it is None or a pivot is zero or not finite.
 
     The diagonal is read from ``lu.U``: scipy's ``SuperLU`` object exposes
     only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``, ``shape`` and
     ``solve`` (checked on scipy 1.17), with no accessor for the pivots
     alone.  The first ``.U`` access builds CSC copies of both L and U and
     caches them on the factor (scipy 1.17), so a factor kept for solves
-    carries both copies while it lives: on a 150 x 150 grid Laplacian with
+    carries both copies from then on: on a 150 x 150 grid Laplacian with
     fill 993,076 the factor took 10.2 MB and the copies 11.4 MB more.
     """
-    n = op.n
+    if lu is None:
+        return None
+    d = lu.U.diagonal()
+    if not (np.all(np.isfinite(d)) and np.all(d != 0)):
+        return None
+    downgrade = None
+    if not (np.array_equal(lu.perm_r, lu.perm_c)
+            or np.array_equal(lu.perm_r[lu.perm_c], np.arange(lu.shape[0]))):
+        downgrade = "off-diagonal pivot"
+    elif np.abs(d.imag).max() > 1e-6 * np.abs(d.real).max():
+        downgrade = "complex diagonal"
+    return int(np.sum(d.real < 0)), downgrade
+
+
+def _jitter(shift, attempt):
+    """The shift to try after try ``attempt`` (from 0) found a singular
+    factor, or a zero or non-finite pivot, at ``shift``."""
+    return shift + max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
+
+
+def _factor_shifted(op, sigma):
+    """One factor of H - sigma, for its inertia and for shift-invert solves.
+
+    A singular factor jitters the shift, up to three tries.  Returns (lu or
+    None, shift used, negative pivots, None or why the count is untrusted).
+    The pivots are read before any solve, so a factor kept for solves (the
+    norm bound's) carries its L and U copies through them (``_inertia``).
+    The window solve's midpoint factor is not made here: ``_block_solve``
+    reads its pivots after its Krylov solve, so those copies no longer
+    overlap ARPACK's workspace.  On ``radial_dip`` at p = 16 (N = 37.6k,
+    one BLAS thread) the process's VmHWM after each stage is then 85.4-85.7
+    MB for the block build, 92.6-93.0 MB for the midpoint pivot read and
+    95.2-95.8 MB for the count at beta, the peak, which reads its pivots
+    here; the Krylov stage, which set it at 100.4-100.9 MB with the copies
+    alive, no longer raises it.
+    """
     shift = float(sigma)
     for attempt in range(3):
-        mat = (op.matrix - shift * sp.identity(n, dtype=op.matrix.dtype,
-                                               format="csr")).tocsc()
-        try:
-            lu = spla.splu(mat, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
-        except RuntimeError:  # exactly singular at this shift
-            lu = None
-        d = np.zeros(1) if lu is None else lu.U.diagonal()
-        if np.all(np.isfinite(d)) and np.all(d != 0):
-            downgrade = None
-            if not (np.array_equal(lu.perm_r, lu.perm_c)
-                    or np.array_equal(lu.perm_r[lu.perm_c], np.arange(n))):
-                downgrade = "off-diagonal pivot"
-            elif np.abs(d.imag).max() > 1e-6 * np.abs(d.real).max():
-                downgrade = "complex diagonal"
-            return lu, shift, int(np.sum(d.real < 0)), downgrade
-        shift += max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
+        lu = _factor(op, shift)
+        inertia = _inertia(lu)
+        if inertia is not None:
+            return (lu, shift) + inertia
+        shift = _jitter(shift, attempt)
     return None, shift, 0, "jitter retries exhausted"
 
 
@@ -377,24 +412,36 @@ def _block_solve(op, sector, alpha, beta, open_below, tol, seed):
                              blocks=[(sector, np.empty((block.n, 0)))],
                              tol=tol, krylov_k=0)
 
-    k = min(16 if expected is None else expected, block.n - 2)
-    lu, shift, c_mid, why_mid = _factor_shifted(block, 0.5 * (alpha + beta))
+    start = min(16 if expected is None else expected, block.n - 2)
 
     def finish(values, vectors, window=None):
         out = _finish(op, sector, values, vectors, HEURISTIC, tol, window)
         out.krylov_k, out.growth_rounds = k, rounds
         return out
 
-    rounds = 0
-    while True:
-        w, u = _shift_invert(block, lu, shift, k, seed,
-                             None if sector is None else sector.m, finish)
-        got = int(np.sum((w >= alpha) & (w <= beta)))
-        if expected is None or got >= expected or k >= block.n - 2:
+    # the midpoint factor drives every solve and is read for its pivots
+    # only after them, so its L and U copies never meet ARPACK's workspace;
+    # a zero or non-finite pivot then jitters, refactors and solves again
+    shift = 0.5 * (alpha + beta)
+    for attempt in range(3):
+        lu, k, rounds = _factor(block, shift), start, 0
+        while lu is not None:
+            w, u = _shift_invert(block, lu, shift, k, seed,
+                                 None if sector is None else sector.m, finish)
+            got = int(np.sum((w >= alpha) & (w <= beta)))
+            if expected is None or got >= expected or k >= block.n - 2:
+                break
+            k = min(2 * k + 8, block.n - 2)
+            rounds += 1
+        mid = _inertia(lu)
+        del lu  # free the factor before the residuals below
+        if mid is not None:
             break
-        k = min(2 * k + 8, block.n - 2)
-        rounds += 1
-    del lu  # free the factor before the residuals below
+        shift = _jitter(shift, attempt)
+    else:
+        raise ConvergenceError(
+            f"factorization failed at shift {shift:.6g} after jitters")
+    c_mid, why_mid = mid
 
     out = finish(w, u, (alpha, beta))
     bad = out.residuals > tol
@@ -551,7 +598,8 @@ class _OrbitTable:
     ``slot`` is each index's place in the table read row by row, then in
     ``fixed``.  Column c of B_0 has S s_c = R^(turns_c) s_(twin_c); its T
     pair opens the column ``first[c]`` of W_m, and ``kind[c]`` is 0, 1 or 2
-    when c is the pair's second, T-fixed or the pair's first.
+    when c is the pair's second, T-fixed or the pair's first.  The index
+    arrays are int32.
     """
 
     n: int
@@ -568,28 +616,31 @@ class _OrbitTable:
 
 def _build_orbit_table(op):
     lat = op.lattice
-    if lat is None or lat.rotation is None or op.n != lat.n_sites * op.rank:
+    turn = None if lat is None else lat.rotation
+    if turn is None or op.n != lat.n_sites * op.rank:
         return _OrbitTable(op.n)
-    perm = _fiber_lift(lat.rotation, op.rank)
+    perm = _fiber_lift(turn, op.rank)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(op.n)
     flip = _fiber_lift(lat.reflection, op.rank)  # an involution: S^-1 = S
     out = _OrbitTable(
         op.n, _row_sum_bound(op.matrix[inv][:, inv] - op.matrix),  # PHP^T-H
         _row_sum_bound(op.matrix[flip][:, flip].conj() - op.matrix))
-    turned = [np.arange(op.n)]
+    turned = [np.arange(op.n, dtype=np.int32)]
     for _ in range(3):
         turned.append(perm[turned[-1]])
     out.table = np.stack(turned)[:, turned[0] < np.min(turned[1:], axis=0)]
-    out.fixed = np.flatnonzero(perm == turned[0])
+    out.fixed = np.flatnonzero(perm == turned[0]).astype(np.int32)
     orbits = out.table.shape[1]
-    out.slot = np.empty(op.n, dtype=np.intp)  # k * orbits + c at R^k s_c
+    out.slot = np.empty(op.n, dtype=np.int32)  # k * orbits + c at R^k s_c
     out.slot[out.table] = np.arange(4 * orbits).reshape(4, orbits)
     out.slot[out.fixed] = 4 * orbits + np.arange(out.fixed.size)
     turns, twin = np.divmod(out.slot[flip[out.table[0]]], orbits)
-    out.twin = np.append(twin, orbits + np.arange(out.fixed.size))
-    out.turns = np.append(turns, np.zeros(out.fixed.size, dtype=np.intp))
-    out.kind = 1 + np.sign(out.twin - np.arange(out.twin.size))
+    out.twin = np.append(twin, orbits + np.arange(out.fixed.size,
+                                                  dtype=np.int32))
+    out.turns = np.append(turns, np.zeros(out.fixed.size, dtype=np.int32))
+    out.kind = 1 + np.sign(out.twin - np.arange(out.twin.size,
+                                                dtype=np.int32))
     lead = np.flatnonzero(out.kind)  # a pair's first or T-fixed: its width
     out.first = np.empty_like(out.twin)
     out.first[lead] = out.first[out.twin[lead]] = \
@@ -618,8 +669,8 @@ def _rotation_sectors(op, tol):
 
 def _fiber_lift(sites, rank):
     """Index permutation moving component c of site s to component c of
-    site ``sites[s]``."""
-    return (sites[:, None] * rank + np.arange(rank)).ravel()
+    site ``sites[s]``, of the dtype of ``sites``."""
+    return (sites[:, None] * rank + np.arange(rank, dtype=sites.dtype)).ravel()
 
 
 def _row_sum_bound(diff):

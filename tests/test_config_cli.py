@@ -464,6 +464,9 @@ def test_retired_key_is_unknown(tmp_path, capsys, no_build, preset, key,
     ("window = 1.3, 1.39\n", "window (1.3, 1.39) leaves potential_bump the "
      "empty solve window (1.35, 1.3399999999999999)"),
     ("cutoff = 1.0\n", "window top 1.7 exceeds the level-union cutoff 1.0"),
+    # the same rule on the torus, whose solve window is its lowest level
+    ("experiment = torus_constant\np = 2\nnx = 16\ncutoff = 0.05\n",
+     "window top 0.22281692032865347 exceeds the level-union cutoff 0.05"),
     # every float key is finite, and the rank is one the potential takes
     ("v_height = nan\n", "line 2: v_height must be finite, got nan"),
     ("field = radial_dip\nwidth = nan\n",
@@ -478,8 +481,10 @@ def test_retired_key_is_unknown(tmp_path, capsys, no_build, preset, key,
 ])
 def test_bad_value_is_refused_before_any_solve(tmp_path, capsys, no_build,
                                                lines, message):
-    cfg = _write_cfg(tmp_path, f"experiment = potential_bump\n{lines}"
-                     f"out = {tmp_path}/out\n")
+    # potential_bump unless the case names its experiment
+    if not lines.startswith("experiment"):
+        lines = f"experiment = potential_bump\n{lines}"
+    cfg = _write_cfg(tmp_path, f"{lines}out = {tmp_path}/out\n")
     assert main(["run", "--config", cfg]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()

@@ -186,3 +186,26 @@ def test_reflection_swaps_the_coordinates(nx):
 def test_rotation_needs_a_centred_square(kind, extent, nx):
     lat = build_lattice(kind, extent, nx)
     assert lat.rotation is None and lat.reflection is None
+
+
+def test_pipeline_keeps_no_links_or_symmetry_arrays(tmp_path):
+    # after the window solve the instance holds no gauge links (H holds
+    # them, hashed in its provenance) and the lattice caches no quarter
+    # turn, reflection or plaquette array: each is built when it is read
+    from magspec.config import build_config
+    from magspec.experiments import PerP
+    p = 4
+    st = PerP(build_config({"experiment": "radial_dip", "p": [p], "nx": 24,
+                            "out": str(tmp_path)}), p)
+    assert len(st.slice) and st.slice.symmetry == "C4+T"
+    assert "links" not in st.inst
+    lat = st.inst["lattice"]
+    cached = dict(vars(lat))
+    assert not {"rotation", "reflection", "plaquette_corner_sites",
+                "plaquette_centers", "plaquettes"} & set(cached)
+    kept = [array for value in cached.values()
+            for array in (value if isinstance(value, tuple) else [value])
+            if isinstance(array, np.ndarray)]
+    for array in (lat.rotation, lat.reflection, lat.plaquette_corner_sites,
+                  lat.plaquette_centers):
+        assert not any(np.array_equal(value, array) for value in kept)

@@ -273,18 +273,18 @@ def test_open_lower_end_starts_below_gershgorin(splu_calls, setup, m,
     _assert_same_pairs(open_end, closed)
 
 
-def test_midpoint_count_mismatch_downgrades(monkeypatch):
+def test_midpoint_count_mismatch_downgrades(eigsh_spy, monkeypatch):
     lat, spec, b, links, V, H = torus_constant_setup(nx=24, p=4)
     bval = 1 / TWO_PI
     window = (0.6 * bval, 1.4 * bval)
-    midpoint = 0.5 * (window[0] + window[1])
-    original = solvers._factor_shifted
+    original = solvers._inertia
 
-    def wrong_midpoint_count(op, sigma):
-        lu, shift, count, downgrade = original(op, sigma)
-        return lu, shift, count + (sigma == midpoint), downgrade
+    def wrong_midpoint_count(lu):
+        # the midpoint's are the only pivots read after a Krylov solve
+        count, downgrade = original(lu)
+        return count + bool(eigsh_spy.calls), downgrade
 
-    monkeypatch.setattr(solvers, "_factor_shifted", wrong_midpoint_count)
+    monkeypatch.setattr(solvers, "_inertia", wrong_midpoint_count)
     sl = window_eigs(H, window)
     assert len(sl) == 4
     assert sl.certificate == HEURISTIC
@@ -293,14 +293,16 @@ def test_midpoint_count_mismatch_downgrades(monkeypatch):
 
 @pytest.fixture
 def eigsh_spy(monkeypatch):
-    """Records the k of every ARPACK call; setting ``drop_first`` to a window
-    removes one pair inside it from the first call's result."""
+    """Records the k and the shift of every ARPACK call; setting
+    ``drop_first`` to a window removes one pair inside it from the first
+    call's result."""
     original = spla.eigsh
-    spy = SimpleNamespace(calls=[], drop_first=None)
+    spy = SimpleNamespace(calls=[], shifts=[], drop_first=None)
 
     def spying(*args, **kwargs):
         w, u = original(*args, **kwargs)
         spy.calls.append(kwargs["k"])
+        spy.shifts.append(kwargs["sigma"])
         if spy.drop_first is not None and len(spy.calls) == 1:
             lo, hi = spy.drop_first
             keep = np.ones(w.size, dtype=bool)
@@ -339,21 +341,104 @@ def test_window_shortfall_grows_k_once(eigsh_spy):
 
 def test_window_untrusted_count_starts_from_16(eigsh_spy, monkeypatch):
     H, window = _torus_cluster_window()
-    original = solvers._factor_shifted
+    original = solvers._inertia
+    reads = []
 
-    def untrusted_at_beta(op, sigma):
-        lu, shift, count, downgrade = original(op, sigma)
-        if sigma == window[1]:
+    def untrusted_at_beta(lu):
+        # pivots are read at alpha, then at beta, then at the midpoint
+        count, downgrade = original(lu)
+        reads.append(count)
+        if len(reads) == 2:
             downgrade = "off-diagonal pivot"
-        return lu, shift, count, downgrade
+        return count, downgrade
 
-    monkeypatch.setattr(solvers, "_factor_shifted", untrusted_at_beta)
+    monkeypatch.setattr(solvers, "_inertia", untrusted_at_beta)
     sl = window_eigs(H, window)
     assert eigsh_spy.calls == [16]
     assert (sl.krylov_k, sl.growth_rounds) == (16, 0)
     assert len(sl) == 4
     assert sl.certificate == HEURISTIC
     assert sl.downgrade == "off-diagonal pivot"
+
+
+class _FactorSpy:
+    """A SuperLU factor that logs each read of its ``L`` or ``U`` and each
+    triangular solve, as (event, factor), into ``log``; ``U`` hands its
+    pivots to ``corrupt`` first when one is given."""
+
+    def __init__(self, lu, log, corrupt=None):
+        self._lu, self._log, self._corrupt = lu, log, corrupt
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            self._log.append(("read", self))
+        value = getattr(self._lu, name)
+        if name == "U" and self._corrupt is not None:
+            value = value.copy()
+            value.setdiag(self._corrupt(value.diagonal()))
+        return value
+
+    def solve(self, rhs):
+        self._log.append(("solve", self))
+        return self._lu.solve(rhs)
+
+
+def test_midpoint_pivots_are_read_after_the_krylov_solve(monkeypatch):
+    # scipy caches CSC copies of L and U on a factor's first L or U read;
+    # the factor of each sector's Krylov solve (its midpoint factor) is
+    # read for its pivots only after that block's last eigsh call returns,
+    # so the copies never meet ARPACK's workspace
+    log, splu, eigsh = [], spla.splu, spla.eigsh
+
+    def returned(*args, **kwargs):
+        out = eigsh(*args, **kwargs)
+        log.append(("eigsh", None))
+        return out
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: _FactorSpy(
+        splu(*args, **kwargs), log))
+    monkeypatch.setattr(spla, "eigsh", returned)
+    H = dip_rectangle_setup(nx=34, p=8)[-1]
+    window, w = lowest_window(H, 10)
+    sl = window_eigs(H, (0.5 * (w[0] + w[1]), window[1]))
+    assert len(sl) == 9 and sl.certificate == CERTIFIED
+    assert sl.symmetry == C4_T
+    solved = [factor for event, factor in log if event == "solve"]
+    midpoints = list(dict.fromkeys(solved))
+    assert len(midpoints) == 4  # one Krylov factor per sector
+    for factor in midpoints:
+        last_solve = max(i for i, entry in enumerate(log)
+                         if entry == ("solve", factor))
+        solve_returns = log.index(("eigsh", None), last_solve)
+        reads = [i for i, entry in enumerate(log) if entry == ("read", factor)]
+        assert reads and min(reads) > solve_returns
+
+
+def test_non_finite_midpoint_pivot_jitters_and_solves_again(eigsh_spy,
+                                                            monkeypatch):
+    # a pivot read after the Krylov solve as NaN, once, discards that
+    # solve: the block refactors at a jittered midpoint and solves again
+    H, window = _torus_cluster_window()
+    log, injected, splu = [], [], spla.splu
+
+    def nan_once(pivots):
+        if eigsh_spy.calls and not injected:
+            injected.append(pivots[0])
+            pivots[0] = np.nan
+        return pivots
+
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: _FactorSpy(
+        splu(*args, **kwargs), log, nan_once))
+    sl = window_eigs(H, window)
+    factors = list(dict.fromkeys(factor for _, factor in log))
+    assert len(factors) == 4  # alpha, beta, the midpoint twice
+    assert injected and eigsh_spy.calls == [4, 4]
+    midpoint = 0.5 * (window[0] + window[1])
+    assert eigsh_spy.shifts[0] == midpoint
+    assert 0 < eigsh_spy.shifts[1] - midpoint <= 1e-9
+    assert (sl.krylov_k, sl.growth_rounds) == (4, 0)
+    assert len(sl) == 4
+    assert sl.certificate == CERTIFIED and sl.downgrade is None
 
 
 def test_eigenvector_dump_round_trip(tmp_path):
