@@ -168,6 +168,8 @@ class PotentialField:
             raise InvalidSpecError("potential must have shape (n_sites, r, r)")
         if v.shape[1] < 1 or v.shape[1] > MAX_RANK:
             raise InvalidSpecError(f"potential rank must be in 1..{MAX_RANK}")
+        if not np.isfinite(v).all():
+            raise InvalidSpecError("potential values must be finite")
         scale = max(np.abs(v).max(), 1.0)
         if np.abs(v - v.conj().transpose(0, 2, 1)).max() > 1e-12 * scale:
             raise InvalidSpecError("potential is not Hermitian sitewise")

@@ -5,7 +5,7 @@ the solver.  Interior windows are solved by shift-invert Krylov iteration at
 the window midpoint; completeness is certified by inertia counts (Sylvester's
 law) at the window ends and checked against the count at the midpoint.  Each
 shift gets one symmetric-mode diagonal-pivot factorization of H - sigma,
-which serves both its inertia count and every shift-invert solve there.
+which serves every shift-invert solve there, then its inertia count.
 
 The Krylov solve asks for exactly the certified count c(beta) - c(alpha):
 at the midpoint shift those are the eigenvalues of largest |1/(lambda -
@@ -84,6 +84,7 @@ there.  The slice records ``symmetry`` ("C4+T", "C4" or "none") and
 without a rotation).
 """
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -271,18 +272,16 @@ def _factor(op, shift):
 
 def _inertia(lu):
     """(negative pivots, None or why the count is untrusted) of the factor
-    ``lu``, or None when it is None or a pivot is zero or not finite.
+    ``lu``, or None when a pivot is zero or not finite.
 
     The diagonal is read from ``lu.U``: scipy's ``SuperLU`` object exposes
     only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``, ``shape`` and
     ``solve`` (checked on scipy 1.17), with no accessor for the pivots
     alone.  The first ``.U`` access builds CSC copies of both L and U and
-    caches them on the factor (scipy 1.17), so a factor kept for solves
-    carries both copies from then on: on a 150 x 150 grid Laplacian with
+    caches them on the factor (scipy 1.17), so a factor read before a solve
+    carries both copies through it: on a 150 x 150 grid Laplacian with
     fill 993,076 the factor took 10.2 MB and the copies 11.4 MB more.
     """
-    if lu is None:
-        return None
     d = lu.U.diagonal()
     if not (np.all(np.isfinite(d)) and np.all(d != 0)):
         return None
@@ -301,28 +300,31 @@ def _jitter(shift, attempt):
     return shift + max(1e-10, 1e-10 * abs(shift)) * (attempt + 1)
 
 
-def _factor_shifted(op, sigma):
-    """One factor of H - sigma, for its inertia and for shift-invert solves.
+def _factored(op, sigma, use=None):
+    """Factor op - sigma, run ``use(lu, shift)`` on it (a shift-invert solve;
+    None: nothing, for a count), read its pivots (``_inertia``), free it.
 
-    A singular factor jitters the shift, up to three tries.  Returns (lu or
-    None, shift used, negative pivots, None or why the count is untrusted).
-    The pivots are read before any solve, so a factor kept for solves (the
-    norm bound's) carries its L and U copies through them (``_inertia``).
-    The window solve's midpoint factor is not made here: ``_block_solve``
-    reads its pivots after its Krylov solve, so those copies no longer
-    overlap ARPACK's workspace.  On ``radial_dip`` at p = 16 (N = 37.6k,
-    one BLAS thread) the process's VmHWM after each stage is then 85.4-85.7
-    MB for the block build, 92.6-93.0 MB for the midpoint pivot read and
-    95.2-95.8 MB for the count at beta, the peak, which reads its pivots
-    here; the Krylov stage, which set it at 100.4-100.9 MB with the copies
-    alive, no longer raises it.
+    A singular factor, or a zero or non-finite pivot, jitters the shift and
+    starts again, up to three tries.  Returns (what ``use`` returned, the
+    shift used, negative pivots, None or why the count is untrusted), or
+    (None, the next shift, 0, "jitter retries exhausted").  Every pivot read
+    follows its factor's last solve, so the L and U copies that the read
+    caches never meet a solve's workspace.  On ``radial_dip`` at p = 16 (N =
+    37.6k, one BLAS thread) the process's VmHWM after each stage is then
+    85.4-85.7 MB for the block build, 92.6-93.0 MB for the midpoint pivot
+    read and 95.2-95.8 MB for the count at beta, the peak, set by its own
+    pivot read; the Krylov stage, which set it at 100.4-100.9 MB with the
+    copies alive, does not raise it.
     """
     shift = float(sigma)
     for attempt in range(3):
         lu = _factor(op, shift)
-        inertia = _inertia(lu)
-        if inertia is not None:
-            return (lu, shift) + inertia
+        if lu is not None:
+            used = None if use is None else use(lu, shift)
+            inertia = _inertia(lu)
+            del lu  # no factor outlives its read, nor meets the next one
+            if inertia is not None:
+                return (used, shift) + inertia
         shift = _jitter(shift, attempt)
     return None, shift, 0, "jitter retries exhausted"
 
@@ -330,12 +332,12 @@ def _factor_shifted(op, sigma):
 def count_below(op, sigma):
     """Number of eigenvalues strictly below sigma, via inertia.
 
-    Reads the signs off the same factor of H - sigma that shift-invert
-    solves at sigma would use.  Returns (count, downgrade): downgrade is None
-    when the count is trustworthy, else why it is not ("off-diagonal pivot",
-    "complex diagonal" or "jitter retries exhausted").
+    Reads the signs off one factor of H - sigma.  Returns (count,
+    downgrade): downgrade is None when the count is trustworthy, else why it
+    is not ("off-diagonal pivot", "complex diagonal" or "jitter retries
+    exhausted").
     """
-    return _factor_shifted(op, sigma)[2:]
+    return _factored(op, sigma)[2:]
 
 
 def dense_spectrum(op):
@@ -413,35 +415,30 @@ def _block_solve(op, sector, alpha, beta, open_below, tol, seed):
                              tol=tol, krylov_k=0)
 
     start = min(16 if expected is None else expected, block.n - 2)
+    k = rounds = 0  # the last Krylov solve's, read by finish
 
     def finish(values, vectors, window=None):
         out = _finish(op, sector, values, vectors, HEURISTIC, tol, window)
         out.krylov_k, out.growth_rounds = k, rounds
         return out
 
-    # the midpoint factor drives every solve and is read for its pivots
-    # only after them, so its L and U copies never meet ARPACK's workspace;
-    # a zero or non-finite pivot then jitters, refactors and solves again
-    shift = 0.5 * (alpha + beta)
-    for attempt in range(3):
-        lu, k, rounds = _factor(block, shift), start, 0
-        while lu is not None:
+    def krylov(lu, shift):  # a jittered refactor starts again from k = start
+        nonlocal k, rounds
+        k, rounds = start, 0
+        while True:
             w, u = _shift_invert(block, lu, shift, k, seed,
                                  None if sector is None else sector.m, finish)
             got = int(np.sum((w >= alpha) & (w <= beta)))
             if expected is None or got >= expected or k >= block.n - 2:
-                break
+                return w, u, got
             k = min(2 * k + 8, block.n - 2)
             rounds += 1
-        mid = _inertia(lu)
-        del lu  # free the factor before the residuals below
-        if mid is not None:
-            break
-        shift = _jitter(shift, attempt)
-    else:
+
+    pairs, shift, c_mid, why_mid = _factored(block, (alpha + beta) / 2, krylov)
+    if pairs is None:
         raise ConvergenceError(
             f"factorization failed at shift {shift:.6g} after jitters")
-    c_mid, why_mid = mid
+    w, u, got = pairs
 
     out = finish(w, u, (alpha, beta))
     bad = out.residuals > tol
@@ -479,13 +476,10 @@ def _hermitian_block(op, left, real, matrix=None):
 
 def _shift_invert(block, lu, shift, k, seed, sector, partial=None):
     """The k eigenvalues of ``block`` nearest ``shift`` (tol=0) on the factor
-    ``lu`` of block - shift (None is refused), from the start vector seeded
-    from (seed, sector).  With ``partial`` also the eigenvectors, and the
+    ``lu`` of block - shift, from the start vector seeded from (seed,
+    sector).  With ``partial`` also the eigenvectors, and the
     ConvergenceError of ARPACK's failure carries ``partial(values, vectors)``
     of the converged pairs."""
-    if lu is None:
-        raise ConvergenceError(
-            f"factorization failed at shift {shift:.6g} after jitters")
     dtype = block.matrix.dtype
     opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
     v0 = _start_vector(block.n, seed, sector, dtype)
@@ -507,10 +501,11 @@ def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
     With B = (H - lam)[:, S (x) C^r], sigma_S = min ||(H - lam) u|| / ||u||
     over u supported in S is sqrt(lambda_min(G)), G = B^H B.  One factor of
     G - threshold^2 gives the inertia (Sylvester): ``count`` singular values
-    lie below ``threshold``, trusted unless ``downgrade`` says why not.  At a
-    trusted count 0 the same factor drives a one-pair shift-invert solve,
-    whose eigenvalue is sigma_S^2; otherwise the solve runs on a second
-    factor at 0, where G's nearest eigenvalue is its smallest.
+    lie below ``threshold``, trusted unless ``downgrade`` says why not.  The
+    same factor first drives a one-pair shift-invert solve, whose eigenvalue
+    is sigma_S^2 at a trusted count 0; otherwise it is discarded and the
+    solve runs again on a second factor at 0, where G's nearest eigenvalue
+    is its smallest.
 
     On the rotation sectors that ``window_eigs`` takes at ``tol``, when S is
     invariant under the quarter turn, each sector column lies wholly inside
@@ -535,14 +530,16 @@ def norm_bound_certificate(op, support, lam, threshold, tol=None, seed=0):
             else sector.isometry()
         gram = _hermitian_block(op, shifted @ basis[:, cols], symmetry == C4_T)
         del basis  # no isometry alive while the block is solved
-        lu, shift, c, why = _factor_shifted(gram, threshold ** 2)
-        if c or why:
-            del lu  # one factor alive at a time
-            lu, shift = _factor_shifted(gram, 0.0)[:2]
-        (w,) = _shift_invert(gram, lu, shift, 1, seed,
-                             None if sector is None else sector.m)
-        del lu
-        sigma_s = min(sigma_s, float(np.sqrt(max(w, 0.0))))
+        nearest = functools.partial(
+            _shift_invert, gram, k=1, seed=seed,
+            sector=None if sector is None else sector.m)
+        w, shift, c, why = _factored(gram, threshold ** 2, nearest)
+        if c or why:  # G's eigenvalue nearest 0 is its smallest
+            w, shift = _factored(gram, 0.0, nearest)[:2]
+        if w is None:
+            raise ConvergenceError(
+                f"factorization failed at shift {shift:.6g} after jitters")
+        sigma_s = min(sigma_s, float(np.sqrt(max(w[0], 0.0))))
         count += c
         downgrade = downgrade or why
     return sigma_s, count, downgrade, symmetry

@@ -132,6 +132,30 @@ def test_potential_file_kind(tmp_path):
     assert np.allclose(inst["potential"].eigenvalues, 0.25)
 
 
+def test_non_finite_potential_file_is_refused_before_any_factor(
+        tmp_path, monkeypatch, capsys):
+    # one NaN site in v_file ends the run with InvalidSpecError, naming the
+    # potential, before any factorization or dump
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("splu called")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    vals = np.full((15 * 15, 1, 1), 0.25, dtype=complex)
+    vals[112, 0, 0] = np.nan
+    np.save(tmp_path / "pot.npy", vals)
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 2\n"
+                     "nx = 16\nextent = 6.0\npotential = file\n"
+                     f"v_file = {tmp_path / 'pot.npy'}\nout = {out}\n")
+    assert main(["run", "--config", cfg]) == 1
+    assert re.search(r"^\[ERROR\] InvalidSpecError: potential ",
+                     capsys.readouterr().out, re.M)
+    assert not list(out.glob("eigs_p*.bsev"))
+
+
 def test_cli_dry_run_and_run(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2\nnx = 20\n"
                      f"out = {tmp_path}/out\n")

@@ -257,3 +257,17 @@ def test_potential_validation_and_eigenvalues():
     pos = lat.positions
     assert np.allclose(bump.eigenvalues[:, 0],
                        np.exp(-(pos[:, 0] ** 2 + pos[:, 1] ** 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "+inf", "-inf"])
+def test_potential_values_must_be_finite(value):
+    # a non-finite site passes the Hermitian check (nan > tol is False) and
+    # would reach the factorizations; it is refused when the field is made
+    lat = build_lattice("rectangle_dirichlet", 2.0, 6)
+    vals = np.full((lat.n_sites, 1, 1), 0.25, dtype=complex)
+    assert np.allclose(PotentialField(vals, lat).eigenvalues, 0.25)
+    vals[lat.n_sites // 2, 0, 0] = value
+    with pytest.raises(InvalidSpecError, match="potential values must be "
+                                               "finite"):
+        PotentialField(vals, lat)

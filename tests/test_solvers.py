@@ -383,11 +383,22 @@ class _FactorSpy:
         return self._lu.solve(rhs)
 
 
+def _assert_pivots_read_after_last_solve(log):
+    """Every factor in the spy log is read for its pivots, and no read of
+    one comes before its last triangular solve."""
+    for factor in dict.fromkeys(f for _, f in log if f is not None):
+        reads = [i for i, entry in enumerate(log) if entry == ("read", factor)]
+        solves = [i for i, entry in enumerate(log)
+                  if entry == ("solve", factor)]
+        assert reads and min(reads) > max(solves, default=-1)
+
+
 def test_midpoint_pivots_are_read_after_the_krylov_solve(monkeypatch):
     # scipy caches CSC copies of L and U on a factor's first L or U read;
     # the factor of each sector's Krylov solve (its midpoint factor) is
     # read for its pivots only after that block's last eigsh call returns,
-    # so the copies never meet ARPACK's workspace
+    # so the copies never meet ARPACK's workspace; no other factor (the
+    # counts at alpha and beta) is read before a solve either
     log, splu, eigsh = [], spla.splu, spla.eigsh
 
     def returned(*args, **kwargs):
@@ -412,6 +423,46 @@ def test_midpoint_pivots_are_read_after_the_krylov_solve(monkeypatch):
         solve_returns = log.index(("eigsh", None), last_solve)
         reads = [i for i, entry in enumerate(log) if entry == ("read", factor)]
         assert reads and min(reads) > solve_returns
+    # alpha, beta and the midpoint in each of the four sectors
+    assert len(dict.fromkeys(f for _, f in log if f is not None)) == 12
+    _assert_pivots_read_after_last_solve(log)
+
+
+def _bump_norm_bound_input(tmp_path):
+    """(H, the norm bound's site set S, lambda = 1.5) of ``potential_bump``
+    at p = 4 on the nx = 32 plane."""
+    from magspec.config import build_config
+    from magspec.experiments import PerP, _bound_support
+    p = 4
+    st = PerP(build_config({"experiment": "potential_bump", "p": [p],
+                            "trials_p": [p], "nx": 32,
+                            "out": str(tmp_path)}), p)
+    return st.inst["op"], _bound_support(st.interface, p, 1.0), 1.5
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["zero", "above"])
+def test_norm_bound_pivots_are_read_after_the_last_solve(tmp_path,
+                                                         monkeypatch, above):
+    # the norm bound's one-pair solve runs on each factor before its
+    # pivots are read: at threshold 0 (count 0, the factor at t^2 = 0
+    # solved) and above sigma_S, where a sector counts a singular value
+    # below the threshold and is solved on a second factor at 0
+    op, support, lam = _bump_norm_bound_input(tmp_path)
+    threshold = 0.0
+    if above:
+        threshold = solvers.norm_bound_certificate(op, support, lam,
+                                                   0.0)[0] + 0.05
+    log, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: _FactorSpy(
+        splu(*args, **kwargs), log))
+    _, count, downgrade, symmetry = solvers.norm_bound_certificate(
+        op, support, lam, threshold)
+    assert symmetry == C4_T and downgrade is None
+    assert (count > 0) == above
+    factors = dict.fromkeys(factor for _, factor in log)
+    assert len(factors) > 4 if above else len(factors) == 4
+    _assert_pivots_read_after_last_solve(log)
+    assert all(("solve", factor) in log for factor in factors)
 
 
 def test_non_finite_midpoint_pivot_jitters_and_solves_again(eigsh_spy,
@@ -439,6 +490,39 @@ def test_non_finite_midpoint_pivot_jitters_and_solves_again(eigsh_spy,
     assert (sl.krylov_k, sl.growth_rounds) == (4, 0)
     assert len(sl) == 4
     assert sl.certificate == CERTIFIED and sl.downgrade is None
+
+
+def test_norm_bound_falls_back_to_zero_when_t2_never_factors(tmp_path,
+                                                             monkeypatch):
+    # no factor at t^2 or its jitters: every block's count is untrusted
+    # ("jitter retries exhausted") and sigma_S comes from the factor at 0
+    op, support, lam = _bump_norm_bound_input(tmp_path)
+    dense = (op.matrix.toarray() - lam * np.eye(op.n))[:, support]
+    smallest = np.linalg.svd(dense, compute_uv=False).min()
+    factor, shifts = solvers._factor, []
+
+    def only_at_zero(op, shift):
+        shifts.append(shift)
+        return factor(op, shift) if shift == 0.0 else None
+
+    monkeypatch.setattr(solvers, "_factor", only_at_zero)
+    sigma_s, count, downgrade, symmetry = solvers.norm_bound_certificate(
+        op, support, lam, 0.5)
+    assert (count, downgrade) == (0, "jitter retries exhausted")
+    assert symmetry == C4_T and shifts.count(0.0) == 4
+    assert len(shifts) == 4 * 4  # three tries at t^2, one at 0, per sector
+    assert abs(sigma_s - smallest) <= 1e-10
+
+
+def test_window_midpoint_that_never_factors_names_its_last_shift(
+        monkeypatch):
+    # no shift factors: the counts at alpha and beta are untrusted, and the
+    # midpoint fails at 0, 1e-10 and 3e-10; the error names the next shift
+    monkeypatch.setattr(solvers, "_factor", lambda op, shift: None)
+    op = op_from_dense(np.diag([-1.0, 0.25, 1.0, 2.0, 3.0]))
+    with pytest.raises(ConvergenceError, match=r"^factorization failed at "
+                                               r"shift 6e-10 after jitters$"):
+        window_eigs(op, (-0.5, 0.5))
 
 
 def test_eigenvector_dump_round_trip(tmp_path):
