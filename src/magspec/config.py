@@ -38,6 +38,7 @@ radial profile, so like a non-radial field it needs an explicit extent.
 
 import copy
 import math
+import os
 import re
 from dataclasses import dataclass, field, fields
 from typing import Callable
@@ -341,6 +342,9 @@ def validate_config(cfg):
     if not 1 <= cfg.potential.rank <= MAX_RANK:
         raise ConfigError(f"v_rank must be in 1..{MAX_RANK}, got "
                           f"{cfg.potential.rank}")
+    if cfg.potential.kind == "file" and not os.path.isfile(cfg.potential.path):
+        raise ConfigError(f"v_file {cfg.potential.path} is not an existing "
+                          f"file")
     if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
         raise ConfigError(f"window {cfg.window} is empty")
     preset = PRESETS[cfg.experiment]

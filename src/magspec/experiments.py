@@ -27,7 +27,8 @@ import numpy as np
 
 from .analysis import boundary_filter, localization_report, scaling_exponent
 from .config import PRESETS, plan_geometry, run_ps
-from .errors import ConfigError, InsufficientDataError, MagspecError
+from .errors import (ConfigError, InsufficientDataError, InvalidSpecError,
+                     MagspecError)
 from .fields import (LANDAU, SYMMETRIC, PotentialField, constant_potential,
                      edge_integrals, gauge_links, gaussian_bump_potential,
                      sample_field, zero_potential)
@@ -72,7 +73,12 @@ def build_potential(cfg, lattice):
     if pot.kind == "const":
         m = np.asarray(pot.matrix, dtype=complex).reshape(pot.rank, pot.rank)
         return constant_potential(lattice, m)
-    vals = np.load(pot.path)  # "file": PotentialSpec refuses other kinds
+    try:  # "file": PotentialSpec refuses other kinds
+        with open(pot.path, "rb") as fh:
+            vals = np.lib.format.read_array(fh)  # .npy only, no pickles
+    except (OSError, ValueError) as exc:
+        raise InvalidSpecError(f"v_file {pot.path} is not a .npy array: "
+                               f"{exc}") from None
     return PotentialField(vals, lattice)
 
 

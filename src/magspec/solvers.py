@@ -5,7 +5,9 @@ the solver.  Interior windows are solved by shift-invert Krylov iteration at
 the window midpoint; completeness is certified by inertia counts (Sylvester's
 law) at the window ends and checked against the count at the midpoint.  Each
 shift gets one symmetric-mode diagonal-pivot factorization of H - sigma,
-which serves every shift-invert solve there, then its inertia count.
+which serves every shift-invert solve there, then its inertia count.  The
+count reads U's diagonal from SuperLU's supernodal store of L, where it
+lives, so no copy of L or U is built for it (``_inertia``).
 
 The Krylov solve asks for exactly the certified count c(beta) - c(alpha):
 at the midpoint shift those are the eigenvalues of largest |1/(lambda -
@@ -84,6 +86,7 @@ there.  The slice records ``symmetry`` ("C4+T", "C4" or "none") and
 without a rotation).
 """
 
+import ctypes
 import functools
 import struct
 from dataclasses import dataclass, replace
@@ -270,19 +273,102 @@ def _factor(op, shift):
         return None
 
 
+class _SuperMatrix(ctypes.Structure):
+    """SuperLU's ``SuperMatrix`` header (supermatrix.h, int_t = int)."""
+    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int),
+                ("Mtype", ctypes.c_int), ("nrow", ctypes.c_int),
+                ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
+
+
+_INTS = ctypes.POINTER(ctypes.c_int)
+
+
+class _SCformat(ctypes.Structure):
+    """SuperLU's supernodal store of L, U's diagonal blocks included."""
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
+                ("nzval", ctypes.c_void_p), ("nzval_colptr", _INTS),
+                ("rowind", _INTS), ("rowind_colptr", _INTS),
+                ("col_to_sup", _INTS), ("sup_to_col", _INTS)]
+
+
+class _SuperLUObject(ctypes.Structure):
+    """scipy's ``SuperLUObject`` (_superluobject.h, scipy 1.17)."""
+    _fields_ = [("ob_refcnt", ctypes.c_ssize_t), ("ob_type", ctypes.c_void_p),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("L", _SuperMatrix), ("U", _SuperMatrix),
+                ("perm_r", ctypes.c_void_p), ("perm_c", ctypes.c_void_p),
+                ("cached_U", ctypes.c_void_p), ("cached_L", ctypes.c_void_p),
+                ("py_csc_construct_func", ctypes.c_void_p),
+                ("type", ctypes.c_int)]
+
+
+_SLU_SC, _SLU_TRLU = 3, 1  # L's Stype (supernodal columns) and Mtype
+_SLU_DTYPES = {1: np.dtype(np.float64), 3: np.dtype(np.complex128)}  # D, Z
+
+
+def _supernodal_pivots(lu):
+    """U's diagonal gathered from the supernodes of the factor ``lu`` into
+    a new array, or None when a layout check of ``_inertia`` fails."""
+    if type(lu) is not spla.SuperLU \
+            or type(lu).__basicsize__ != ctypes.sizeof(_SuperLUObject):
+        return None
+    obj = _SuperLUObject.from_address(id(lu))
+    n, low = lu.shape[0], obj.L
+    dtype = _SLU_DTYPES.get(low.Dtype)
+    if not (obj.m == obj.n == n and low.nrow == low.ncol == n
+            and obj.perm_r == lu.perm_r.ctypes.data
+            and obj.perm_c == lu.perm_c.ctypes.data
+            and low.Stype == _SLU_SC and low.Mtype == _SLU_TRLU
+            and dtype is not None and dtype.num == obj.type and low.Store):
+        return None
+    store = _SCformat.from_address(low.Store)
+    if not 0 <= store.nsuper < n:
+        return None
+    view = np.ctypeslib.as_array  # views of the store: nothing is copied
+    cols = np.arange(n, dtype=np.int32)
+    first = view(store.sup_to_col, (store.nsuper + 2,))[
+        view(store.col_to_sup, (n,))]
+    rows = view(store.rowind_colptr, (n + 1,))  # set at first columns
+    if not np.array_equal(
+            view(store.rowind, (rows[n],))[rows[first] + (cols - first)],
+            cols):
+        return None
+    starts = view(store.nzval_colptr, (n + 1,))
+    values = view(ctypes.cast(store.nzval, ctypes.POINTER(ctypes.c_double)),
+                  (starts[n] * (dtype.itemsize // 8),)).view(dtype)
+    return values[starts[:n] + (cols - first)]
+
+
 def _inertia(lu):
     """(negative pivots, None or why the count is untrusted) of the factor
     ``lu``, or None when a pivot is zero or not finite.
 
-    The diagonal is read from ``lu.U``: scipy's ``SuperLU`` object exposes
-    only ``L``, ``U``, ``nnz``, ``perm_c``, ``perm_r``, ``shape`` and
-    ``solve`` (checked on scipy 1.17), with no accessor for the pivots
-    alone.  The first ``.U`` access builds CSC copies of both L and U and
-    caches them on the factor (scipy 1.17), so a factor read before a solve
-    carries both copies through it: on a 150 x 150 grid Laplacian with
-    fill 993,076 the factor took 10.2 MB and the copies 11.4 MB more.
+    scipy's ``SuperLU`` object exposes only ``L``, ``U``, ``nnz``,
+    ``perm_c``, ``perm_r``, ``shape`` and ``solve`` (scipy 1.17), and its
+    first ``.U`` access builds CSC copies of both L and U, about 12 bytes
+    per fill entry, and caches them on the factor.  So the pivots are read
+    where SuperLU keeps them, with no copy of L or U: L is stored by
+    supernodes (SCformat), and each supernode's columns hold U's part of its
+    diagonal block too.  Column j of supernode s, whose first column is f =
+    sup_to_col[s], lists the rows f, f + 1, ... first, so its pivot is
+    nzval[nzval_colptr[j] + j - f], the entry scipy's ``LU_to_csc`` copies
+    onto U's diagonal; the n pivots are gathered into a new array while the
+    factor lives (``_supernodal_pivots``).
+
+    The factor is reached through ctypes mirrors of scipy 1.17's
+    ``SuperLUObject``, SuperLU's ``SuperMatrix`` and ``SCformat``.  Before
+    any pointer is followed, ``lu`` must be scipy's ``SuperLU`` with the
+    mirror's size, m = n = ``lu.shape[0]``, perm_r and perm_c the arrays of
+    ``lu.perm_r`` and ``lu.perm_c``, and L supernodal (Stype SLU_SC), lower
+    trapezoidal (SLU_TRLU), n x n and of the factor's type (SLU_D for
+    float64, SLU_Z for complex128); the row index at each pivot read must
+    then be its column's.  Where a check fails (another scipy's layout, or
+    a proxy of a factor) the pivots are read from ``lu.U.diagonal()``, the
+    same values bit for bit.
     """
-    d = lu.U.diagonal()
+    d = _supernodal_pivots(lu)
+    if d is None:
+        d = lu.U.diagonal()
     if not (np.all(np.isfinite(d)) and np.all(d != 0)):
         return None
     downgrade = None
@@ -308,13 +394,14 @@ def _factored(op, sigma, use=None):
     starts again, up to three tries.  Returns (what ``use`` returned, the
     shift used, negative pivots, None or why the count is untrusted), or
     (None, the next shift, 0, "jitter retries exhausted").  Every pivot read
-    follows its factor's last solve, so the L and U copies that the read
-    caches never meet a solve's workspace.  On ``radial_dip`` at p = 16 (N =
-    37.6k, one BLAS thread) the process's VmHWM after each stage is then
-    85.4-85.7 MB for the block build, 92.6-93.0 MB for the midpoint pivot
-    read and 95.2-95.8 MB for the count at beta, the peak, set by its own
-    pivot read; the Krylov stage, which set it at 100.4-100.9 MB with the
-    copies alive, does not raise it.
+    follows its factor's last solve, so a fallback read's L and U copies
+    (``_inertia``) never meet a solve's workspace.  On ``radial_dip`` at p =
+    16 (N = 37.6k, one BLAS thread, three seeds) the process's VmHWM after
+    each stage is 85.6 MB for the first block build and 91.7-91.8 MB for
+    its count at beta; the peak, 93.3-93.7 MB, is set by the last sector's
+    count at beta, by its factorization, as no pivot read copies L or U.
+    The Krylov solves, the midpoint pivot reads and the finishing steps do
+    not raise it.
     """
     shift = float(sigma)
     for attempt in range(3):

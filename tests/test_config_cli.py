@@ -156,6 +156,33 @@ def test_non_finite_potential_file_is_refused_before_any_factor(
     assert not list(out.glob("eigs_p*.bsev"))
 
 
+def test_missing_v_file_is_refused_at_dry_run(tmp_path, capsys, no_build):
+    missing = tmp_path / "pot.npy"
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 2\n"
+                     "nx = 16\nextent = 6.0\npotential = file\n"
+                     f"v_file = {missing}\nout = {tmp_path}/out\n")
+    assert main(["run", "--config", cfg, "--dry-run"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: v_file {missing} is not an existing file\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_potential_file_that_is_not_npy_is_a_spec_error(tmp_path, capsys):
+    # a text file named *.npy ends the run with InvalidSpecError, naming
+    # v_file, and the summary records it
+    path = tmp_path / "pot.npy"
+    path.write_text("0.25 0.25 0.25\n")
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, "experiment = potential_bump\np = 2\n"
+                     "nx = 16\nextent = 6.0\npotential = file\n"
+                     f"v_file = {path}\nout = {out}\n")
+    assert main(["run", "--config", cfg]) == 1
+    message = f"InvalidSpecError: v_file {path} is not a .npy array: "
+    assert f"[ERROR] {message}" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"].startswith(message)
+
+
 def test_cli_dry_run_and_run(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2\nnx = 20\n"
                      f"out = {tmp_path}/out\n")
@@ -502,6 +529,9 @@ def test_retired_key_is_unknown(tmp_path, capsys, no_build, preset, key,
      "line 2: v_matrix must be finite, got 1e400"),
     ("v_rank = 0\n", "v_rank must be in 1..8, got 0"),
     ("v_rank = 9\n", "v_rank must be in 1..8, got 9"),
+    # a potential file that is not there
+    ("potential = file\nv_file = no_such_dir/pot.npy\np = 2\nnx = 16\n"
+     "extent = 6.0\n", "v_file no_such_dir/pot.npy is not an existing file"),
 ])
 def test_bad_value_is_refused_before_any_solve(tmp_path, capsys, no_build,
                                                lines, message):
@@ -775,6 +805,9 @@ def test_interface_set_meeting_the_wall_is_refused(tmp_path, text, p):
 
 
 def test_file_potential_needs_extent(tmp_path):
+    import numpy as np
+
+    np.save(tmp_path / "pot.npy", np.zeros((1, 1, 1)))
     text = ("experiment = potential_bump\npotential = file\n"
             f"v_file = {tmp_path / 'pot.npy'}\n")
     with pytest.raises(ConfigError) as info:

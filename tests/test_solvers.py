@@ -492,6 +492,100 @@ def test_non_finite_midpoint_pivot_jitters_and_solves_again(eigsh_spy,
     assert sl.certificate == CERTIFIED and sl.downgrade is None
 
 
+def _factor_of(matrix, shift):
+    """``_factor``'s SuperLU factor of matrix - shift."""
+    return solvers._factor(SimpleNamespace(matrix=sp.csr_matrix(matrix),
+                                           n=matrix.shape[0]), shift)
+
+
+def _assert_supernodal_pivots_are_u_diagonal(lu):
+    pivots = solvers._supernodal_pivots(lu)
+    assert pivots is not None  # the installed scipy's layout is read
+    expect = lu.U.diagonal()
+    assert pivots.dtype == expect.dtype
+    assert pivots.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 400])
+def test_supernodal_pivots_equal_u_diagonal_on_random_matrices(dtype, n):
+    # real-symmetric and complex-Hermitian matrices at an indefinite shift:
+    # the pivots read from L's supernodes are U's diagonal bit for bit, and
+    # their count is the dense eigenvalue count below the shift
+    rng = np.random.default_rng(n)
+    a = sp.random(n, n, density=min(1.0, 6.0 / n), random_state=rng,
+                  dtype=dtype)
+    if dtype == np.complex128:
+        a = a + 1j * sp.random(n, n, density=min(1.0, 6.0 / n),
+                               random_state=rng)
+    matrix = (a + a.conj().T + sp.diags(rng.standard_normal(n))).toarray()
+    eigenvalues = np.linalg.eigvalsh(matrix)
+    shift = float(np.median(eigenvalues)) + 0.01
+    lu = _factor_of(matrix, shift)
+    _assert_supernodal_pivots_are_u_diagonal(lu)
+    count, downgrade = solvers._inertia(lu)
+    assert count == np.sum(eigenvalues < shift)
+    assert downgrade is None
+
+
+@pytest.mark.parametrize("experiment, p", [
+    ("torus_constant", 2), ("radial_dip", 2), ("potential_bump", 2)])
+def test_supernodal_pivots_equal_u_diagonal_on_preset_blocks(experiment, p):
+    # every block the preset's window solve factors (the four sectors, or
+    # the whole torus), at shifts inside its spectrum
+    from magspec.config import build_config
+    from magspec.experiments import build_instance
+    op = build_instance(build_config({"experiment": experiment, "p": [p]}),
+                        p)["op"]
+    sectors = solvers._rotation_sectors(op, solvers.default_tol(op))[0]
+    blocks = [op] if sectors is None else [
+        solvers._hermitian_block(op, s.isometry(), s.real, op.matrix)
+        for s in sectors]
+    assert len(blocks) == (1 if experiment == "torus_constant" else 4)
+    for block in blocks:
+        diagonal = block.matrix.diagonal().real
+        for shift in np.quantile(diagonal, [0.2, 0.5]):
+            _assert_supernodal_pivots_are_u_diagonal(
+                solvers._factor(block, shift))
+
+
+def test_factor_proxy_reads_u_diagonal_for_the_same_count():
+    # a proxy is not scipy's SuperLU, so its pivots come from its U, and
+    # the count is the one read from the factor's supernodes
+    matrix = np.diag([-2.0, -1.0, 0.5, 3.0]) + 0.1 * (np.eye(4, k=1)
+                                                      + np.eye(4, k=-1))
+    lu, log = _factor_of(matrix, 0.0), []
+    spy = _FactorSpy(lu, log)
+    assert solvers._supernodal_pivots(spy) is None
+    assert solvers._inertia(spy) == solvers._inertia(lu) == (2, None)
+    assert log == [("read", spy)]
+
+
+def test_pivot_read_makes_no_fill_sized_allocation():
+    # U's CSC copy costs about 12 bytes per fill entry; the supernodal
+    # read allocates only arrays of the block's size
+    import tracemalloc
+
+    from magspec.config import build_config
+    from magspec.experiments import build_instance
+    op = build_instance(build_config({"experiment": "radial_dip", "p": [4]}),
+                        4)["op"]
+    sector = solvers._rotation_sectors(op, solvers.default_tol(op))[0][0]
+    block = solvers._hermitian_block(op, sector.isometry(), sector.real,
+                                     op.matrix)
+    del op
+    lu = solvers._factor(block, 2.0)
+    assert lu.nnz > 40 * block.n
+    solvers._inertia(solvers._factor(block, 1.9))  # warm: lazy imports
+    tracemalloc.start()
+    try:
+        solvers._inertia(lu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * block.n, (peak, block.n, lu.nnz)
+
+
 def test_norm_bound_falls_back_to_zero_when_t2_never_factors(tmp_path,
                                                              monkeypatch):
     # no factor at t^2 or its jitters: every block's count is untrusted
