@@ -23,18 +23,14 @@ WALL_ARTIFACT = 0.5
 C_CAP = 10.0
 
 
-def _site_sum(abs_sq, n_sites):
-    """Per-site sums of a per-index |u|^2 over the fiber components."""
-    if abs_sq.size % n_sites != 0:
-        raise ConsistencyError(
-            "vector length is not a multiple of the site count")
-    r = abs_sq.size // n_sites
-    return abs_sq.reshape(n_sites, r) @ np.ones(r)
-
-
 def _site_amplitude_sq(vector, n_sites):
     """|u|^2 per site, summing fiber components for rank > 1 vectors."""
-    return _site_sum(np.abs(np.asarray(vector)) ** 2, n_sites)
+    amp2 = np.abs(np.asarray(vector)) ** 2
+    if amp2.size % n_sites != 0:
+        raise ConsistencyError(
+            "vector length is not a multiple of the site count")
+    r = amp2.size // n_sites
+    return amp2.reshape(n_sites, r) @ np.ones(r)
 
 
 def _logsumexp(a):
@@ -151,10 +147,12 @@ def decay_fit(vector, dist):
 
 
 def scaling_exponent(points):
-    """Least-squares slope of log(value) against log(p)."""
+    """Least-squares slope of log(value) against log(p); fewer than two
+    distinct p raise ``InsufficientDataError``."""
     pts = [(float(p), float(v)) for p, v in points]
-    if len(pts) < 2 or len({p for p, _ in pts}) < 2:
-        raise ValueError("need at least two points with distinct p")
+    if len({p for p, _ in pts}) < 2:
+        raise InsufficientDataError(
+            "need at least two points with distinct p for a scaling fit")
     if any(v <= 0 for _, v in pts):
         raise ValueError("values must be positive for a log-log fit")
     logs = np.log(np.array(pts))
@@ -184,7 +182,8 @@ def boundary_filter(sl, lattice, p, b_max):
     no wall (``boundary_distance`` is +inf), so every pair is kept there.
     """
     near = _wall_band(lattice, p, b_max)
-    amp2 = (_site_sum(sl.abs_sq(i), lattice.n_sites) for i in range(len(sl)))
+    amp2 = (_site_amplitude_sq(sl.column(i), lattice.n_sites)
+            for i in range(len(sl)))
     mask = np.array([a[near].sum() / a.sum() > WALL_ARTIFACT for a in amp2],
                     dtype=bool)
     return FilteredSlice(kept=sl.select(np.flatnonzero(~mask)),
@@ -220,9 +219,9 @@ def localization_report(sl, interface, p, b_max, *, b_min):
     ``C_CAP`` (0.0 if none; the mass at 0 is 1): the grid is scanned down
     from its top to the first such rate, so no other mass is computed; each
     pair's W is taken at c_min.  Each pair's |u|^2 is read once from its
-    block (``SpectrumSlice.abs_sq``) and shared by the wall fraction (as
-    ``boundary_filter``), the masses, the decay fit and the far-mass
-    fraction; the masks and shell bins are taken once.
+    lifted column (``SpectrumSlice.column``) and shared by the wall
+    fraction (as ``boundary_filter``), the masses, the decay fit and the
+    far-mass fraction; the masks and shell bins are taken once.
     """
     lat = interface.lattice
     c_min = 0.2 * np.sqrt(b_min)
@@ -233,7 +232,7 @@ def localization_report(sl, interface, p, b_max, *, b_min):
     shells = _shells(dist)
     entries = []
     for i in range(len(sl)):
-        amp2 = _site_sum(sl.abs_sq(i), lat.n_sites)
+        amp2 = _site_amplitude_sq(sl.column(i), lat.n_sites)
         total = amp2.sum()
         wall_fraction = amp2[near].sum() / total
         carrier = _carrier(amp2, dist.values)

@@ -116,8 +116,9 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows, append=False):
-    mode = "a" if append and Path(path).exists() else "w"
+def _write_csv(path, header, rows):
+    """Append the rows to the table at path, made with its header if new."""
+    mode = "a" if Path(path).exists() else "w"
     with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if mode == "w":
@@ -326,15 +327,14 @@ class PerP:
     def write_spectrum(self):
         """spectrum.csv rows of the shown pairs, and the eigenvector dump."""
         _write_csv(self.out / "spectrum.csv", _SPECTRUM_HEADER,
-                   self._spectrum_rows(), append=True)
+                   self._spectrum_rows())
         write_slice(self.slice, self.dump)
 
     def write_localization(self):
         _write_csv(self.out / "localization.csv", _SPECTRUM_HEADER[:5]
                    + ["c_star", "kappa", "W_at_cmin"],
                    self._rows([e.index, e.c_star, e.kappa, e.w_at_cmin]
-                              for e in self.localization.entries),
-                   append=True)
+                              for e in self.localization.entries))
 
     def write_edge_states(self):
         """gap_states.csv and localization.csv rows, and the dump."""
@@ -342,7 +342,7 @@ class PerP:
                 zip(self._spectrum_rows(), self.localization.entries)]
         _write_csv(self.out / "gap_states.csv",
                    _SPECTRUM_HEADER + ["boundary_fraction", "artifact_flag"],
-                   rows, append=True)
+                   rows)
         self.write_localization()
         write_slice(self.slice, self.dump)
 

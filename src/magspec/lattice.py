@@ -46,8 +46,10 @@ class Lattice:
             raise InvalidSpecError(f"unknown lattice kind {self.kind!r}")
         if not self.extent > 0:
             raise InvalidSpecError("lattice extent must be positive")
-        if self.nx < 2:
-            raise InvalidSpecError("nx must be at least 2")
+        # nx = 2 leaves the Dirichlet square one site and no plaquette
+        if self.nx < (2 if self.is_torus else 3):
+            raise InvalidSpecError("nx must be at least 2, and at least 3 on "
+                                   "the Dirichlet square")
 
     @property
     def spacing(self):

@@ -34,12 +34,12 @@ start vector is seeded from (seed, m).  One finishing step sorts a block's
 in-window pairs, orthonormalizes degenerate clusters in block space and
 computes every residual on the full H, which the residual check and the
 midpoint count check read.  Blocks merge by sorting their pairs only: the
-vectors stay in block coordinates beside their sector, ``column`` lifts one
-pair by a gather from the table and ``abs_sq`` spreads its |u|^2 there
-without the lattice vector, so no N x k array is made.  One cluster QR is enough: the B_m are
-isometries with mutually orthogonal ranges, so vectors orthonormal within a
-block stay orthonormal on the lattice, and orthogonal to every other
-block's.
+vectors stay in block coordinates beside their sector, and ``column`` lifts
+one pair by a gather from the table (``_Sector.lift``), the one way from a
+block to the lattice, so no N x k array is made.  One cluster QR is enough:
+the B_m are isometries with mutually orthogonal ranges, so vectors
+orthonormal within a block stay orthonormal on the lattice, and orthogonal
+to every other block's.
 
 A sector matrix is real symmetric when H also commutes with the
 antiunitary T = conj S, S the index permutation of the diagonal reflection
@@ -124,7 +124,8 @@ class SpectrumSlice:
     """Eigenpairs sorted ascending with a completeness certificate.
 
     The vectors stay in the coordinates of the blocks they were solved in;
-    ``column(i)`` lifts pair i to the lattice.
+    ``column(i)`` lifts pair i to the lattice, and every lattice reader
+    (residuals, dumps, |u|^2) takes the pair from there.
     """
 
     values: np.ndarray
@@ -156,19 +157,11 @@ class SpectrumSlice:
         sector, vectors = self.blocks[0]
         return vectors.shape[0] if sector is None else sector.orbits.n
 
-    def _pair(self, i):
-        sector, vectors = self.blocks[self.block[i]]
-        return sector, vectors[:, self.index[i]]
-
     def column(self, i):
         """Pair i's vector on the lattice, lifted from its block."""
-        sector, v = self._pair(i)
+        sector, vectors = self.blocks[self.block[i]]
+        v = vectors[:, self.index[i]]
         return v if sector is None else sector.lift(v)
-
-    def abs_sq(self, i):
-        """|column(i)|^2 per lattice index, bit for bit, without the column."""
-        sector, v = self._pair(i)
-        return np.abs(v) ** 2 if sector is None else sector.abs_sq(v)
 
     def select(self, keep):
         """The pairs ``keep``, sharing this slice's block vectors."""
@@ -567,6 +560,9 @@ def _shift_invert(block, lu, shift, k, seed, sector, partial=None):
     sector).  With ``partial`` also the eigenvectors, and the
     ConvergenceError of ARPACK's failure carries ``partial(values, vectors)``
     of the converged pairs."""
+    if not 0 < k < block.n:  # ARPACK's range; a tiny block has none
+        raise ConvergenceError(f"a block of {block.n} rows is too small for "
+                               f"a shift-invert solve")
     dtype = block.matrix.dtype
     opinv = spla.LinearOperator(lu.shape, matvec=lu.solve, dtype=dtype)
     v0 = _start_vector(block.n, seed, sector, dtype)
@@ -766,8 +762,9 @@ def _row_sum_bound(diff):
 @dataclass(frozen=True)
 class _Sector:
     """Rotation sector m of an orbit table: its isometry W_m = B_m Q_m
-    (T-fixed columns when ``real``, else Q_m = 1), built on demand, and
-    the gathers that lift its block vectors without it."""
+    (T-fixed columns when ``real``, else Q_m = 1), built on demand as that
+    sparse product, and the gather that lifts its block vectors without
+    it."""
 
     orbits: _OrbitTable
     m: int
@@ -789,56 +786,38 @@ class _Sector:
         return (first, first + (o.kind[:w] != 1), _ALPHA.take(code),
                 _BETA.take(code))
 
-    def _values(self, v):
-        """(Q v)_c per column c of B_m, of block vectors v."""
-        first, second, alpha, beta = self._pairing()
-        shape = (-1,) + (1,) * (v.ndim - 1)
-        return alpha.reshape(shape) * v.take(first, axis=0) \
-            + beta.reshape(shape) * v.take(second, axis=0)
-
-    def _spread(self, rows, fixed):
-        """The lattice array holding rows[j][c] at R^j s_c and ``fixed`` at
-        the fixed indices (zeros there when it is empty)."""
-        o = self.orbits
-        pad = np.zeros((o.fixed.size - len(fixed),) + fixed.shape[1:])
-        return np.concatenate(rows + [fixed, pad]).take(o.slot, axis=0)
-
     def isometry(self):
-        """W_m as CSR from the table: the rows and entries of the sparse
-        product B_m Q_m, a pair's second column first."""
-        o, (first, second, alpha, beta) = self.orbits, self._pairing()
-        col = np.zeros(o.n, dtype=np.intp)  # each index's column of B_m
-        scale = np.zeros(o.n, complex)      # and its entry there
-        col[o.table] = np.arange(o.table.shape[1])
-        scale[o.table] = _HALVES[self.m * np.arange(4) % 4, None]
-        if self.m == 0:
-            col[o.fixed] = o.table.shape[1] + np.arange(o.fixed.size)
-            scale[o.fixed] = 1.0
-        two = second[col] != first[col]
-        keep = np.c_[scale != 0, (scale != 0) & two]
-        data = scale[:, None] * np.c_[np.where(two, beta[col], alpha[col]),
-                                      alpha[col]]
-        return sp.csr_matrix(
-            (data[keep] + 0.0, np.c_[second[col], first[col]][keep],
-             np.r_[0, np.cumsum(keep.sum(axis=1))]), shape=(o.n, self.width))
+        """W_m as CSR: the sparse product B_m Q_m of two matrices read off
+        the table.  B_m has i^(-mj)/2 at R^j s_c in column c, and 1 at the
+        fixed indices for m = 0; row c of Q_m has alpha_c at column a_c and
+        beta_c at its pair's second column (``_pairing``)."""
+        o, w, (first, second, alpha, beta) = \
+            self.orbits, self.width, self._pairing()
+        k = o.table.shape[1]
+        halves = np.repeat(_HALVES[self.m * np.arange(4) % 4], k)
+        b = sp.csr_matrix((np.append(halves, np.ones(w - k)),
+                           (np.append(o.table, o.fixed[:w - k]),
+                            np.append(np.tile(np.arange(k), 4),
+                                      np.arange(k, w)))), shape=(o.n, w))
+        q = sp.csr_matrix((np.append(alpha, beta), (np.tile(np.arange(w), 2),
+                                                    np.append(first, second))),
+                          shape=(w, w))
+        return b @ q
 
     def lift(self, v):
         """The lattice vectors W_m v of block vectors v by gather: x[R^j
         s_c] = i^(-mj) (Q v)_c / 2, and (Q v)_c at a fixed index.  For the
         block's own vectors (real in a T-real sector) this is the sparse
         product bit for bit."""
-        y, k = self._values(v), self.orbits.table.shape[1]
-        x = self._spread([_HALVES[self.m * j % 4] * y[:k] for j in range(4)],
-                         y[k:])
+        o, (first, second, alpha, beta) = self.orbits, self._pairing()
+        shape, k = (-1,) + (1,) * (v.ndim - 1), o.table.shape[1]
+        y = alpha.reshape(shape) * v.take(first, axis=0) \
+            + beta.reshape(shape) * v.take(second, axis=0)  # (Q v)_c
+        pad = np.zeros((o.fixed.size - (y.shape[0] - k),) + y.shape[1:])
+        x = np.concatenate([_HALVES[self.m * j % 4] * y[:k] for j in range(4)]
+                           + [y[k:], pad]).take(o.slot, axis=0)
         x += 0.0  # +0 zeros, as a sparse product sums from 0
         return x
-
-    def abs_sq(self, v):
-        """|W_m v|^2 per index of one block vector v without the lattice
-        vector: |(Q v)_c / 2|^2 over each orbit."""
-        y, k = self._values(v), self.orbits.table.shape[1]
-        return self._spread([np.abs(0.5 * y[:k]) ** 2] * 4,
-                            np.abs(y[k:]) ** 2)
 
     def inside(self, mask):
         """Which columns of W_m lie wholly in the index mask."""

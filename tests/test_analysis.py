@@ -180,43 +180,62 @@ def test_localization_report_masses_equal_scalar_reference():
     assert tops[3] == c_grid.size - 1 and 0 < min(tops[:3]) < tops[3]
 
 
-@pytest.mark.parametrize("case", ["C4+T", "C4", "none", "dump"])
-def test_abs_sq_equals_the_column_amplitude_bit_for_bit(case, tmp_path):
-    # |u|^2 scattered from block coordinates against |u|^2 of the lifted
-    # column, on real and complex sectors, the whole space and a dump
-    from dataclasses import replace
-    from magspec import (assemble_H, constant_potential, read_slice,
-                         window_eigs, write_slice)
-    from magspec.analysis import _site_amplitude_sq, _site_sum
+def _complex_sector_state():
+    """A C4 slice (a complex off-diagonal potential breaks T) with the
+    interface set of a window its levels meet, p and the field spec."""
+    from magspec import assemble_H, constant_potential, window_eigs
     lat, spec, b, links, V, H = dip_rectangle_setup(nx=22, p=4)
-    if case == "C4":  # a complex off-diagonal potential breaks T
-        H = assemble_H(lat, links, constant_potential(
-            lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]]), 4)
-    elif case == "none":
-        H = replace(H, lattice=None)
+    V = constant_potential(lat, [[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.2]])
+    H = assemble_H(lat, links, V, 4)
     sl = window_eigs(H, (None, 0.5 * sum(dense_spectrum(H).values[11:13])))
-    assert sl.symmetry == ("C4+T" if case == "dump" else case)
-    if case == "dump":
-        write_slice(sl, tmp_path / "eigs.bsev")
-        sl = read_slice(tmp_path / "eigs.bsev")
-    assert len(sl) == 12
-    for i in range(len(sl)):
-        got = _site_sum(sl.abs_sq(i), lat.n_sites)
-        assert got.tobytes() == _site_amplitude_sq(sl.column(i),
-                                                   lat.n_sites).tobytes()
+    return sl, interface_set(lat, b, V, (1.2, 1.3), cutoff=4.0), 4, spec
+
+
+def _lattice_reports(sl, interface, p, spec):
+    """The localization report and the wall mask of a slice."""
+    from magspec import localization_report
+    b_max = spec.max_intensity()
+    return (localization_report(sl, interface, p, b_max,
+                                b_min=spec.min_intensity()),
+            boundary_filter(sl, interface.lattice, p, b_max).artifact_mask)
 
 
 def test_localization_of_a_slice_equals_that_of_its_dump(tmp_path):
-    # the run reads |u|^2 from sector coordinates, the localization view
-    # from the dump's lattice vectors: entry for entry the same report
+    # the run lifts each pair from its sector, the localization view reads
+    # the dump's lattice vectors: entry for entry the same report, and the
+    # same wall mask, on a real (C4+T) and a complex (C4) slice
     from magspec import read_slice, write_slice
     st = _bump_state(tmp_path, 8)
-    write_slice(st.slice, tmp_path / "eigs.bsev")
-    view = _bump_state(tmp_path, 8)
-    view.slice = read_slice(tmp_path / "eigs.bsev")
-    assert st.slice.symmetry == "C4+T" and view.slice.blocks[0][0] is None
-    assert len(st.localization.entries) == len(st.slice) >= 5
-    assert repr(view.localization) == repr(st.localization)
+    cases = [(st.slice, st.interface, 8, st.cfg.field_spec),
+             _complex_sector_state()]
+    for symmetry, (sl, interface, p, spec) in zip(["C4+T", "C4"], cases):
+        write_slice(sl, tmp_path / "eigs.bsev")
+        dump = read_slice(tmp_path / "eigs.bsev")
+        assert sl.symmetry == symmetry and dump.blocks[0][0] is None
+        assert len(sl) >= 5 and interface.mask.any()
+        (report, mask), (dump_report, dump_mask) = (
+            _lattice_reports(x, interface, p, spec) for x in (sl, dump))
+        assert len(report.entries) == len(sl)
+        assert repr(dump_report) == repr(report)
+        assert dump_mask.dtype == bool
+        assert dump_mask.tobytes() == mask.tobytes()
+
+
+def test_lattice_readers_lift_each_pair_once(monkeypatch):
+    # the wall filter and the localization report read each pair's |u|^2
+    # from its lifted column, one lift per pair each
+    sl, interface, p, spec = _complex_sector_state()
+    lifts = []
+    column = SpectrumSlice.column
+    monkeypatch.setattr(SpectrumSlice, "column",
+                        lambda self, i: lifts.append(i) or column(self, i))
+    from magspec import localization_report
+    localization_report(sl, interface, p, spec.max_intensity(),
+                        b_min=spec.min_intensity())
+    assert sorted(lifts) == list(range(len(sl)))
+    lifts.clear()
+    boundary_filter(sl, interface.lattice, p, spec.max_intensity())
+    assert sorted(lifts) == list(range(len(sl)))
 
 
 def test_scaling_exponent_cases():

@@ -183,6 +183,35 @@ def test_potential_file_that_is_not_npy_is_a_spec_error(tmp_path, capsys):
     assert summary["error"].startswith(message)
 
 
+@pytest.mark.parametrize("preset, nx, error", [
+    ("radial_dip", 2, None),  # one site, no plaquette: refused with the config
+    ("radial_dip", 3, "ConvergenceError: a block of 1 rows is too small"),
+    ("radial_dip", 4, "ConvergenceError: a block of 2 rows is too small"),
+    ("radial_dip", 5,
+     "InsufficientDataError: need at least two points with distinct p"),
+    # the window solves, but a norm-bound Gram block has one row
+    ("potential_bump", 6, "ConvergenceError: a block of 1 rows is too small")])
+def test_small_lattice_ends_in_a_recorded_error(tmp_path, capsys, preset, nx,
+                                                error):
+    # each ended in a traceback with no summary.json: nx = 2 in the field
+    # sampling, 3 and 4 in a Krylov solve asked for k <= 0 pairs, 5 in the
+    # clustering fit of a single p, and the norm bound in an ARPACK solve
+    # asked for as many pairs as its block has rows
+    out = tmp_path / "out"
+    trials = "trials_p = 2\n" if preset == "potential_bump" else ""
+    cfg = _write_cfg(tmp_path, f"experiment = {preset}\np = 2\nextent = 6.0\n"
+                     f"nx = {nx}\n{trials}out = {out}\n")
+    code = main(["run", "--config", cfg])
+    captured = capsys.readouterr()
+    if error is None:
+        assert code == 2 and not out.exists()
+        assert re.match(r"error: nx must be at least", captured.err)
+        return
+    assert code == 1 and f"[ERROR] {error}" in captured.out
+    assert json.loads((out / "summary.json").read_text())["error"] \
+        .startswith(error)
+
+
 def test_cli_dry_run_and_run(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "experiment = torus_constant\np = 2\nnx = 20\n"
                      f"out = {tmp_path}/out\n")
